@@ -14,7 +14,7 @@ Evaluation never mutates the sheet.
 
 from __future__ import annotations
 
-import math
+import operator
 import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -32,6 +32,7 @@ from .values import (
     Scalar,
     VALUE_ERR,
     Value,
+    _finite,
     coerce_to_number,
     coerce_to_text,
     compare,
@@ -54,59 +55,36 @@ class EvalContext:
         return replace(self, array_entered=array_entered)
 
 
-def _finite(value: float) -> Value:
-    return value if math.isfinite(value) else NUM_ERR
+def _operator_kernel(combine: Callable[..., Value], arity: int = 2,
+                     text: bool = False) -> Callable[..., Value]:
+    """Scalar kernel for an operator: coerce each operand (to text for
+    &, else to a number), pass the first error on, else combine."""
+    if arity == 1:
+        def unary(a: Scalar) -> Value:
+            x = coerce_to_number(a)
+            if isinstance(x, CellError):
+                return x
+            return combine(x)
+        return unary
+
+    def binary(a: Scalar, b: Scalar) -> Value:
+        x = coerce_to_text(a) if text else coerce_to_number(a)
+        if isinstance(x, CellError):
+            return x
+        y = coerce_to_text(b) if text else coerce_to_number(b)
+        if isinstance(y, CellError):
+            return y
+        return combine(x, y)
+    return binary
 
 
-def _k_add(a: Scalar, b: Scalar) -> Value:
-    x = coerce_to_number(a)
-    if isinstance(x, CellError):
-        return x
-    y = coerce_to_number(b)
-    if isinstance(y, CellError):
-        return y
-    return _finite(x + y)
-
-
-def _k_sub(a: Scalar, b: Scalar) -> Value:
-    x = coerce_to_number(a)
-    if isinstance(x, CellError):
-        return x
-    y = coerce_to_number(b)
-    if isinstance(y, CellError):
-        return y
-    return _finite(x - y)
-
-
-def _k_mul(a: Scalar, b: Scalar) -> Value:
-    x = coerce_to_number(a)
-    if isinstance(x, CellError):
-        return x
-    y = coerce_to_number(b)
-    if isinstance(y, CellError):
-        return y
-    return _finite(x * y)
-
-
-def _k_div(a: Scalar, b: Scalar) -> Value:
-    x = coerce_to_number(a)
-    if isinstance(x, CellError):
-        return x
-    y = coerce_to_number(b)
-    if isinstance(y, CellError):
-        return y
+def _divide(x: float, y: float) -> Value:
     if y == 0.0:
         return DIV0_ERR
     return _finite(x / y)
 
 
-def _k_pow(a: Scalar, b: Scalar) -> Value:
-    x = coerce_to_number(a)
-    if isinstance(x, CellError):
-        return x
-    y = coerce_to_number(b)
-    if isinstance(y, CellError):
-        return y
+def _power(x: float, y: float) -> Value:
     if x == 0.0 and y == 0.0:
         return NUM_ERR
     if x == 0.0 and y < 0.0:
@@ -120,43 +98,22 @@ def _k_pow(a: Scalar, b: Scalar) -> Value:
     return _finite(result)
 
 
-def _k_concat(a: Scalar, b: Scalar) -> Value:
-    x = coerce_to_text(a)
-    if isinstance(x, CellError):
-        return x
-    y = coerce_to_text(b)
-    if isinstance(y, CellError):
-        return y
-    return x + y
-
-
-def _k_neg(a: Scalar) -> Value:
-    x = coerce_to_number(a)
-    if isinstance(x, CellError):
-        return x
-    return -x
-
-
-def _k_percent(a: Scalar) -> Value:
-    x = coerce_to_number(a)
-    if isinstance(x, CellError):
-        return x
-    return x / 100.0
-
-
 def _comparison_kernel(op: str) -> Callable[[Scalar, Scalar], Value]:
     def kernel(a: Scalar, b: Scalar) -> Value:
         return compare(a, b, op)
     return kernel
 
 
+_NEGATE = _operator_kernel(operator.neg, arity=1)
+_PERCENT = _operator_kernel(lambda x: x / 100.0, arity=1)
+
 _BINARY_KERNELS: dict[str, Callable[[Scalar, Scalar], Value]] = {
-    "+": _k_add,
-    "-": _k_sub,
-    "*": _k_mul,
-    "/": _k_div,
-    "^": _k_pow,
-    "&": _k_concat,
+    "+": _operator_kernel(lambda x, y: _finite(x + y)),
+    "-": _operator_kernel(lambda x, y: _finite(x - y)),
+    "*": _operator_kernel(lambda x, y: _finite(x * y)),
+    "/": _operator_kernel(_divide),
+    "^": _operator_kernel(_power),
+    "&": _operator_kernel(operator.add, text=True),
     **{op: _comparison_kernel(op) for op in ("=", "<>", "<", "<=", ">", ">=")},
 }
 
@@ -182,11 +139,13 @@ def broadcast_shape(shapes: list[tuple[int, int]]) -> Optional[tuple[int, int]]:
     return rows, cols
 
 
-def _element_at(value: Value, row: int, col: int) -> Scalar:
-    if not isinstance(value, ArrayValue):
-        return value
-    return value.get(row if value.rows > 1 else 0,
-                     col if value.cols > 1 else 0)
+def _only_element(array: ArrayValue) -> Optional[Scalar]:
+    """The element of a 1x1 array.  A larger array has no single value
+    (there is no implicit intersection): None, which callers turn
+    into #VALUE!."""
+    if array.rows == 1 and array.cols == 1:
+        return array.first()
+    return None
 
 
 def lift(
@@ -207,51 +166,52 @@ def lift(
     element cannot be represented and yields #VALUE! there.
     """
     if lifted is None:
-        lifted = list(range(len(args)))
+        lifted = range(len(args))
+    checked = () if captures_errors else lifted
     arrays = [i for i in lifted if isinstance(args[i], ArrayValue)]
 
     if arrays and not ctx.array_entered:
         args = list(args)
         for i in arrays:
-            array = args[i]
-            if array.rows == 1 and array.cols == 1:
-                args[i] = array.first()
-            else:
-                return VALUE_ERR  # no implicit intersection
+            args[i] = _only_element(args[i])
+            if args[i] is None:
+                return VALUE_ERR
         arrays = []
-
-    def apply_once(call_args: list) -> Value:
-        if not captures_errors:
-            for i in lifted:
-                if isinstance(call_args[i], CellError):
-                    return call_args[i]
-        return kernel(*call_args)
 
     if not arrays:
         # single application: the kernel may legitimately produce a
         # whole array (TRANSPOSE, a resized OFFSET, ROW over a range)
-        return apply_once(list(args))
-
-    def apply_element(call_args: list) -> Scalar:
-        result = apply_once(call_args)
-        if isinstance(result, ArrayValue):
-            # an array per element cannot nest inside the result
-            if result.rows == 1 and result.cols == 1:
-                return result.first()
-            return VALUE_ERR
-        return result
+        for i in checked:
+            if isinstance(args[i], CellError):
+                return args[i]
+        return kernel(*args)
 
     shape = broadcast_shape([args[i].shape for i in arrays])
     if shape is None:
         return VALUE_ERR
     rows, cols = shape
+    # element (r, c) of an array sits at r * row_step + c * col_step of
+    # its cells; a step of 0 stretches a length-1 axis
+    sources = [(i, args[i].cells, args[i].cols if args[i].rows > 1 else 0,
+                1 if args[i].cols > 1 else 0) for i in arrays]
+    call_args = list(args)
     cells: list[Scalar] = []
     for r in range(rows):
         for c in range(cols):
-            element_args = list(args)
-            for i in arrays:
-                element_args[i] = _element_at(args[i], r, c)
-            cells.append(apply_element(element_args))
+            for i, source, row_step, col_step in sources:
+                call_args[i] = source[r * row_step + c * col_step]
+            for i in checked:
+                if isinstance(call_args[i], CellError):
+                    result = call_args[i]
+                    break
+            else:
+                result = kernel(*call_args)
+                if isinstance(result, ArrayValue):
+                    # an array per element cannot nest inside the result
+                    result = _only_element(result)
+                    if result is None:
+                        result = VALUE_ERR
+            cells.append(result)
     return ArrayValue(rows, cols, tuple(cells))
 
 
@@ -271,53 +231,44 @@ def _branch_result(expr: Optional[Expr], ctx: EvalContext,
     return evaluate(expr, ctx)
 
 
+def _choose(condition: Scalar, then_value: Scalar,
+            else_value: Scalar) -> Value:
+    truth = is_truthy(condition)
+    if isinstance(truth, CellError):
+        return truth
+    return then_value if truth else else_value
+
+
 def eval_if(args: tuple[Expr, ...], ctx: EvalContext) -> Value:
     """IF(condition, then, else?).
 
     With a scalar condition only the selected branch is evaluated.
     With an array condition (array entry) both branches are computed
-    once and chosen element-wise; since errors are plain values this
-    is observationally the same, element by element.  A false
-    condition with no else argument gives FALSE, and an empty slot
-    gives 0.
+    once and chosen element-wise by lifting; since errors are plain
+    values this is observationally the same, element by element, and
+    an error in the branch not chosen goes unseen.  A false condition
+    with no else argument gives FALSE, and an empty slot gives 0.
     """
     condition = evaluate(args[0], ctx)
     then_expr = args[1]
     else_expr = args[2] if len(args) > 2 else None
 
-    if isinstance(condition, ArrayValue) and not ctx.array_entered:
-        if condition.rows == 1 and condition.cols == 1:
-            condition = condition.first()
-        else:
+    if isinstance(condition, ArrayValue):
+        if ctx.array_entered:
+            branches = [_branch_result(then_expr, ctx, absent_default=0.0),
+                        _branch_result(else_expr, ctx, absent_default=False)]
+            return lift(_choose, [condition, *branches], ctx,
+                        captures_errors=True)
+        condition = _only_element(condition)
+        if condition is None:
             return VALUE_ERR
 
-    if not isinstance(condition, ArrayValue):
-        truth = is_truthy(condition)
-        if isinstance(truth, CellError):
-            return truth
-        if truth:
-            return _branch_result(then_expr, ctx, absent_default=0.0)
-        return _branch_result(else_expr, ctx, absent_default=False)
-
-    then_value = _branch_result(then_expr, ctx, absent_default=0.0)
-    else_value = _branch_result(else_expr, ctx, absent_default=False)
-    operands = [condition, then_value, else_value]
-    shape = broadcast_shape([v.shape for v in operands
-                             if isinstance(v, ArrayValue)])
-    if shape is None:
-        return VALUE_ERR
-    rows, cols = shape
-    cells: list[Scalar] = []
-    for r in range(rows):
-        for c in range(cols):
-            truth = is_truthy(_element_at(condition, r, c))
-            if isinstance(truth, CellError):
-                cells.append(truth)
-            elif truth:
-                cells.append(_element_at(then_value, r, c))
-            else:
-                cells.append(_element_at(else_value, r, c))
-    return ArrayValue(rows, cols, tuple(cells))
+    truth = is_truthy(condition)
+    if isinstance(truth, CellError):
+        return truth
+    if truth:
+        return _branch_result(then_expr, ctx, absent_default=0.0)
+    return _branch_result(else_expr, ctx, absent_default=False)
 
 
 def _eval_call(call: Call, ctx: EvalContext) -> Value:
@@ -366,7 +317,7 @@ def evaluate(expr: Expr, ctx: EvalContext) -> Value:
     if isinstance(expr, Unary):
         if expr.op == "+":
             return evaluate(expr.operand, ctx)  # sign-preserving no-op
-        kernel = _k_neg if expr.op == "-" else _k_percent
+        kernel = _NEGATE if expr.op == "-" else _PERCENT
         return lift(kernel, [evaluate(expr.operand, ctx)], ctx)
     if isinstance(expr, Binary):
         operands = [evaluate(expr.left, ctx), evaluate(expr.right, ctx)]

@@ -39,9 +39,9 @@ from .values import (
     Scalar,
     VALUE_ERR,
     Value,
+    _finite,
     compare,
     is_truthy,
-    parse_number,
     coerce_to_number,
     coerce_to_text,
 )
@@ -61,7 +61,6 @@ class FunctionDescriptor:
     max_args: Optional[int]  # None means unlimited
     modes: tuple[str, ...]  # per position; the last mode repeats
     impl: Optional[Callable]
-    volatile: bool = False
     captures_errors: bool = False
     lazy: bool = False  # evaluated by special-case logic, not a kernel
 
@@ -74,10 +73,6 @@ class FunctionDescriptor:
 def _truncate(value: float) -> int:
     # spreadsheet count arguments drop the fraction toward zero
     return int(value)
-
-
-def _finite(value: float) -> Value:
-    return value if math.isfinite(value) else NUM_ERR
 
 
 # ---------------------------------------------------------------- text
@@ -177,22 +172,13 @@ def fn_substitute(ctx: "EvalContext", args: list) -> Value:
 
 # ------------------------------------------------------------ aggregates
 
-def _iter_scalar_number(value: Scalar) -> Value | None:
-    """Inclusion rule for a direct scalar argument of an aggregate.
-
-    Numbers count, booleans coerce, text must parse as a number and
-    blanks are skipped (returned as None).
-    """
-    if isinstance(value, CellError):
-        return value
-    if isinstance(value, bool):
-        return 1.0 if value else 0.0
-    if isinstance(value, float):
-        return value
-    if isinstance(value, str):
-        parsed = parse_number(value)
-        return VALUE_ERR if parsed is None else parsed
-    return None  # BLANK / OMITTED
+def _iter_scalar_number(value: Scalar) -> float | CellError | None:
+    """Inclusion rule for a direct scalar argument of an aggregate:
+    blanks are skipped (returned as None), anything else coerces as a
+    number would."""
+    if value is BLANK or value is OMITTED:
+        return None
+    return coerce_to_number(value)
 
 
 def _collect_numbers(args: list) -> list[float] | CellError:
@@ -532,37 +518,35 @@ def fn_rand(ctx: "EvalContext", args: list) -> Value:
 
 # -------------------------------------------------------------- registry
 
-def _descriptor(name, min_args, max_args, modes, impl, **flags):
-    return FunctionDescriptor(name, min_args, max_args, modes, impl, **flags)
-
-
 REGISTRY: dict[str, FunctionDescriptor] = {d.name: d for d in [
-    _descriptor("SUM", 1, None, (ARRAY,), fn_sum),
-    _descriptor("AVERAGE", 1, None, (ARRAY,), fn_average),
-    _descriptor("MIN", 1, None, (ARRAY,), fn_min),
-    _descriptor("MAX", 1, None, (ARRAY,), fn_max),
-    _descriptor("SMALL", 2, 2, (ARRAY, SCALAR), fn_small),
-    _descriptor("LARGE", 2, 2, (ARRAY, SCALAR), fn_large),
-    _descriptor("LEFT", 1, 2, (SCALAR, SCALAR), fn_left),
-    _descriptor("RIGHT", 1, 2, (SCALAR, SCALAR), fn_right),
-    _descriptor("LEN", 1, 1, (SCALAR,), fn_len),
-    _descriptor("FIND", 2, 3, (SCALAR, SCALAR, SCALAR), fn_find),
-    _descriptor("SEARCH", 2, 3, (SCALAR, SCALAR, SCALAR), fn_search),
-    _descriptor("SUBSTITUTE", 3, 4, (SCALAR, SCALAR, SCALAR, SCALAR), fn_substitute),
-    _descriptor("IF", 2, 3, (SCALAR, SCALAR, SCALAR), None, lazy=True),
-    _descriptor("MATCH", 2, 3, (SCALAR, ARRAY, SCALAR), fn_match),
-    _descriptor("INDEX", 2, 3, (ARRAY, SCALAR, SCALAR), fn_index),
-    _descriptor("ISERROR", 1, 1, (SCALAR,), fn_iserror, captures_errors=True),
-    _descriptor("AND", 1, None, (ARRAY,), fn_and),
-    _descriptor("OR", 1, None, (ARRAY,), fn_or),
-    _descriptor("NOT", 1, 1, (SCALAR,), fn_not),
-    _descriptor("ROW", 0, 1, (REF,), fn_row),
-    _descriptor("COLUMN", 0, 1, (REF,), fn_column),
-    _descriptor("OFFSET", 3, 5, (REF, SCALAR, SCALAR, SCALAR, SCALAR), fn_offset),
-    _descriptor("TRANSPOSE", 1, 1, (ARRAY,), fn_transpose),
-    _descriptor("ROUND", 2, 2, (SCALAR, SCALAR), fn_round),
-    _descriptor("INT", 1, 1, (SCALAR,), fn_int),
-    _descriptor("RAND", 0, 0, (), fn_rand, volatile=True),
+    FunctionDescriptor("SUM", 1, None, (ARRAY,), fn_sum),
+    FunctionDescriptor("AVERAGE", 1, None, (ARRAY,), fn_average),
+    FunctionDescriptor("MIN", 1, None, (ARRAY,), fn_min),
+    FunctionDescriptor("MAX", 1, None, (ARRAY,), fn_max),
+    FunctionDescriptor("SMALL", 2, 2, (ARRAY, SCALAR), fn_small),
+    FunctionDescriptor("LARGE", 2, 2, (ARRAY, SCALAR), fn_large),
+    FunctionDescriptor("LEFT", 1, 2, (SCALAR, SCALAR), fn_left),
+    FunctionDescriptor("RIGHT", 1, 2, (SCALAR, SCALAR), fn_right),
+    FunctionDescriptor("LEN", 1, 1, (SCALAR,), fn_len),
+    FunctionDescriptor("FIND", 2, 3, (SCALAR, SCALAR, SCALAR), fn_find),
+    FunctionDescriptor("SEARCH", 2, 3, (SCALAR, SCALAR, SCALAR), fn_search),
+    FunctionDescriptor("SUBSTITUTE", 3, 4, (SCALAR, SCALAR, SCALAR, SCALAR),
+                       fn_substitute),
+    FunctionDescriptor("IF", 2, 3, (SCALAR, SCALAR, SCALAR), None, lazy=True),
+    FunctionDescriptor("MATCH", 2, 3, (SCALAR, ARRAY, SCALAR), fn_match),
+    FunctionDescriptor("INDEX", 2, 3, (ARRAY, SCALAR, SCALAR), fn_index),
+    FunctionDescriptor("ISERROR", 1, 1, (SCALAR,), fn_iserror, captures_errors=True),
+    FunctionDescriptor("AND", 1, None, (ARRAY,), fn_and),
+    FunctionDescriptor("OR", 1, None, (ARRAY,), fn_or),
+    FunctionDescriptor("NOT", 1, 1, (SCALAR,), fn_not),
+    FunctionDescriptor("ROW", 0, 1, (REF,), fn_row),
+    FunctionDescriptor("COLUMN", 0, 1, (REF,), fn_column),
+    FunctionDescriptor("OFFSET", 3, 5, (REF, SCALAR, SCALAR, SCALAR, SCALAR),
+                       fn_offset),
+    FunctionDescriptor("TRANSPOSE", 1, 1, (ARRAY,), fn_transpose),
+    FunctionDescriptor("ROUND", 2, 2, (SCALAR, SCALAR), fn_round),
+    FunctionDescriptor("INT", 1, 1, (SCALAR,), fn_int),
+    FunctionDescriptor("RAND", 0, 0, (), fn_rand),
 ]}
 
 FUNCTION_NAMES = tuple(sorted(REGISTRY))

@@ -109,8 +109,6 @@ class RangeRef:
 
 _A1_RE = re.compile(r"\$?([A-Za-z]{1,3})\$?([0-9]+)\Z")
 
-A1_PATTERN = _A1_RE  # reused by the formula lexer
-
 
 def parse_cell(token: str) -> CellAddress:
     """Parse one A1 cell token such as C2 or $C$2 (case-insensitive)."""

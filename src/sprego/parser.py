@@ -6,6 +6,20 @@ exponentiation (left-associative), the percent postfix, then unary
 sign, so -2^3 is (-2)^3 and -5% is (-5)%.  A leading = is accepted and
 braces around the whole formula mark array entry.
 
+The parser climbs precedence: one loop reads each binary operator's
+level from _BINARY_LEVEL, the table unparse() reads too, and recurses
+only into a right operand, a parenthesis or an argument list.
+
+Nesting is bounded by MAX_DEPTH, counted as open parentheses and
+argument lists and as the depth of the tree (the nodes above its
+deepest leaf); past it the parse fails with "formula nested too
+deeply".  The evaluator, unparse() and the tracer recurse over the
+tree, and the bound keeps every formula the parser accepts within
+Python's default limit of 1000 frames.  The costliest levels take 5
+frames in this parser (nested calls), 4 in the evaluator (nested IF)
+and 3 in unparse(), so 128 levels take at most 640 frames and leave
+about 350 for the callers.
+
 Expression nodes are frozen dataclasses, so structurally equal
 subtrees compare and hash equal; the tracer leans on that to
 deduplicate repeated subexpressions.
@@ -17,14 +31,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .grid import (
-    A1_PATTERN,
-    CellAddress,
-    MAX_COLS,
-    MAX_ROWS,
-    RangeRef,
-    letters_to_column,
-)
+from .grid import CellAddress, GridError, RangeRef, parse_cell
 from .values import BLANK, CellError, OMITTED, _Sentinel, render_number
 
 
@@ -147,13 +154,38 @@ class Formula:
     array_entered: bool
 
 
-_COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
+#: Binding strength of each binary operator, loosest first.  The parser
+#: and unparse() both read it; every binary operator associates left.
+_BINARY_LEVEL = {
+    "=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
+    "&": 2,
+    "+": 3, "-": 3,
+    "*": 4, "/": 4,
+    "^": 5,
+}
+_LEVEL_POSTFIX = 6
+_LEVEL_UNARY = 7
+_LEVEL_ATOM = 8
+
+#: Deepest nesting accepted; the module docstring says why 128.
+MAX_DEPTH = 128
 
 
 class _Parser:
+    """Precedence climbing over the token list.
+
+    The parse methods take `depth`, the number of nodes known to sit
+    above the node they build, and return that node with `deepest`,
+    the number of nodes above its deepest leaf.  A binary operator or
+    % found after an operand was parsed pushes the operand one level
+    down, so `deepest` can grow on the way back up as well as on the
+    way down; both are checked against MAX_DEPTH.
+    """
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0  # parentheses and argument lists now open
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -169,119 +201,111 @@ class _Parser:
             raise FormulaError(tok.offset, f"expected {kind!r}")
         return self.advance()
 
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in ops
+    def bounded(self, depth: int) -> int:
+        if depth > MAX_DEPTH:
+            raise FormulaError(self.peek().offset, "formula nested too deeply")
+        return depth
 
-    # precedence ladder, loosest first
+    def open(self) -> None:
+        self.expect("(")
+        self.nesting = self.bounded(self.nesting + 1)
 
-    def comparison(self) -> Expr:
-        node = self.concat()
-        while self.at_op(*_COMPARISON_OPS):
-            op = self.advance().text
-            node = Binary(op, node, self.concat())
-        return node
+    def close(self) -> None:
+        self.expect(")")
+        self.nesting -= 1
 
-    def concat(self) -> Expr:
-        node = self.additive()
-        while self.at_op("&"):
+    def expression(self, depth: int, min_level: int = 1) -> tuple[Expr, int]:
+        """Operands joined by binary operators of min_level or tighter."""
+        node, deepest = self.operand(depth)
+        while True:
+            tok = self.peek()
+            level = _BINARY_LEVEL.get(tok.text) if tok.kind == "op" else None
+            if level is None or level < min_level:
+                return node, deepest
             self.advance()
-            node = Binary("&", node, self.additive())
-        return node
+            # only tighter operators reach into the right operand, so an
+            # equal-level operator after it associates left
+            right, right_deepest = self.expression(self.bounded(depth + 1),
+                                                   level + 1)
+            node = Binary(tok.text, node, right)
+            deepest = self.bounded(max(deepest + 1, right_deepest))
 
-    def additive(self) -> Expr:
-        node = self.multiplicative()
-        while self.at_op("+", "-"):
-            op = self.advance().text
-            node = Binary(op, node, self.multiplicative())
-        return node
+    def operand(self, depth: int) -> tuple[Expr, int]:
+        """Prefix signs, an atom, then % postfixes.
 
-    def multiplicative(self) -> Expr:
-        node = self.power()
-        while self.at_op("*", "/"):
-            op = self.advance().text
-            node = Binary(op, node, self.power())
-        return node
-
-    def power(self) -> Expr:
-        node = self.postfix()
-        while self.at_op("^"):
-            self.advance()
-            node = Binary("^", node, self.postfix())
-        return node
-
-    def postfix(self) -> Expr:
-        node = self.unary()
-        while self.at_op("%"):
+        Signs bind tightest and % next, so -2^3 is (-2)^3 and -5% is
+        (-5)%.
+        """
+        signs: list[str] = []
+        while self.peek().kind == "op" and self.peek().text in ("+", "-"):
+            signs.append(self.advance().text)
+        node, deepest = self.atom(self.bounded(depth + len(signs)))
+        for op in reversed(signs):
+            node = Unary(op, node)
+        while self.peek().kind == "op" and self.peek().text == "%":
             self.advance()
             node = Unary("%", node)
-        return node
+            deepest = self.bounded(deepest + 1)
+        return node, deepest
 
-    def unary(self) -> Expr:
-        if self.at_op("-", "+"):
-            op = self.advance().text
-            return Unary(op, self.unary())
-        return self.atom()
-
-    def atom(self) -> Expr:
+    def atom(self, depth: int) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Literal(float(tok.text))
+            return Literal(float(tok.text)), depth
         if tok.kind == "string":
             self.advance()
-            return Literal(tok.text[1:-1].replace('""', '"'))
+            return Literal(tok.text[1:-1].replace('""', '"')), depth
         if tok.kind == "(":
-            self.advance()
-            node = self.comparison()
-            self.expect(")")
-            return node
+            self.open()
+            result = self.expression(depth)
+            self.close()
+            return result
         if tok.kind == "ident":
-            return self.name()
+            return self.name(depth)
         raise FormulaError(tok.offset, "expected a value")
 
-    def name(self) -> Expr:
+    def name(self, depth: int) -> tuple[Expr, int]:
         tok = self.advance()
         if self.peek().kind == "(":
-            return self.call(tok)
+            return self.call(tok, depth)
         upper = tok.text.upper()
         if upper == "TRUE":
-            return Literal(True)
+            return Literal(True), depth
         if upper == "FALSE":
-            return Literal(False)
+            return Literal(False), depth
         first = self.cell_of(tok)
         if self.peek().kind == ":":
             self.advance()
             second = self.cell_of(self.expect("ident"))
-            return RangeLit(RangeRef.make(first, second))
-        return Ref(first)
+            return RangeLit(RangeRef.make(first, second)), depth
+        return Ref(first), depth
 
     def cell_of(self, tok: Token) -> CellAddress:
-        m = A1_PATTERN.match(tok.text)
-        if not m:
-            raise FormulaError(tok.offset, f"unknown name {tok.text!r}")
-        col = letters_to_column(m.group(1))
-        row = int(m.group(2))
-        if col > MAX_COLS or row > MAX_ROWS or row < 1:
-            raise FormulaError(tok.offset, f"cell reference out of range: {tok.text}")
-        return CellAddress(col, row)
+        try:
+            return parse_cell(tok.text)
+        except GridError as exc:
+            raise FormulaError(tok.offset, str(exc)) from None
 
-    def call(self, name_tok: Token) -> Expr:
-        self.expect("(")
+    def call(self, name_tok: Token, depth: int) -> tuple[Expr, int]:
+        self.open()
         args: list[Expr] = []
-        if self.peek().kind == ")":
-            self.advance()
-            return Call(name_tok.text.upper(), ())
-        while True:
-            if self.peek().kind in (",", ")"):
-                args.append(Literal(OMITTED))  # empty slot
-            else:
-                args.append(self.comparison())
-            if self.peek().kind == ",":
+        deepest = depth
+        if self.peek().kind != ")":
+            arg_depth = self.bounded(depth + 1)
+            while True:
+                if self.peek().kind in (",", ")"):
+                    args.append(Literal(OMITTED))  # empty slot
+                    deepest = max(deepest, arg_depth)
+                else:
+                    arg, arg_deepest = self.expression(arg_depth)
+                    args.append(arg)
+                    deepest = max(deepest, arg_deepest)
+                if self.peek().kind != ",":
+                    break
                 self.advance()
-                continue
-            self.expect(")")
-            return Call(name_tok.text.upper(), tuple(args))
+        self.close()
+        return Call(name_tok.text.upper(), tuple(args)), deepest
 
 
 def parse_formula(text: str) -> Formula:
@@ -305,7 +329,7 @@ def parse_formula(text: str) -> Formula:
     first = parser.peek()
     if first.kind == "end":
         raise FormulaError(first.offset, "empty formula")
-    expr = parser.comparison()
+    expr, _ = parser.expression(0)
     trailing = parser.peek()
     if trailing.kind != "end":
         raise FormulaError(trailing.offset, "unexpected trailing input")
@@ -314,18 +338,6 @@ def parse_formula(text: str) -> Formula:
 
 def parse_expression(text: str) -> Expr:
     return parse_formula(text).expr
-
-
-_BINARY_LEVEL = {
-    "=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
-    "&": 2,
-    "+": 3, "-": 3,
-    "*": 4, "/": 4,
-    "^": 5,
-}
-_LEVEL_POSTFIX = 6
-_LEVEL_UNARY = 7
-_LEVEL_ATOM = 8
 
 
 def _level(expr: Expr) -> int:

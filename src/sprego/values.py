@@ -98,6 +98,11 @@ def parse_number(text: str) -> float | None:
     return result
 
 
+def _finite(value: float) -> float | CellError:
+    """A computed number, or #NUM! when it overflowed to infinity or NaN."""
+    return value if math.isfinite(value) else NUM_ERR
+
+
 def render_number(value: float) -> str:
     """Shortest decimal text that parses back to exactly this double."""
     if value == int(value) and abs(value) < 1e16:

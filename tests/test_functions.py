@@ -147,6 +147,21 @@ class TestAggregates:
         sheet.set(parse_cell("A2"), DIV0_ERR)
         assert ev("=SUM(A1:A3)", sheet) is DIV0_ERR
 
+    def test_first_error_in_row_major_order_wins(self):
+        # row-major order meets B1 first, column-major would meet A2
+        s = Sheet()
+        s.set(parse_cell("B1"), NA_ERR)
+        s.set(parse_cell("A2"), DIV0_ERR)
+        s.set(parse_cell("B2"), 2.0)
+        s.set(parse_cell("C1"), NUM_ERR)
+        for name in ("SUM", "AVERAGE", "MIN", "MAX", "AND", "OR"):
+            assert ev(f"={name}(A1:B2)", s) is NA_ERR, name
+            # across arguments, the earlier argument's error wins
+            assert ev(f"={name}(A1:B2,C1:C2)", s) is NA_ERR, name
+            assert ev(f"={name}(C1:C2,A1:B2)", s) is NUM_ERR, name
+        for name in ("SMALL", "LARGE"):
+            assert ev(f"={name}(A1:B2,1)", s) is NA_ERR, name
+
     def test_average(self, sheet):
         assert ev("=AVERAGE(A1:A3)", sheet) == 20.0
         assert ev("=AVERAGE(1,2,6)") == 3.0

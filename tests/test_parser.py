@@ -2,8 +2,11 @@
 
 import pytest
 
-from sprego.grid import CellAddress, parse_a1
+from sprego.cli import main
+from sprego.evaluator import EvalContext, evaluate_formula
+from sprego.grid import CellAddress, Sheet, parse_a1
 from sprego.parser import (
+    MAX_DEPTH,
     Binary,
     Call,
     Formula,
@@ -18,6 +21,8 @@ from sprego.parser import (
     tokenize,
     unparse,
 )
+from sprego.script import PARSE_FAILED
+from sprego.tracer import trace
 from sprego.values import OMITTED
 
 
@@ -223,3 +228,47 @@ class TestUnparse:
 
     def test_canonicalizes_case_and_space(self):
         assert unparse(parse_expression("sum( a1 , 2 )")) == "SUM(A1,2)"
+
+
+NESTING_SHAPES = ("parens", "calls", "ifs", "signs", "chain")
+
+
+def nested(shape, n):
+    """A formula nested n levels deep in the given way, and its value."""
+    return {
+        "parens": ("=" + "(" * n + "1" + ")" * n, 1.0),
+        "calls": ("=" + "LEN(" * n + "1" + ")" * n, 1.0),
+        "ifs": ("=" + "IF(TRUE," * n + "1" + ")" * n, 1.0),
+        "signs": ("=" + "-" * n + "1", (-1.0) ** n),
+        "chain": ("=1" + "+1" * n, n + 1.0),
+    }[shape]
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("shape", NESTING_SHAPES)
+    def test_deepest_formula_evaluates_unparses_and_traces(self, shape):
+        text, value = nested(shape, MAX_DEPTH)
+        formula = parse_formula(text)
+        assert evaluate_formula(formula, EvalContext(Sheet())) == value
+        assert parse_expression(unparse(formula.expr)) == formula.expr
+        table = trace(formula, EvalContext(Sheet()))
+        assert table.steps[-1].results.first() == value
+
+    @pytest.mark.parametrize("shape", NESTING_SHAPES)
+    def test_one_level_deeper_is_a_formula_error(self, shape):
+        text, _ = nested(shape, MAX_DEPTH + 1)
+        with pytest.raises(FormulaError, match="nested too deeply"):
+            parse_formula(text)
+
+    @pytest.mark.parametrize("shape", NESTING_SHAPES)
+    def test_cli_exits_2_without_a_traceback(self, shape, capsys, tmp_path):
+        text, _ = nested(shape, MAX_DEPTH + 1)
+        script = tmp_path / "deep.sprego"
+        script.write_text(f"STEP S1 A1 = {text}\n", encoding="utf-8")
+        assert main(["eval", text]) == PARSE_FAILED
+        assert main(["trace", text]) == PARSE_FAILED
+        assert main(["run", str(script)]) == PARSE_FAILED
+        captured = capsys.readouterr()
+        assert captured.err.count("nested too deeply") == 2
+        assert "nested too deeply" in captured.out
+        assert "Traceback" not in captured.err + captured.out
