@@ -17,9 +17,10 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from typing import Callable, Optional
 
-from .functions import REF, SCALAR, lookup
+from .functions import REF, SCALAR, lookup, read_range
 from .grid import CellAddress, RangeRef, Sheet
 from .parser import Binary, Call, Expr, Formula, Literal, RangeLit, Ref, Unary
 from .values import (
@@ -148,6 +149,27 @@ def _only_element(array: ArrayValue) -> Optional[Scalar]:
     return None
 
 
+def _spread(array: ArrayValue, rows: int, cols: int) -> tuple[Scalar, ...]:
+    """The array's cells stretched to rows x cols, row-major.  An array
+    already of that shape comes back as it is; a single column repeats
+    across, a single row repeats down."""
+    cells = array.cells
+    if array.cols != cols:
+        cells = tuple(chain.from_iterable(map(repeat, cells, repeat(cols))))
+    if array.rows != rows:
+        cells *= rows
+    return cells
+
+
+def _element_result(value: Value) -> Scalar:
+    """A kernel's result for one element: an array per element cannot
+    nest inside the result, so only a 1x1 array stands for its value."""
+    if isinstance(value, ArrayValue):
+        value = _only_element(value)
+        return VALUE_ERR if value is None else value
+    return value
+
+
 def lift(
     kernel: Callable[..., Value],
     args: list[Value],
@@ -158,16 +180,19 @@ def lift(
 ) -> Value:
     """Apply a scalar kernel, repeating it element-wise over arrays.
 
-    Only the positions named in `lifted` participate (all of them by
-    default); other arguments pass through whole on every element
-    call.  Unless the kernel captures errors, an error in a lifted
-    argument short-circuits that element (first error in argument
-    order wins).  A kernel that produces an array for a single
-    element cannot be represented and yields #VALUE! there.
+    Only the positions named in `lifted` (ascending; all of them by
+    default) participate; other arguments pass through whole on every
+    element call.  Unless the kernel captures errors, an error in a
+    lifted argument short-circuits that element (first error in
+    argument order wins).  A kernel that produces an array for a
+    single element cannot be represented and yields #VALUE! there.
+
+    The element loop does only per-element work: a stretched array is
+    expanded once per call, and a lifted scalar that is an error is
+    found once, before the loop.
     """
     if lifted is None:
         lifted = range(len(args))
-    checked = () if captures_errors else lifted
     arrays = [i for i in lifted if isinstance(args[i], ArrayValue)]
 
     if arrays and not ctx.array_entered:
@@ -178,40 +203,44 @@ def lift(
                 return VALUE_ERR
         arrays = []
 
+    checked = () if captures_errors else lifted
+    stop = None  # the first lifted scalar that is an error
+    for i in checked:
+        if isinstance(args[i], CellError):
+            stop = i
+            break
     if not arrays:
         # single application: the kernel may legitimately produce a
         # whole array (TRANSPOSE, a resized OFFSET, ROW over a range)
-        for i in checked:
-            if isinstance(args[i], CellError):
-                return args[i]
-        return kernel(*args)
+        return kernel(*args) if stop is None else args[stop]
 
     shape = broadcast_shape([args[i].shape for i in arrays])
     if shape is None:
         return VALUE_ERR
     rows, cols = shape
-    # element (r, c) of an array sits at r * row_step + c * col_step of
-    # its cells; a step of 0 stretches a length-1 axis
-    sources = [(i, args[i].cells, args[i].cols if args[i].rows > 1 else 0,
-                1 if args[i].cols > 1 else 0) for i in arrays]
-    call_args = list(args)
-    cells: list[Scalar] = []
-    for r in range(rows):
-        for c in range(cols):
-            for i, source, row_step, col_step in sources:
-                call_args[i] = source[r * row_step + c * col_step]
-            for i in checked:
+    # one row-major sequence per argument, so zip yields each
+    # element's argument tuple
+    columns: list = [repeat(arg) for arg in args]
+    for i in arrays:
+        columns[i] = _spread(args[i], rows, cols)
+    # arrays that can decide an element before the scalar error does
+    watched = [i for i in arrays
+               if i in checked and (stop is None or i < stop)
+               and any(map(isinstance, columns[i], repeat(CellError)))]
+    if stop is None and not watched:
+        cells = list(map(kernel, *columns))
+    else:
+        cells = []
+        for call_args in zip(*columns):
+            for i in watched:
                 if isinstance(call_args[i], CellError):
-                    result = call_args[i]
+                    cells.append(call_args[i])
                     break
             else:
-                result = kernel(*call_args)
-                if isinstance(result, ArrayValue):
-                    # an array per element cannot nest inside the result
-                    result = _only_element(result)
-                    if result is None:
-                        result = VALUE_ERR
-            cells.append(result)
+                cells.append(kernel(*call_args) if stop is None
+                             else args[stop])
+    if any(map(isinstance, cells, repeat(ArrayValue))):
+        cells = [_element_result(value) for value in cells]
     return ArrayValue(rows, cols, tuple(cells))
 
 
@@ -299,8 +328,10 @@ def _eval_call(call: Call, ctx: EvalContext) -> Value:
             if mode == SCALAR:
                 lifted.append(index)
 
+    impl = descriptor.impl
+
     def kernel(*call_args):
-        return descriptor.impl(ctx, list(call_args))
+        return impl(ctx, call_args)
 
     return lift(kernel, prepared, ctx, lifted=lifted,
                 captures_errors=descriptor.captures_errors)
@@ -313,7 +344,7 @@ def evaluate(expr: Expr, ctx: EvalContext) -> Value:
     if isinstance(expr, Ref):
         return ctx.sheet.get(expr.addr)
     if isinstance(expr, RangeLit):
-        return ctx.sheet.get_range(expr.rng)
+        return read_range(ctx.sheet, expr.rng)
     if isinstance(expr, Unary):
         if expr.op == "+":
             return evaluate(expr.operand, ctx)  # sign-preserving no-op

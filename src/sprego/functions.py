@@ -24,9 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP, localcontext
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .grid import CellAddress, MAX_COLS, MAX_ROWS, RangeRef
+from .grid import CellAddress, GridError, MAX_COLS, MAX_ROWS, RangeRef, Sheet
 from .values import (
     ArrayValue,
     BLANK,
@@ -77,7 +77,7 @@ def _truncate(value: float) -> int:
 
 # ---------------------------------------------------------------- text
 
-def fn_left(ctx: "EvalContext", args: list) -> Value:
+def fn_left(ctx: "EvalContext", args: Sequence) -> Value:
     """LEFT(text, count=1): leading characters of text.
 
     A fractional count is truncated; a negative count is an error and
@@ -93,7 +93,7 @@ def fn_left(ctx: "EvalContext", args: list) -> Value:
     return text[:n]
 
 
-def fn_right(ctx: "EvalContext", args: list) -> Value:
+def fn_right(ctx: "EvalContext", args: Sequence) -> Value:
     """RIGHT(text, count=1): trailing characters of text."""
     text = coerce_to_text(args[0])
     count = coerce_to_number(args[1]) if len(args) > 1 else 1.0
@@ -107,11 +107,11 @@ def fn_right(ctx: "EvalContext", args: list) -> Value:
     return text[-n:]
 
 
-def fn_len(ctx: "EvalContext", args: list) -> Value:
+def fn_len(ctx: "EvalContext", args: Sequence) -> Value:
     return float(len(coerce_to_text(args[0])))
 
 
-def _find_core(needle: str, hay: str, args: list, fold: bool) -> Value:
+def _find_core(needle: str, hay: str, args: Sequence, fold: bool) -> Value:
     start = coerce_to_number(args[2]) if len(args) > 2 else 1.0
     if isinstance(start, CellError):
         return start
@@ -128,7 +128,7 @@ def _find_core(needle: str, hay: str, args: list, fold: bool) -> Value:
     return float(index + 1)
 
 
-def fn_find(ctx: "EvalContext", args: list) -> Value:
+def fn_find(ctx: "EvalContext", args: Sequence) -> Value:
     """FIND(needle, text, start=1): case-sensitive position, 1-based.
 
     A miss is an error value, which is what makes ISERROR(FIND(...))
@@ -137,12 +137,12 @@ def fn_find(ctx: "EvalContext", args: list) -> Value:
     return _find_core(coerce_to_text(args[0]), coerce_to_text(args[1]), args, fold=False)
 
 
-def fn_search(ctx: "EvalContext", args: list) -> Value:
+def fn_search(ctx: "EvalContext", args: Sequence) -> Value:
     """SEARCH(needle, text, start=1): like FIND but case-insensitive."""
     return _find_core(coerce_to_text(args[0]), coerce_to_text(args[1]), args, fold=True)
 
 
-def fn_substitute(ctx: "EvalContext", args: list) -> Value:
+def fn_substitute(ctx: "EvalContext", args: Sequence) -> Value:
     """SUBSTITUTE(text, old, new, instance?).
 
     Replaces every occurrence, or only the instance-th when given.
@@ -181,7 +181,7 @@ def _iter_scalar_number(value: Scalar) -> float | CellError | None:
     return coerce_to_number(value)
 
 
-def _collect_numbers(args: list) -> list[float] | CellError:
+def _collect_numbers(args: Sequence) -> list[float] | CellError:
     """Flatten aggregate arguments into the numbers they contribute.
 
     Inside arrays only numbers count; text, booleans and blanks are
@@ -205,14 +205,14 @@ def _collect_numbers(args: list) -> list[float] | CellError:
     return numbers
 
 
-def fn_sum(ctx: "EvalContext", args: list) -> Value:
+def fn_sum(ctx: "EvalContext", args: Sequence) -> Value:
     numbers = _collect_numbers(args)
     if isinstance(numbers, CellError):
         return numbers
     return _finite(math.fsum(numbers))
 
 
-def fn_average(ctx: "EvalContext", args: list) -> Value:
+def fn_average(ctx: "EvalContext", args: Sequence) -> Value:
     numbers = _collect_numbers(args)
     if isinstance(numbers, CellError):
         return numbers
@@ -221,21 +221,21 @@ def fn_average(ctx: "EvalContext", args: list) -> Value:
     return _finite(math.fsum(numbers) / len(numbers))
 
 
-def fn_min(ctx: "EvalContext", args: list) -> Value:
+def fn_min(ctx: "EvalContext", args: Sequence) -> Value:
     numbers = _collect_numbers(args)
     if isinstance(numbers, CellError):
         return numbers
     return min(numbers) if numbers else 0.0
 
 
-def fn_max(ctx: "EvalContext", args: list) -> Value:
+def fn_max(ctx: "EvalContext", args: Sequence) -> Value:
     numbers = _collect_numbers(args)
     if isinstance(numbers, CellError):
         return numbers
     return max(numbers) if numbers else 0.0
 
 
-def _kth(args: list, smallest: bool) -> Value:
+def _kth(args: Sequence, smallest: bool) -> Value:
     numbers = _collect_numbers(args[:1])
     if isinstance(numbers, CellError):
         return numbers
@@ -249,19 +249,19 @@ def _kth(args: list, smallest: bool) -> Value:
     return numbers[k - 1] if smallest else numbers[len(numbers) - k]
 
 
-def fn_small(ctx: "EvalContext", args: list) -> Value:
+def fn_small(ctx: "EvalContext", args: Sequence) -> Value:
     """SMALL(values, k): k-th smallest of the numeric elements."""
     return _kth(args, smallest=True)
 
 
-def fn_large(ctx: "EvalContext", args: list) -> Value:
+def fn_large(ctx: "EvalContext", args: Sequence) -> Value:
     """LARGE(values, k): k-th largest of the numeric elements."""
     return _kth(args, smallest=False)
 
 
 # ----------------------------------------------------------------- logic
 
-def _iter_conditions(args: list):
+def _iter_conditions(args: Sequence):
     """Yield the boolean reading of every usable element, or an error."""
     for arg in args:
         elements = arg.cells if isinstance(arg, ArrayValue) else (arg,)
@@ -276,7 +276,7 @@ def _iter_conditions(args: list):
             # aggregates treat non-numeric array elements
 
 
-def fn_and(ctx: "EvalContext", args: list) -> Value:
+def fn_and(ctx: "EvalContext", args: Sequence) -> Value:
     found = False
     for condition in _iter_conditions(args):
         if isinstance(condition, CellError):
@@ -287,7 +287,7 @@ def fn_and(ctx: "EvalContext", args: list) -> Value:
     return True if found else VALUE_ERR
 
 
-def fn_or(ctx: "EvalContext", args: list) -> Value:
+def fn_or(ctx: "EvalContext", args: Sequence) -> Value:
     found = False
     for condition in _iter_conditions(args):
         if isinstance(condition, CellError):
@@ -298,14 +298,14 @@ def fn_or(ctx: "EvalContext", args: list) -> Value:
     return False if found else VALUE_ERR
 
 
-def fn_not(ctx: "EvalContext", args: list) -> Value:
+def fn_not(ctx: "EvalContext", args: Sequence) -> Value:
     truth = is_truthy(args[0])
     if isinstance(truth, CellError):
         return truth
     return not truth
 
 
-def fn_iserror(ctx: "EvalContext", args: list) -> Value:
+def fn_iserror(ctx: "EvalContext", args: Sequence) -> Value:
     # the one consumer of error values
     return isinstance(args[0], CellError)
 
@@ -328,7 +328,7 @@ def _same_kind(a: Scalar, b: Scalar) -> bool:
     return isinstance(a, str) and isinstance(b, str)
 
 
-def fn_match(ctx: "EvalContext", args: list) -> Value:
+def fn_match(ctx: "EvalContext", args: Sequence) -> Value:
     """MATCH(needle, vector, mode=1): 1-based position in a vector.
 
     Mode 0 finds the first exact match (text folds case).  Positive
@@ -366,11 +366,20 @@ def _as_array(value: Value) -> ArrayValue:
     return ArrayValue(1, 1, (value,))
 
 
+def read_range(sheet: Sheet, rng: RangeRef) -> Value:
+    """A range's values inside a formula.  A range above
+    grid.MAX_RANGE_CELLS is #NUM! (#REF! already means off the sheet)."""
+    try:
+        return sheet.get_range(rng)
+    except GridError:
+        return NUM_ERR
+
+
 def _unwrap(array: ArrayValue) -> Value:
     return array.first() if array.rows == 1 and array.cols == 1 else array
 
 
-def fn_index(ctx: "EvalContext", args: list) -> Value:
+def fn_index(ctx: "EvalContext", args: Sequence) -> Value:
     """INDEX(array, row, col=1): one element, or a whole row/column.
 
     Row or column 0 selects the entire column/row; indexes past the
@@ -400,7 +409,7 @@ def fn_index(ctx: "EvalContext", args: list) -> Value:
     return array.get(r - 1, c - 1)
 
 
-def fn_offset(ctx: "EvalContext", args: list) -> Value:
+def fn_offset(ctx: "EvalContext", args: Sequence) -> Value:
     """OFFSET(ref, rows, cols, height?, width?): a shifted range's values.
 
     The result is read through the sheet, resized when height/width
@@ -438,10 +447,11 @@ def fn_offset(ctx: "EvalContext", args: list) -> Value:
         CellAddress(left_col, top_row),
         CellAddress(left_col + width - 1, top_row + height - 1),
     )
-    return _unwrap(ctx.sheet.get_range(shifted))
+    values = read_range(ctx.sheet, shifted)
+    return _unwrap(values) if isinstance(values, ArrayValue) else values
 
 
-def fn_row(ctx: "EvalContext", args: list) -> Value:
+def fn_row(ctx: "EvalContext", args: Sequence) -> Value:
     """ROW(ref?): the row number; of the formula's own cell with no
     argument, of a range's rows (as a column vector, when array
     entered) with one."""
@@ -455,7 +465,7 @@ def fn_row(ctx: "EvalContext", args: list) -> Value:
     return float(rng.top_left.row)
 
 
-def fn_column(ctx: "EvalContext", args: list) -> Value:
+def fn_column(ctx: "EvalContext", args: Sequence) -> Value:
     if not args:
         return float(ctx.anchor.col)
     rng: RangeRef = args[0]
@@ -466,7 +476,7 @@ def fn_column(ctx: "EvalContext", args: list) -> Value:
     return float(rng.top_left.col)
 
 
-def fn_transpose(ctx: "EvalContext", args: list) -> Value:
+def fn_transpose(ctx: "EvalContext", args: Sequence) -> Value:
     value = args[0]
     if not isinstance(value, ArrayValue):
         return value
@@ -478,7 +488,7 @@ def fn_transpose(ctx: "EvalContext", args: list) -> Value:
 
 # --------------------------------------------------------------- numeric
 
-def fn_round(ctx: "EvalContext", args: list) -> Value:
+def fn_round(ctx: "EvalContext", args: Sequence) -> Value:
     """ROUND(x, digits): decimal rounding with half away from zero.
 
     Works on the shortest decimal form of x, so ROUND(2.345, 2) is
@@ -503,7 +513,7 @@ def fn_round(ctx: "EvalContext", args: list) -> Value:
     return _finite(float(result))
 
 
-def fn_int(ctx: "EvalContext", args: list) -> Value:
+def fn_int(ctx: "EvalContext", args: Sequence) -> Value:
     """INT(x): floor, so INT(-1.5) is -2."""
     x = coerce_to_number(args[0])
     if isinstance(x, CellError):
@@ -511,7 +521,7 @@ def fn_int(ctx: "EvalContext", args: list) -> Value:
     return float(math.floor(x))
 
 
-def fn_rand(ctx: "EvalContext", args: list) -> Value:
+def fn_rand(ctx: "EvalContext", args: Sequence) -> Value:
     """RAND(): uniform draw from [0, 1) using the context's generator."""
     return ctx.rng.random()
 

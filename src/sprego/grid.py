@@ -6,6 +6,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass, field
+from itertools import product, repeat
 from pathlib import Path
 from typing import IO, Iterator, Union
 
@@ -21,6 +22,10 @@ from .values import (
 
 MAX_COLS = 16384
 MAX_ROWS = 1048576
+
+#: The most cells one range may materialize: one full column.  A
+#: whole-sheet range would be 1.7e10 cells.
+MAX_RANGE_CELLS = MAX_ROWS
 
 
 class GridError(Exception):
@@ -100,11 +105,23 @@ class RangeRef:
             return self.top_left.a1
         return f"{self.top_left.a1}:{self.bottom_right.a1}"
 
+    def keys(self) -> Iterator[tuple[int, int]]:
+        """Row-major (row, col) keys of every cell in the rectangle.
+
+        Raises GridError, before yielding anything, for a rectangle of
+        more than MAX_RANGE_CELLS cells.
+        """
+        if self.rows * self.cols > MAX_RANGE_CELLS:
+            raise GridError(
+                f"range {self.a1} has {self.rows * self.cols} cells, "
+                f"more than the {MAX_RANGE_CELLS} one range may hold")
+        return product(range(self.top_left.row, self.bottom_right.row + 1),
+                       range(self.top_left.col, self.bottom_right.col + 1))
+
     def addresses(self) -> Iterator[CellAddress]:
         """Row-major walk over every cell in the rectangle."""
-        for row in range(self.top_left.row, self.bottom_right.row + 1):
-            for col in range(self.top_left.col, self.bottom_right.col + 1):
-                yield CellAddress(col, row)
+        for row, col in self.keys():
+            yield CellAddress(col, row)
 
 
 _A1_RE = re.compile(r"\$?([A-Za-z]{1,3})\$?([0-9]+)\Z")
@@ -160,25 +177,35 @@ class Sheet:
             self._cells[(addr.row, addr.col)] = value
 
     def get_range(self, rng: RangeRef) -> ArrayValue:
-        """Dense snapshot of a rectangle; missing cells appear as BLANK."""
-        cells = tuple(self.get(addr) for addr in rng.addresses())
+        """Dense snapshot of a rectangle; missing cells appear as BLANK.
+
+        Raises GridError for a rectangle above MAX_RANGE_CELLS.
+        """
+        cells = tuple(map(self._cells.get, rng.keys(), repeat(BLANK)))
         return ArrayValue(rng.rows, rng.cols, cells)
 
     def spill(self, top_left: CellAddress, array: ArrayValue) -> RangeRef:
         """Write an array with its first element at top_left.
 
-        The write is all-or-nothing: bounds are checked up front so a
-        failed spill leaves the sheet untouched.
+        The write is all-or-nothing: bounds and placeholders are
+        checked up front so a failed spill leaves the sheet untouched.
         """
-        bottom = top_left.row + array.rows - 1
-        right = top_left.col + array.cols - 1
+        top, left = top_left.row, top_left.col
+        bottom = top + array.rows - 1
+        right = left + array.cols - 1
         if bottom > MAX_ROWS or right > MAX_COLS:
             raise GridError(
                 f"spill of {array.rows}x{array.cols} at {top_left.a1} "
                 "exceeds the sheet bounds")
-        for r in range(array.rows):
-            for c in range(array.cols):
-                self.set(top_left.offset(r, c), array.get(r, c))
+        if OMITTED in array.cells:  # _Sentinel compares by identity
+            raise GridError("cannot store an omitted-argument placeholder")
+        cells = self._cells
+        keys = product(range(top, bottom + 1), range(left, right + 1))
+        for key, value in zip(keys, array.cells):
+            if value is BLANK:
+                cells.pop(key, None)
+            else:
+                cells[key] = value
         return RangeRef.make(top_left, CellAddress(right, bottom))
 
     def used_cells(self) -> set[tuple[int, int]]:
@@ -194,6 +221,14 @@ def _open_text(source: CsvSource) -> IO[str]:
     if isinstance(source, io.TextIOBase):
         return source
     return io.TextIOWrapper(source, encoding="utf-8", newline="")
+
+
+def _check_row(fields: list[str], row: int, column_offset: int) -> None:
+    """Raise GridError for the first non-empty field of a CSV row that
+    lands off the sheet; empty fields are never stored."""
+    for col, text in enumerate(fields, start=column_offset + 1):
+        if text != "" and (row > MAX_ROWS or col > MAX_COLS):
+            raise GridError(f"address out of range: col={col} row={row}")
 
 
 def load_csv(
@@ -214,6 +249,7 @@ def load_csv(
     if column_offset < 0:
         raise IngestError("column offset must be non-negative")
     sheet = Sheet()
+    cells = sheet._cells
     try:
         stream = _open_text(source)
     except OSError as exc:
@@ -222,15 +258,18 @@ def load_csv(
     try:
         reader = csv.reader(stream)
         for row_idx, fields in enumerate(reader, start=1):
-            for col_idx, text in enumerate(fields, start=1):
+            if row_idx > MAX_ROWS or len(fields) + column_offset > MAX_COLS:
+                _check_row(fields, row_idx, column_offset)
+            numeric = not force_text and not (header and row_idx == 1)
+            for col_idx, text in enumerate(fields, start=column_offset + 1):
                 if text == "":
                     continue
                 value: Scalar = text
-                if not force_text and not (header and row_idx == 1):
+                if numeric:
                     number = parse_number(text)
                     if number is not None:
                         value = number
-                sheet.set(CellAddress(col_idx + column_offset, row_idx), value)
+                cells[(row_idx, col_idx)] = value
     except UnicodeDecodeError as exc:
         raise IngestError(f"CSV source is not valid UTF-8: {exc}") from exc
     except csv.Error as exc:

@@ -393,6 +393,7 @@ class _Runner:
 
     def do_step(self, directive: Step) -> bool:
         target = as_range(parse_a1(directive.target))
+        target_keys = target.keys()  # refuses a range above the cap
         formula = parse_formula(directive.formula)
         ctx = EvalContext(self.sheet, anchor=target.top_left, rng=self.rng)
         result = evaluate_formula(formula, ctx)
@@ -404,7 +405,7 @@ class _Runner:
                 f"STEP {directive.label} produced {result.rows}x{result.cols} "
                 f"but {target.a1} is {target.rows}x{target.cols}")
         self.sheet.spill(target.top_left, result)
-        self.written.update((a.row, a.col) for a in target.addresses())
+        self.written.update(target_keys)
         self.steps[directive.label] = directive
         return self.note(directive.line,
                          f"STEP {directive.label} {target.a1}: "
@@ -423,12 +424,13 @@ class _Runner:
 
     def do_expect(self, directive: Expect) -> bool:
         target = as_range(parse_a1(directive.target))
-        missing = [a for a in target.addresses()
-                   if (a.row, a.col) not in self.written]
-        if missing:
+        missing = next((key for key in target.keys()
+                        if key not in self.written), None)
+        if missing is not None:
+            row, col = missing
             raise ScriptError(
                 directive.line,
-                f"EXPECT {target.a1} covers {missing[0].a1}, "
+                f"EXPECT {target.a1} covers {CellAddress(col, row).a1}, "
                 "which no directive has written")
         expected_rows = directive.rows
         if directive.source.startswith("@"):

@@ -52,18 +52,28 @@ def decompose(expr: Expr) -> list[Expr]:
     are not steps, and a subtree that occurs twice (like the repeated
     RIGHT(...) argument when trimming a trailing character) is listed
     once, where it first appears.
+
+    Subtrees are compared by keys interned bottom-up, so no subtree is
+    hashed twice, and a literal's key holds its type: LEN(1) and
+    LEN(TRUE) are two steps, although 1.0 == True.
     """
     steps: list[Expr] = []
-    seen: set[Expr] = set()
+    interned: dict[tuple, int] = {}
 
-    def visit(node: Expr) -> None:
-        if node in seen or isinstance(node, (Literal, Ref, RangeLit)):
-            return
-        for child in _children(node):
-            visit(child)
-        if node not in seen:
-            seen.add(node)
-            steps.append(node)
+    def visit(node: Expr) -> int:
+        if isinstance(node, Literal):
+            key: tuple = (type(node.value), node.value)
+        elif isinstance(node, (Ref, RangeLit)):
+            key = (node,)
+        else:
+            label = node.name if isinstance(node, Call) else node.op
+            key = (type(node), label, *map(visit, _children(node)))
+        ident = interned.get(key)
+        if ident is None:
+            ident = interned[key] = len(interned)
+            if not isinstance(node, (Literal, Ref, RangeLit)):
+                steps.append(node)
+        return ident
 
     visit(expr)
     return steps

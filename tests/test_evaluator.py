@@ -169,6 +169,56 @@ class TestBroadcasting:
         assert result.to_rows() == [[11.0], [12.0]]
 
 
+class TestLiftErrorOrder:
+    """lift called directly, with a kernel that records its calls."""
+
+    @staticmethod
+    def recording(calls):
+        def kernel(*args):
+            calls.append(args)
+            return 0.0
+        return kernel
+
+    def test_array_error_before_a_scalar_error_wins_its_element(self):
+        calls = []
+        column = ArrayValue.column([1.0, NA_ERR, 3.0])
+        ctx = EvalContext(Sheet(), array_entered=True)
+        result = lift(self.recording(calls), [column, DIV0_ERR], ctx)
+        assert result.to_rows() == [[DIV0_ERR], [NA_ERR], [DIV0_ERR]]
+        assert calls == []
+
+    def test_scalar_error_first_fills_every_element(self):
+        calls = []
+        column = ArrayValue.column([1.0, NA_ERR, 3.0])
+        ctx = EvalContext(Sheet(), array_entered=True)
+        result = lift(self.recording(calls), [DIV0_ERR, column], ctx)
+        assert result.cells == (DIV0_ERR,) * 3
+        assert calls == []
+
+    def test_capturing_kernel_still_sees_errors(self):
+        calls = []
+        column = ArrayValue.column([1.0, NA_ERR, 3.0])
+        ctx = EvalContext(Sheet(), array_entered=True)
+        result = lift(self.recording(calls), [column, DIV0_ERR], ctx,
+                      captures_errors=True)
+        assert result.cells == (0.0,) * 3
+        assert calls == [(1.0, DIV0_ERR), (NA_ERR, DIV0_ERR),
+                         (3.0, DIV0_ERR)]
+
+    def test_row_by_column_stretches_to_the_outer_grid(self):
+        calls = []
+
+        def add(a, b):
+            calls.append((a, b))
+            return a + b
+        row = ArrayValue.from_rows([[1.0, 2.0, 3.0]])
+        column = ArrayValue.column([10.0, 20.0])
+        ctx = EvalContext(Sheet(), array_entered=True)
+        result = lift(add, [row, column], ctx)
+        assert result.to_rows() == [[11.0, 12.0, 13.0], [21.0, 22.0, 23.0]]
+        assert len(calls) == 6
+
+
 class TestIf:
     def test_scalar_condition(self):
         assert ev("=IF(TRUE,1,2)") == 1.0

@@ -6,6 +6,7 @@ import pytest
 
 from sprego.grid import (
     MAX_COLS,
+    MAX_RANGE_CELLS,
     MAX_ROWS,
     CellAddress,
     GridError,
@@ -124,6 +125,27 @@ class TestSheet:
         arr = sheet.get_range(as_range(parse_a1("B2:C3")))
         assert arr.to_rows() == [[1.0, BLANK], [BLANK, 2.0]]
 
+    def test_get_range_matches_per_cell_reads_in_row_major_order(self):
+        sheet = Sheet()
+        for a1, value in [("C5", 1.0), ("E5", "x"), ("D6", True),
+                          ("F7", BLANK), ("C8", 2.5), ("F8", "end")]:
+            sheet.set(parse_cell(a1), value)
+        rng = as_range(parse_a1("C5:F8"))
+        expected = tuple(sheet.get(CellAddress(col, row))
+                         for row in range(5, 9) for col in range(3, 7))
+        arr = sheet.get_range(rng)
+        assert arr.shape == (4, 4)
+        assert arr.cells == expected
+        assert arr.get(1, 1) is True and arr.get(3, 3) == "end"
+
+    def test_get_range_refuses_more_than_the_cap(self):
+        sheet = Sheet()
+        with pytest.raises(GridError):
+            sheet.get_range(as_range(parse_a1("A1:XFD1048576")))
+        over = RangeRef(CellAddress(1, 1), CellAddress(2, MAX_RANGE_CELLS))
+        with pytest.raises(GridError):
+            over.keys()
+
     def test_spill_writes_rectangle(self):
         sheet = Sheet()
         rng = sheet.spill(parse_cell("B2"),
@@ -143,6 +165,16 @@ class TestSheet:
         tall = ArrayValue.column([0.0] * 3)
         with pytest.raises(GridError):
             sheet.spill(CellAddress(1, MAX_ROWS - 1), tall)
+        assert sheet.get(parse_cell("A1")) == 7.0
+        assert len(sheet.used_cells()) == 1
+
+
+    def test_spill_with_a_placeholder_changes_nothing(self):
+        sheet = Sheet()
+        sheet.set(parse_cell("A1"), 7.0)
+        mixed = ArrayValue.column([1.0, OMITTED, 3.0])
+        with pytest.raises(GridError):
+            sheet.spill(parse_cell("A1"), mixed)
         assert sheet.get(parse_cell("A1")) == 7.0
         assert len(sheet.used_cells()) == 1
 
@@ -184,6 +216,15 @@ class TestLoadCsv:
         assert sheet.get(parse_cell("A1")) is BLANK
         assert sheet.get(parse_cell("B1")) == "name"
         assert sheet.get(parse_cell("C2")) == 3.0
+
+    def test_column_offset_past_the_last_column_rejected(self):
+        with pytest.raises(GridError):
+            load_csv(io.StringIO("a,b\n"), column_offset=MAX_COLS - 1)
+        edge = load_csv(io.StringIO("a,b\n"), column_offset=MAX_COLS - 2)
+        assert edge.get(CellAddress(MAX_COLS, 1)) == "b"
+        # an empty field past the edge stores nothing, so it is no error
+        trailing = load_csv(io.StringIO("a,\n"), column_offset=MAX_COLS - 1)
+        assert trailing.used_cells() == {(1, MAX_COLS)}
 
     def test_negative_offset_rejected(self):
         with pytest.raises(IngestError):

@@ -1,5 +1,7 @@
 """Task script parsing and execution, plus the command line."""
 
+import time
+
 import pytest
 
 from sprego import data_path, parse_task_script, run_script
@@ -351,3 +353,54 @@ EXPECT C2:C3 = 30;99
 
     def test_eval_missing_workbook(self, capsys):
         assert main(["eval", "/no/such.csv", "=1"]) == IO_FAILED
+
+
+WHOLE_SHEET = "A1:XFD1048576"
+
+
+def timed(call):
+    start = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - start
+
+
+class TestRangeCap:
+    """A range above grid.MAX_RANGE_CELLS (one full column) is refused
+    before any cell is read: #NUM! inside a formula, exit 3 elsewhere."""
+
+    @pytest.mark.parametrize("formula", [
+        f"=SUM({WHOLE_SHEET})",
+        "=SUM(OFFSET(A1,0,0,1048576,16384))",
+        "=SUM(OFFSET(A1,0,0,1048576,2))",
+        f"{{=LEN({WHOLE_SHEET})}}",
+    ])
+    def test_formula_gives_num_error(self, capsys, formula):
+        code, seconds = timed(lambda: main(["eval", formula]))
+        assert code == OK and capsys.readouterr().out == "#NUM!\n"
+        assert seconds < 1.0
+
+    def test_range_of_exactly_the_cap_evaluates(self, capsys):
+        code = main(["eval", "=SUM(A1:A1048576)+SUM(OFFSET(A1,0,0,1048576))",
+                     "--set", "A1048576=5"])
+        assert code == OK and capsys.readouterr().out == "10\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["export", "{book}", WHOLE_SHEET],
+        ["trace", "{book}", "=LEN(A2)", WHOLE_SHEET],
+        ["trace", "{book}", f"=SUM({WHOLE_SHEET})"],
+    ])
+    def test_cli_exits_3(self, capsys, tmp_path, argv):
+        book = str(write(tmp_path, "b.csv", SMALL_CSV))
+        argv = [arg.replace("{book}", book) for arg in argv]
+        code, seconds = timed(lambda: main(argv))
+        assert code == EVAL_FAILED and seconds < 1.0
+
+    @pytest.mark.parametrize("directive", [
+        f"EXPECT {WHOLE_SHEET} = 1",
+        f"STEP S1 {WHOLE_SHEET} = 1",
+    ])
+    def test_script_directive_exits_3(self, tmp_path, directive):
+        path = write(tmp_path, "t.sprego", f"SET A1 = 1\n{directive}\n")
+        report, seconds = timed(lambda: run_script(path))
+        assert report.exit_code == EVAL_FAILED and seconds < 1.0
+        assert "1048576 one range may hold" in report.render()

@@ -66,6 +66,17 @@ class TestDecompose:
             FULL,
         ]
 
+    def test_literals_of_different_types_are_different_steps(self):
+        # 1.0 == True and 0.0 == False, but LEN reads them as 1 and TRUE
+        for formula, lens in [("=LEN(1)&LEN(TRUE)", [1.0, 4.0, "14"]),
+                              ("=LEN(0)&LEN(FALSE)", [1.0, 5.0, "15"])]:
+            table = trace(formula, EvalContext(Sheet()))
+            assert [s.results.first() for s in table.steps] == lens
+
+    def test_a_call_without_arguments_is_a_step(self):
+        steps = decompose(parse_expression("ROW()+1"))
+        assert [unparse(s) for s in steps] == ["ROW()", "ROW()+1"]
+
     def test_every_step_builds_on_earlier_ones(self):
         expr = parse_expression(FULL)
         steps = decompose(expr)
