@@ -19,19 +19,19 @@ from pathlib import Path
 from typing import Optional
 
 from .evaluator import EvalContext, display_value, evaluate_formula
-from .grid import GridError, IngestError, RangeRef, Sheet, as_range, load_csv, parse_a1, range_to_csv
-from .parser import FormulaError, parse_formula
+from .grid import Sheet, as_range, load_csv, parse_a1, parse_cell, range_to_csv
+from .parser import parse_formula
 from .script import (
-    EVAL_FAILED,
     EXPECT_FAILED,
     IO_FAILED,
     OK,
-    PARSE_FAILED,
+    REPORTED_FAILURES,
     ScriptError,
-    parse_scalar_field,
+    _parse_set_literal,
+    describe_failure,
     run_script,
 )
-from .tracer import TraceError, render_tsv, trace
+from .tracer import render_tsv, trace
 from .values import ArrayValue, CellError, render
 
 PACKAGED_DATA = Path(__file__).parent / "data"
@@ -106,11 +106,9 @@ def _build_sheet(options, workbook: Optional[str]) -> Sheet:
     for assignment in options.assignments:
         target, eq, literal = assignment.partition("=")
         if not eq:
-            raise ScriptError(0, f"malformed --set {assignment!r}")
-        addr = parse_a1(target.strip())
-        if isinstance(addr, RangeRef):
-            raise ScriptError(0, "--set takes a single cell")
-        sheet.set(addr, parse_scalar_field(literal, quoted=False))
+            raise ScriptError(None, f"malformed --set {assignment!r}")
+        sheet.set(parse_cell(target.strip()),
+                  _parse_set_literal(literal, None))
     return sheet
 
 
@@ -122,7 +120,7 @@ def _positional_workbook(args: list[str], most: int):
         return args[0], args[1], None
     if len(args) == 3 and most == 3:
         return args[0], args[1], args[2]
-    raise ScriptError(0, "too many positional arguments")
+    raise ScriptError(None, "too many positional arguments")
 
 
 def cmd_eval(options) -> int:
@@ -186,18 +184,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     try:
         return handlers[options.command](options)
-    except FormulaError as exc:
-        print(f"sprego: formula error: {exc}", file=sys.stderr)
-        return PARSE_FAILED
-    except IngestError as exc:
-        print(f"sprego: {exc}", file=sys.stderr)
-        return IO_FAILED
-    except (GridError, TraceError, ScriptError) as exc:
-        print(f"sprego: {exc}", file=sys.stderr)
-        return EVAL_FAILED
+    except REPORTED_FAILURES as exc:
+        code, message = describe_failure(exc)
     except OSError as exc:
-        print(f"sprego: {exc}", file=sys.stderr)
-        return IO_FAILED
+        code, message = IO_FAILED, str(exc)
+    print(f"sprego: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from itertools import chain, repeat
 from typing import Callable, Optional
 
 from .functions import REF, SCALAR, lookup, read_range
-from .grid import CellAddress, RangeRef, Sheet
+from .grid import MAX_RANGE_CELLS, CellAddress, RangeRef, Sheet
 from .parser import Binary, Call, Expr, Formula, Literal, RangeLit, Ref, Unary
 from .values import (
     ArrayValue,
@@ -45,15 +45,14 @@ from .values import (
 class EvalContext:
     """Everything one evaluation needs: the sheet snapshot, the entry
     mode, the formula's own cell (for ROW/COLUMN) and the random
-    stream backing RAND."""
+    stream backing RAND.  When node_values is set, evaluate stores in
+    it the value of each operator and call node under id(node)."""
 
     sheet: Sheet
     array_entered: bool = False
     anchor: CellAddress = CellAddress(1, 1)
     rng: random.Random = field(default_factory=random.Random)
-
-    def entered(self, array_entered: bool) -> "EvalContext":
-        return replace(self, array_entered=array_entered)
+    node_values: Optional[dict[int, Value]] = None
 
 
 def _operator_kernel(combine: Callable[..., Value], arity: int = 2,
@@ -186,6 +185,7 @@ def lift(
     lifted argument short-circuits that element (first error in
     argument order wins).  A kernel that produces an array for a
     single element cannot be represented and yields #VALUE! there.
+    A broadcast result above MAX_RANGE_CELLS elements is #NUM!.
 
     The element loop does only per-element work: a stretched array is
     expanded once per call, and a lifted scalar that is an error is
@@ -218,6 +218,8 @@ def lift(
     if shape is None:
         return VALUE_ERR
     rows, cols = shape
+    if rows * cols > MAX_RANGE_CELLS:
+        return NUM_ERR  # checked before any array is expanded
     # one row-major sequence per argument, so zip yields each
     # element's argument tuple
     columns: list = [repeat(arg) for arg in args]
@@ -346,18 +348,22 @@ def evaluate(expr: Expr, ctx: EvalContext) -> Value:
     if isinstance(expr, RangeLit):
         return read_range(ctx.sheet, expr.rng)
     if isinstance(expr, Unary):
-        if expr.op == "+":
-            return evaluate(expr.operand, ctx)  # sign-preserving no-op
-        kernel = _NEGATE if expr.op == "-" else _PERCENT
-        return lift(kernel, [evaluate(expr.operand, ctx)], ctx)
-    if isinstance(expr, Binary):
+        value = evaluate(expr.operand, ctx)
+        if expr.op != "+":  # unary plus is a sign-preserving no-op
+            value = lift(_NEGATE if expr.op == "-" else _PERCENT, [value], ctx)
+    elif isinstance(expr, Binary):
         operands = [evaluate(expr.left, ctx), evaluate(expr.right, ctx)]
-        return lift(_BINARY_KERNELS[expr.op], operands, ctx)
-    if isinstance(expr, Call):
-        return _eval_call(expr, ctx)
-    raise TypeError(f"not an expression node: {expr!r}")
+        value = lift(_BINARY_KERNELS[expr.op], operands, ctx)
+    elif isinstance(expr, Call):
+        value = _eval_call(expr, ctx)
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    if ctx.node_values is not None:
+        ctx.node_values[id(expr)] = value
+    return value
 
 
 def evaluate_formula(formula: Formula, ctx: EvalContext) -> Value:
     """Evaluate with the formula's own entry mode."""
-    return evaluate(formula.expr, ctx.entered(formula.array_entered))
+    return evaluate(formula.expr,
+                    replace(ctx, array_entered=formula.array_entered))

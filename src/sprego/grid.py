@@ -118,11 +118,6 @@ class RangeRef:
         return product(range(self.top_left.row, self.bottom_right.row + 1),
                        range(self.top_left.col, self.bottom_right.col + 1))
 
-    def addresses(self) -> Iterator[CellAddress]:
-        """Row-major walk over every cell in the rectangle."""
-        for row, col in self.keys():
-            yield CellAddress(col, row)
-
 
 _A1_RE = re.compile(r"\$?([A-Za-z]{1,3})\$?([0-9]+)\Z")
 
@@ -207,6 +202,10 @@ class Sheet:
             else:
                 cells[key] = value
         return RangeRef.make(top_left, CellAddress(right, bottom))
+
+    def update(self, other: "Sheet") -> None:
+        """Copy every stored cell of another sheet over this one."""
+        self._cells.update(other._cells)
 
     def used_cells(self) -> set[tuple[int, int]]:
         return set(self._cells)

@@ -21,8 +21,9 @@ and 3 in unparse(), so 128 levels take at most 640 frames and leave
 about 350 for the callers.
 
 Expression nodes are frozen dataclasses, so structurally equal
-subtrees compare and hash equal; the tracer leans on that to
-deduplicate repeated subexpressions.
+subtrees compare equal.  The tracer does not hash them to find
+repeated subexpressions: it interns a key per subtree bottom-up, and
+reads each step's value by node identity.
 """
 
 from __future__ import annotations

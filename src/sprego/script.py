@@ -52,10 +52,10 @@ from .values import (
 
 
 class ScriptError(Exception):
-    """A malformed script file (not a failed expectation)."""
+    """A malformed script line, or command line if line is None."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: Optional[int], message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -65,6 +65,18 @@ EXPECT_FAILED = 1
 PARSE_FAILED = 2
 EVAL_FAILED = 3
 IO_FAILED = 4
+
+#: the failures a script directive or a CLI command reports by exit code
+REPORTED_FAILURES = (FormulaError, GridError, TraceError, ScriptError)
+
+
+def describe_failure(exc: Exception) -> tuple[int, str]:
+    """Exit code and message for one of the REPORTED_FAILURES."""
+    if isinstance(exc, FormulaError):
+        return PARSE_FAILED, f"formula error: {exc}"
+    if isinstance(exc, IngestError):
+        return IO_FAILED, str(exc)
+    return EVAL_FAILED, str(exc)
 
 
 @dataclass(frozen=True)
@@ -113,7 +125,7 @@ class TaskScript:
     directives: list[Directive]
 
 
-def _split_fields(text: str, line: int, row_separator: str = ";"):
+def _split_fields(text: str, line: Optional[int], row_separator: str = ";"):
     """Split expectation data, remembering which fields were quoted.
 
     Returns rows of (text, was_quoted) pairs.  Quotes follow CSV
@@ -194,7 +206,8 @@ def parse_scalar_field(text: str, quoted: bool) -> Scalar:
     return text
 
 
-def _parse_set_literal(text: str, line: int) -> Scalar:
+def _parse_set_literal(text: str, line: Optional[int]) -> Scalar:
+    """The value of a SET directive or a --set option."""
     stripped = text.strip()
     if stripped.startswith('"'):
         fields = _split_fields(stripped, line)
@@ -345,28 +358,16 @@ class _Runner:
         return ok
 
     def run_directive(self, directive: Directive) -> bool:
+        handlers = {Load: self.do_load, SetCell: self.do_set,
+                    Step: self.do_step, Trace: self.do_trace,
+                    Expect: self.do_expect}
         try:
-            if isinstance(directive, Load):
-                return self.do_load(directive)
-            if isinstance(directive, SetCell):
-                return self.do_set(directive)
-            if isinstance(directive, Step):
-                return self.do_step(directive)
-            if isinstance(directive, Trace):
-                return self.do_trace(directive)
-            return self.do_expect(directive)
-        except FormulaError as exc:
+            return handlers[type(directive)](directive)
+        except REPORTED_FAILURES as exc:
+            code, message = describe_failure(exc)
             return self.note(directive.line,
-                             f"line {directive.line}: formula error: {exc}",
-                             ok=False, exit_code=PARSE_FAILED)
-        except IngestError as exc:
-            return self.note(directive.line,
-                             f"line {directive.line}: {exc}",
-                             ok=False, exit_code=IO_FAILED)
-        except (GridError, TraceError, ScriptError) as exc:
-            return self.note(directive.line,
-                             f"line {directive.line}: {exc}",
-                             ok=False, exit_code=EVAL_FAILED)
+                             f"line {directive.line}: {message}",
+                             ok=False, exit_code=code)
 
     def do_load(self, directive: Load) -> bool:
         path = Path(directive.path)
@@ -375,12 +376,11 @@ class _Runner:
         loaded = load_csv(path, header=True,
                           force_text=directive.force_text,
                           column_offset=directive.column_offset)
-        for (row, col) in loaded.used_cells():
-            self.sheet.set(CellAddress(col, row),
-                           loaded.get(CellAddress(col, row)))
-        self.written.update(loaded.used_cells())
+        used = loaded.used_cells()
+        self.sheet.update(loaded)
+        self.written.update(used)
         return self.note(directive.line,
-                         f"LOAD {directive.path}: {len(loaded.used_cells())} cells")
+                         f"LOAD {directive.path}: {len(used)} cells")
 
     def do_set(self, directive: SetCell) -> bool:
         addr = parse_a1(directive.target)

@@ -2,15 +2,18 @@
 
 A multilevel formula is easiest to understand inside-out.  decompose()
 lists every distinct non-leaf sub-expression in post-order (children
-before parents, repeats dropped at first sight), and trace() evaluates
-each of those steps independently against the same sheet snapshot,
-yielding a table whose columns progress from the innermost call to the
-complete formula.
+before parents, repeats dropped at first sight), and trace() lays out
+the value each of those nodes took in the formula's one evaluation,
+in columns from the innermost call to the complete formula.  A step
+the evaluation never reached shows empty cells: IF's untaken branch
+under a scalar condition, and the arguments of a call refused before
+they are evaluated (an unknown name, a wrong argument count, or a
+value where ROW, COLUMN or OFFSET takes a reference).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .evaluator import EvalContext, evaluate
@@ -25,9 +28,8 @@ from .parser import (
     Ref,
     Unary,
     parse_formula,
-    unparse,
 )
-from .values import ArrayValue, BLANK, Scalar, render
+from .values import ArrayValue, BLANK, Scalar, Value, render
 
 
 class TraceError(Exception):
@@ -83,7 +85,6 @@ def decompose(expr: Expr) -> list[Expr]:
 class TraceStep:
     label: str
     expr: Expr
-    text: str
     results: ArrayValue  # one row per input row
 
 
@@ -121,18 +122,16 @@ def trace(
     ctx: EvalContext,
     input_range: Optional[RangeRef] = None,
 ) -> TraceTable:
-    """Evaluate a formula one decomposition step at a time.
+    """Evaluate a formula once, array-entered, and lay out its steps.
 
     The input column defaults to the first range mentioned in the
-    formula; a formula with no range traces as a single row.  Every
-    step is evaluated array-entered over the same sheet, scalars
-    repeating down the column.
+    formula; a formula with no range traces as a single row.  A step
+    shows the value of its own node, not of a structural twin, so
+    =RAND()-RAND() is not 0; scalars repeat down the column.
     """
     formula = parse_formula(source) if isinstance(source, str) else source
-    step_exprs = decompose(formula.expr)
-    if not step_exprs:
-        step_exprs = [formula.expr]  # constants and bare refs still trace
-    run_ctx = ctx.entered(True)
+    # constants and bare refs still trace
+    step_exprs = decompose(formula.expr) or [formula.expr]
 
     if input_range is None:
         input_range = _first_range(formula.expr)
@@ -149,14 +148,17 @@ def trace(
             if above is not BLANK:
                 header = render(above)
 
-    raw = [(expr, evaluate(expr, run_ctx)) for expr in step_exprs]
+    values: dict[int, Value] = {}
+    values[id(formula.expr)] = evaluate(
+        formula.expr, replace(ctx, array_entered=True, node_values=values))
+    raw = [(expr, values.get(id(expr), BLANK)) for expr in step_exprs]
     if input_range is not None:
         rows = input_range.rows
     else:
         rows = max((v.rows for _, v in raw if isinstance(v, ArrayValue)),
                    default=1)
     steps = tuple(
-        TraceStep(f"S{i}", expr, unparse(expr), _normalize(value, rows))
+        TraceStep(f"S{i}", expr, _normalize(value, rows))
         for i, (expr, value) in enumerate(raw, start=1))
     return TraceTable(header, input_values, steps, rows)
 

@@ -93,7 +93,7 @@ class TestAddressParsing:
 
     def test_range_walk_is_row_major(self):
         rng = parse_a1("B2:C3")
-        assert [a.a1 for a in rng.addresses()] == ["B2", "C2", "B3", "C3"]
+        assert list(rng.keys()) == [(2, 2), (2, 3), (3, 2), (3, 3)]
 
 
 class TestSheet:

@@ -5,8 +5,8 @@ import time
 import pytest
 
 from sprego import data_path, parse_task_script, run_script
-from sprego.cli import main
-from sprego.grid import IngestError
+from sprego.cli import _build_sheet, build_parser, main
+from sprego.grid import IngestError, parse_cell
 from sprego.script import (
     EVAL_FAILED,
     EXPECT_FAILED,
@@ -292,6 +292,21 @@ class TestCli:
         assert main(["eval", "=H3*2", "--set", "H3=21"]) == OK
         assert capsys.readouterr().out == "42\n"
 
+    @pytest.mark.parametrize("literal, stored", [
+        ('"a,b"', "a,b"), ("5", 5.0), ("#N/A", NA_ERR)])
+    def test_set_flag_reads_its_literal_like_set(self, literal, stored):
+        options = build_parser().parse_args(
+            ["eval", "=A1", "--set", f"A1={literal}"])
+        by_flag = _build_sheet(options, None).get(parse_cell("A1"))
+        script = parse_task_script("t.sprego", text=f"SET A1 = {literal}\n")
+        by_script = script.directives[0].value
+        for value in (by_flag, by_script):
+            assert type(value) is type(stored) and value == stored
+
+    def test_set_flag_unquotes_text(self, capsys):
+        assert main(["eval", '=LEN(A1)&"|"&A1', "--set", 'A1="a,b"']) == OK
+        assert capsys.readouterr().out == "3|a,b\n"
+
     def test_eval_strict_flags_error_values(self, capsys):
         assert main(["eval", "=1/0"]) == OK
         assert main(["eval", "=1/0", "--strict"]) == EXPECT_FAILED
@@ -366,13 +381,15 @@ def timed(call):
 
 class TestRangeCap:
     """A range above grid.MAX_RANGE_CELLS (one full column) is refused
-    before any cell is read: #NUM! inside a formula, exit 3 elsewhere."""
+    before any cell is read: #NUM! inside a formula, exit 3 elsewhere.
+    A broadcast result above it is #NUM! before it is built."""
 
     @pytest.mark.parametrize("formula", [
         f"=SUM({WHOLE_SHEET})",
         "=SUM(OFFSET(A1,0,0,1048576,16384))",
         "=SUM(OFFSET(A1,0,0,1048576,2))",
         f"{{=LEN({WHOLE_SHEET})}}",
+        "{=A1:A1048576*A1:XFD1}",  # a broadcast result above the cap
     ])
     def test_formula_gives_num_error(self, capsys, formula):
         code, seconds = timed(lambda: main(["eval", formula]))

@@ -1,11 +1,16 @@
 """Stepwise decomposition and trace tables."""
 
+import random
+
 import pytest
 
-from sprego import EvalContext, Sheet, decompose, render_tsv, trace
+from sprego import (EvalContext, Sheet, decompose, evaluate_formula,
+                    parse_formula, render_tsv, trace)
+from sprego import evaluator, tracer
 from sprego.grid import parse_cell, parse_a1, as_range
 from sprego.parser import Call, parse_expression, unparse
-from sprego.tracer import TraceError
+from sprego.tracer import TraceError, _normalize
+from test_properties import draw_expression
 
 
 FULL = 'LEFT(RIGHT(C2:C4,LEN(C2:C4)-FIND("(",C2:C4)),' \
@@ -183,3 +188,69 @@ class TestRenderTsv:
     def test_no_input_column_for_rangeless_formulas(self):
         table = trace("=1+1", EvalContext(Sheet()))
         assert render_tsv(table).splitlines()[0] == "S1"
+
+
+def typed(array):
+    """Cells with their types, so 1.0 and TRUE do not compare equal."""
+    return [(type(v), v) for v in array.cells]
+
+
+class TestOneEvaluation:
+    """A trace is a view of the formula's one evaluation."""
+
+    def test_last_step_equals_the_evaluation(self):
+        sheet = Sheet()
+        for a1, value in [("A1", 2.0), ("A2", "ab c"), ("A3", True),
+                          ("A5", -1.5), ("B2", "7"), ("B3", 0.0),
+                          ("C4", "x"), ("ZZ9", 3.0)]:
+            sheet.set(parse_cell(a1), value)
+        rng = random.Random(11)
+        compared = 0
+        for k in range(1000):
+            formula = parse_formula("{=" + draw_expression(rng) + "}")
+            try:
+                table = trace(formula,
+                              EvalContext(sheet, rng=random.Random(k)))
+            except TraceError:
+                continue  # a two-column input range, or mismatched heights
+            result = evaluate_formula(
+                formula, EvalContext(sheet, rng=random.Random(k)))
+            expected = _normalize(result, table.rows)
+            assert typed(table.steps[-1].results) == typed(expected), \
+                (k, unparse(formula.expr))
+            compared += 1
+        assert compared >= 800
+
+    def test_a_step_reuses_its_random_draw(self):
+        ctx = EvalContext(Sheet(), rng=random.Random(3))
+        s1, s2 = trace("=RAND()*2", ctx).steps
+        assert s2.results.first() == 2 * s1.results.first()
+
+    def test_repeated_random_calls_stay_distinct(self):
+        ctx = EvalContext(Sheet(), rng=random.Random(3))
+        table = trace("=RAND()-RAND()", ctx)
+        assert len(table.steps) == 2  # one RAND() step, by structure
+        assert table.steps[-1].results.first() != 0.0
+
+    def test_unreached_steps_are_empty(self):
+        table = trace('=IF(FALSE,LEN("abc"),1)', EvalContext(Sheet()))
+        assert render_tsv(table).splitlines() == ["S1\tS2", "\t1"]
+
+    def test_one_value_per_node(self, monkeypatch):
+        calls = []
+        original = evaluator.evaluate
+
+        def counting(expr, ctx):
+            calls.append(ctx.node_values)
+            return original(expr, ctx)
+
+        monkeypatch.setattr(evaluator, "evaluate", counting)
+        monkeypatch.setattr(tracer, "evaluate", counting)
+        table = trace("=" + "LEN(" * 12 + '"abc"' + ")" * 12,
+                      EvalContext(Sheet()))
+        assert len(table.steps) == 12
+        assert len(calls) == 13  # the 12 calls and the literal, once each
+        values = calls[0]
+        assert len(values) == 12
+        assert all(id(step.expr) in values for step in table.steps)
+        assert [s.results.first() for s in table.steps] == [3.0] + [1.0] * 11
