@@ -108,7 +108,7 @@ def _build_sheet(options, workbook: Optional[str]) -> Sheet:
         if not eq:
             raise ScriptError(None, f"malformed --set {assignment!r}")
         sheet.set(parse_cell(target.strip()),
-                  _parse_set_literal(literal, None))
+                  _parse_set_literal(literal, None, "--set"))
     return sheet
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain, repeat
 from typing import Callable, Optional
 
@@ -27,6 +28,7 @@ from .values import (
     ArrayValue,
     CellError,
     DIV0_ERR,
+    MAX_TEXT,
     NAME_ERR,
     NUM_ERR,
     OMITTED,
@@ -58,7 +60,8 @@ class EvalContext:
 def _operator_kernel(combine: Callable[..., Value], arity: int = 2,
                      text: bool = False) -> Callable[..., Value]:
     """Scalar kernel for an operator: coerce each operand (to text for
-    &, else to a number), pass the first error on, else combine."""
+    &, else to a number), pass the first error on, else combine.  Two
+    float operands of an arithmetic operator need no coercion."""
     if arity == 1:
         def unary(a: Scalar) -> Value:
             x = coerce_to_number(a)
@@ -68,6 +71,8 @@ def _operator_kernel(combine: Callable[..., Value], arity: int = 2,
         return unary
 
     def binary(a: Scalar, b: Scalar) -> Value:
+        if not text and a.__class__ is float and b.__class__ is float:
+            return combine(a, b)
         x = coerce_to_text(a) if text else coerce_to_number(a)
         if isinstance(x, CellError):
             return x
@@ -113,7 +118,8 @@ _BINARY_KERNELS: dict[str, Callable[[Scalar, Scalar], Value]] = {
     "*": _operator_kernel(lambda x, y: _finite(x * y)),
     "/": _operator_kernel(_divide),
     "^": _operator_kernel(_power),
-    "&": _operator_kernel(operator.add, text=True),
+    "&": _operator_kernel(lambda x, y: VALUE_ERR if len(x) + len(y) > MAX_TEXT
+                          else x + y, text=True),
     **{op: _comparison_kernel(op) for op in ("=", "<>", "<", "<=", ">", ">=")},
 }
 
@@ -330,12 +336,7 @@ def _eval_call(call: Call, ctx: EvalContext) -> Value:
             if mode == SCALAR:
                 lifted.append(index)
 
-    impl = descriptor.impl
-
-    def kernel(*call_args):
-        return impl(ctx, call_args)
-
-    return lift(kernel, prepared, ctx, lifted=lifted,
+    return lift(partial(descriptor.impl, ctx), prepared, ctx, lifted=lifted,
                 captures_errors=descriptor.captures_errors)
 
 

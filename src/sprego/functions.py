@@ -13,6 +13,12 @@ argument:
 * REF arguments are never evaluated; the evaluator resolves the
   argument expression to a range and passes the range itself.
 
+Every kernel is called as impl(ctx, *args): the evaluation context,
+then one positional parameter per argument written in the formula.
+An optional parameter's Python default stands in only for an argument
+that is left out, as in LEFT("abc"); an empty slot, as in LEFT("abc",),
+still arrives as OMITTED and coerces like a blank.
+
 Unless a descriptor sets captures_errors, the evaluator propagates an
 error found in a SCALAR argument before the kernel runs, so kernels
 only defend against errors coming out of their own coercions and out
@@ -32,6 +38,7 @@ from .values import (
     BLANK,
     CellError,
     DIV0_ERR,
+    MAX_TEXT,
     NA_ERR,
     NUM_ERR,
     OMITTED,
@@ -70,36 +77,31 @@ class FunctionDescriptor:
         return self.modes[-1] if self.modes else SCALAR
 
 
-def _truncate(value: float) -> int:
-    # spreadsheet count arguments drop the fraction toward zero
-    return int(value)
-
-
 # ---------------------------------------------------------------- text
 
-def fn_left(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_left(ctx: "EvalContext", text: Scalar, count: Scalar = 1.0) -> Value:
     """LEFT(text, count=1): leading characters of text.
 
     A fractional count is truncated; a negative count is an error and
     a count beyond the length returns the whole text.
     """
-    text = coerce_to_text(args[0])
-    count = coerce_to_number(args[1]) if len(args) > 1 else 1.0
+    text = coerce_to_text(text)
+    count = coerce_to_number(count)
     if isinstance(count, CellError):
         return count
-    n = _truncate(count)
+    n = int(count)
     if n < 0:
         return VALUE_ERR
     return text[:n]
 
 
-def fn_right(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_right(ctx: "EvalContext", text: Scalar, count: Scalar = 1.0) -> Value:
     """RIGHT(text, count=1): trailing characters of text."""
-    text = coerce_to_text(args[0])
-    count = coerce_to_number(args[1]) if len(args) > 1 else 1.0
+    text = coerce_to_text(text)
+    count = coerce_to_number(count)
     if isinstance(count, CellError):
         return count
-    n = _truncate(count)
+    n = int(count)
     if n < 0:
         return VALUE_ERR
     if n == 0:
@@ -107,15 +109,16 @@ def fn_right(ctx: "EvalContext", args: Sequence) -> Value:
     return text[-n:]
 
 
-def fn_len(ctx: "EvalContext", args: Sequence) -> Value:
-    return float(len(coerce_to_text(args[0])))
+def fn_len(ctx: "EvalContext", text: Scalar) -> Value:
+    return float(len(coerce_to_text(text)))
 
 
-def _find_core(needle: str, hay: str, args: Sequence, fold: bool) -> Value:
-    start = coerce_to_number(args[2]) if len(args) > 2 else 1.0
+def _find_core(needle: Scalar, hay: Scalar, start: Scalar, fold: bool) -> Value:
+    needle, hay = coerce_to_text(needle), coerce_to_text(hay)
+    start = coerce_to_number(start)
     if isinstance(start, CellError):
         return start
-    at = _truncate(start)
+    at = int(start)
     if at < 1 or at > len(hay) + 1:
         return VALUE_ERR
     if needle == "":
@@ -128,38 +131,43 @@ def _find_core(needle: str, hay: str, args: Sequence, fold: bool) -> Value:
     return float(index + 1)
 
 
-def fn_find(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_find(ctx: "EvalContext", needle: Scalar, text: Scalar,
+            start: Scalar = 1.0) -> Value:
     """FIND(needle, text, start=1): case-sensitive position, 1-based.
 
     A miss is an error value, which is what makes ISERROR(FIND(...))
     a usable containment test.
     """
-    return _find_core(coerce_to_text(args[0]), coerce_to_text(args[1]), args, fold=False)
+    return _find_core(needle, text, start, fold=False)
 
 
-def fn_search(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_search(ctx: "EvalContext", needle: Scalar, text: Scalar,
+              start: Scalar = 1.0) -> Value:
     """SEARCH(needle, text, start=1): like FIND but case-insensitive."""
-    return _find_core(coerce_to_text(args[0]), coerce_to_text(args[1]), args, fold=True)
+    return _find_core(needle, text, start, fold=True)
 
 
-def fn_substitute(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_substitute(ctx: "EvalContext", text: Scalar, old: Scalar, new: Scalar,
+                  instance: Optional[Scalar] = None) -> Value:
     """SUBSTITUTE(text, old, new, instance?).
 
     Replaces every occurrence, or only the instance-th when given.
     An instance below 1 is an error; one beyond the number of
     occurrences, or an empty old string, leaves the text unchanged.
+    A result longer than MAX_TEXT is #VALUE!, found before it is built.
     """
-    text = coerce_to_text(args[0])
-    old = coerce_to_text(args[1])
-    new = coerce_to_text(args[2])
+    text = coerce_to_text(text)
+    old = coerce_to_text(old)
+    new = coerce_to_text(new)
     if old == "":
         return text
-    if len(args) < 4:
-        return text.replace(old, new)
-    instance = coerce_to_number(args[3])
+    if instance is None:
+        grown = len(text) + text.count(old) * (len(new) - len(old))
+        return VALUE_ERR if grown > MAX_TEXT else text.replace(old, new)
+    instance = coerce_to_number(instance)
     if isinstance(instance, CellError):
         return instance
-    which = _truncate(instance)
+    which = int(instance)
     if which < 1:
         return VALUE_ERR
     index = -1
@@ -167,26 +175,20 @@ def fn_substitute(ctx: "EvalContext", args: Sequence) -> Value:
         index = text.find(old, index + 1)
         if index < 0:
             return text
+    if len(text) + len(new) - len(old) > MAX_TEXT:
+        return VALUE_ERR
     return text[:index] + new + text[index + len(old):]
 
 
 # ------------------------------------------------------------ aggregates
 
-def _iter_scalar_number(value: Scalar) -> float | CellError | None:
-    """Inclusion rule for a direct scalar argument of an aggregate:
-    blanks are skipped (returned as None), anything else coerces as a
-    number would."""
-    if value is BLANK or value is OMITTED:
-        return None
-    return coerce_to_number(value)
-
-
 def _collect_numbers(args: Sequence) -> list[float] | CellError:
     """Flatten aggregate arguments into the numbers they contribute.
 
     Inside arrays only numbers count; text, booleans and blanks are
-    skipped, and the first error element (row-major, in argument
-    order) becomes the result.
+    skipped.  A direct scalar argument other than a blank coerces as a
+    number would.  The first error (row-major, in argument order)
+    becomes the result.
     """
     numbers: list[float] = []
     for arg in args:
@@ -196,23 +198,22 @@ def _collect_numbers(args: Sequence) -> list[float] | CellError:
                     return element
                 if isinstance(element, float):
                     numbers.append(element)
-        else:
-            contribution = _iter_scalar_number(arg)
-            if isinstance(contribution, CellError):
-                return contribution
-            if contribution is not None:
-                numbers.append(contribution)
+        elif arg is not BLANK and arg is not OMITTED:
+            number = coerce_to_number(arg)
+            if isinstance(number, CellError):
+                return number
+            numbers.append(number)
     return numbers
 
 
-def fn_sum(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_sum(ctx: "EvalContext", *args: Value) -> Value:
     numbers = _collect_numbers(args)
     if isinstance(numbers, CellError):
         return numbers
     return _finite(math.fsum(numbers))
 
 
-def fn_average(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_average(ctx: "EvalContext", *args: Value) -> Value:
     numbers = _collect_numbers(args)
     if isinstance(numbers, CellError):
         return numbers
@@ -221,42 +222,42 @@ def fn_average(ctx: "EvalContext", args: Sequence) -> Value:
     return _finite(math.fsum(numbers) / len(numbers))
 
 
-def fn_min(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_min(ctx: "EvalContext", *args: Value) -> Value:
     numbers = _collect_numbers(args)
     if isinstance(numbers, CellError):
         return numbers
     return min(numbers) if numbers else 0.0
 
 
-def fn_max(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_max(ctx: "EvalContext", *args: Value) -> Value:
     numbers = _collect_numbers(args)
     if isinstance(numbers, CellError):
         return numbers
     return max(numbers) if numbers else 0.0
 
 
-def _kth(args: Sequence, smallest: bool) -> Value:
-    numbers = _collect_numbers(args[:1])
+def _kth(values: Value, k: Scalar, smallest: bool) -> Value:
+    numbers = _collect_numbers((values,))
     if isinstance(numbers, CellError):
         return numbers
-    k_value = coerce_to_number(args[1])
+    k_value = coerce_to_number(k)
     if isinstance(k_value, CellError):
         return k_value
-    k = _truncate(k_value)
+    k = int(k_value)
     if k < 1 or k > len(numbers):
         return NUM_ERR
     numbers.sort()
     return numbers[k - 1] if smallest else numbers[len(numbers) - k]
 
 
-def fn_small(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_small(ctx: "EvalContext", values: Value, k: Scalar) -> Value:
     """SMALL(values, k): k-th smallest of the numeric elements."""
-    return _kth(args, smallest=True)
+    return _kth(values, k, smallest=True)
 
 
-def fn_large(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_large(ctx: "EvalContext", values: Value, k: Scalar) -> Value:
     """LARGE(values, k): k-th largest of the numeric elements."""
-    return _kth(args, smallest=False)
+    return _kth(values, k, smallest=False)
 
 
 # ----------------------------------------------------------------- logic
@@ -276,7 +277,7 @@ def _iter_conditions(args: Sequence):
             # aggregates treat non-numeric array elements
 
 
-def fn_and(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_and(ctx: "EvalContext", *args: Value) -> Value:
     found = False
     for condition in _iter_conditions(args):
         if isinstance(condition, CellError):
@@ -287,7 +288,7 @@ def fn_and(ctx: "EvalContext", args: Sequence) -> Value:
     return True if found else VALUE_ERR
 
 
-def fn_or(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_or(ctx: "EvalContext", *args: Value) -> Value:
     found = False
     for condition in _iter_conditions(args):
         if isinstance(condition, CellError):
@@ -298,16 +299,16 @@ def fn_or(ctx: "EvalContext", args: Sequence) -> Value:
     return False if found else VALUE_ERR
 
 
-def fn_not(ctx: "EvalContext", args: Sequence) -> Value:
-    truth = is_truthy(args[0])
+def fn_not(ctx: "EvalContext", value: Scalar) -> Value:
+    truth = is_truthy(value)
     if isinstance(truth, CellError):
         return truth
     return not truth
 
 
-def fn_iserror(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_iserror(ctx: "EvalContext", value: Scalar) -> Value:
     # the one consumer of error values
-    return isinstance(args[0], CellError)
+    return isinstance(value, CellError)
 
 
 # ---------------------------------------------------------------- lookup
@@ -328,7 +329,8 @@ def _same_kind(a: Scalar, b: Scalar) -> bool:
     return isinstance(a, str) and isinstance(b, str)
 
 
-def fn_match(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_match(ctx: "EvalContext", needle: Scalar, vector: Value,
+             mode: Scalar = 1.0) -> Value:
     """MATCH(needle, vector, mode=1): 1-based position in a vector.
 
     Mode 0 finds the first exact match (text folds case).  Positive
@@ -337,13 +339,12 @@ def fn_match(ctx: "EvalContext", args: Sequence) -> Value:
     of a different type than the needle, blanks and error elements
     are ignored.
     """
-    needle = args[0]
-    if isinstance(args[1], CellError):
-        return args[1]
-    elements = _vector_elements(args[1])
+    if isinstance(vector, CellError):
+        return vector
+    elements = _vector_elements(vector)
     if elements is None:
         return VALUE_ERR
-    mode = coerce_to_number(args[2]) if len(args) > 2 else 1.0
+    mode = coerce_to_number(mode)
     if isinstance(mode, CellError):
         return mode
     op = "=" if mode == 0 else ("<=" if mode > 0 else ">=")
@@ -379,21 +380,22 @@ def _unwrap(array: ArrayValue) -> Value:
     return array.first() if array.rows == 1 and array.cols == 1 else array
 
 
-def fn_index(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_index(ctx: "EvalContext", array: Value, row: Scalar,
+             col: Scalar = 1.0) -> Value:
     """INDEX(array, row, col=1): one element, or a whole row/column.
 
     Row or column 0 selects the entire column/row; indexes past the
     edge are reference errors.
     """
-    array = _as_array(args[0])
-    row_value = coerce_to_number(args[1])
+    array = _as_array(array)
+    row_value = coerce_to_number(row)
     if isinstance(row_value, CellError):
         return row_value
-    col_value = coerce_to_number(args[2]) if len(args) > 2 else 1.0
+    col_value = coerce_to_number(col)
     if isinstance(col_value, CellError):
         return col_value
-    r = _truncate(row_value)
-    c = _truncate(col_value)
+    r = int(row_value)
+    c = int(col_value)
     if r < 0 or c < 0:
         return VALUE_ERR
     if r > array.rows or c > array.cols:
@@ -409,36 +411,27 @@ def fn_index(ctx: "EvalContext", args: Sequence) -> Value:
     return array.get(r - 1, c - 1)
 
 
-def fn_offset(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_offset(ctx: "EvalContext", base: RangeRef, rows: Scalar, cols: Scalar,
+              height: Scalar = OMITTED, width: Scalar = OMITTED) -> Value:
     """OFFSET(ref, rows, cols, height?, width?): a shifted range's values.
 
     The result is read through the sheet, resized when height/width
     are given; anything that lands outside the grid is a reference
     error.
     """
-    base: RangeRef = args[0]
-    d_rows = coerce_to_number(args[1])
-    d_cols = coerce_to_number(args[2])
-    if isinstance(d_rows, CellError):
-        return d_rows
-    if isinstance(d_cols, CellError):
-        return d_cols
-    height = base.rows
-    width = base.cols
-    if len(args) > 3 and args[3] is not OMITTED:
-        h_value = coerce_to_number(args[3])
-        if isinstance(h_value, CellError):
-            return h_value
-        height = _truncate(h_value)
-    if len(args) > 4 and args[4] is not OMITTED:
-        w_value = coerce_to_number(args[4])
-        if isinstance(w_value, CellError):
-            return w_value
-        width = _truncate(w_value)
+    if height is OMITTED:
+        height = float(base.rows)
+    if width is OMITTED:
+        width = float(base.cols)
+    numbers = [coerce_to_number(v) for v in (rows, cols, height, width)]
+    for number in numbers:
+        if isinstance(number, CellError):
+            return number
+    d_rows, d_cols, height, width = map(int, numbers)
     if height < 1 or width < 1:
         return VALUE_ERR
-    top_row = base.top_left.row + _truncate(d_rows)
-    left_col = base.top_left.col + _truncate(d_cols)
+    top_row = base.top_left.row + d_rows
+    left_col = base.top_left.col + d_cols
     if top_row < 1 or left_col < 1:
         return REF_ERR
     if top_row + height - 1 > MAX_ROWS or left_col + width - 1 > MAX_COLS:
@@ -451,13 +444,12 @@ def fn_offset(ctx: "EvalContext", args: Sequence) -> Value:
     return _unwrap(values) if isinstance(values, ArrayValue) else values
 
 
-def fn_row(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_row(ctx: "EvalContext", rng: Optional[RangeRef] = None) -> Value:
     """ROW(ref?): the row number; of the formula's own cell with no
     argument, of a range's rows (as a column vector, when array
     entered) with one."""
-    if not args:
+    if rng is None:
         return float(ctx.anchor.row)
-    rng: RangeRef = args[0]
     if ctx.array_entered and rng.rows > 1:
         rows = [float(r) for r in
                 range(rng.top_left.row, rng.bottom_right.row + 1)]
@@ -465,10 +457,9 @@ def fn_row(ctx: "EvalContext", args: Sequence) -> Value:
     return float(rng.top_left.row)
 
 
-def fn_column(ctx: "EvalContext", args: Sequence) -> Value:
-    if not args:
+def fn_column(ctx: "EvalContext", rng: Optional[RangeRef] = None) -> Value:
+    if rng is None:
         return float(ctx.anchor.col)
-    rng: RangeRef = args[0]
     if ctx.array_entered and rng.cols > 1:
         cols = tuple(float(c) for c in
                      range(rng.top_left.col, rng.bottom_right.col + 1))
@@ -476,8 +467,7 @@ def fn_column(ctx: "EvalContext", args: Sequence) -> Value:
     return float(rng.top_left.col)
 
 
-def fn_transpose(ctx: "EvalContext", args: Sequence) -> Value:
-    value = args[0]
+def fn_transpose(ctx: "EvalContext", value: Value) -> Value:
     if not isinstance(value, ArrayValue):
         return value
     cells = tuple(value.get(r, c)
@@ -488,20 +478,20 @@ def fn_transpose(ctx: "EvalContext", args: Sequence) -> Value:
 
 # --------------------------------------------------------------- numeric
 
-def fn_round(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_round(ctx: "EvalContext", x: Scalar, digits: Scalar) -> Value:
     """ROUND(x, digits): decimal rounding with half away from zero.
 
     Works on the shortest decimal form of x, so ROUND(2.345, 2) is
     2.35 even though the double below 2.345 is what is stored.
     Negative digit counts round left of the decimal point.
     """
-    x = coerce_to_number(args[0])
+    x = coerce_to_number(x)
     if isinstance(x, CellError):
         return x
-    digits_value = coerce_to_number(args[1])
-    if isinstance(digits_value, CellError):
-        return digits_value
-    digits = _truncate(digits_value)
+    digits = coerce_to_number(digits)
+    if isinstance(digits, CellError):
+        return digits
+    digits = int(digits)
     if digits > 330:
         return x  # finer than any double, nothing to do
     if digits < -330:
@@ -513,15 +503,15 @@ def fn_round(ctx: "EvalContext", args: Sequence) -> Value:
     return _finite(float(result))
 
 
-def fn_int(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_int(ctx: "EvalContext", x: Scalar) -> Value:
     """INT(x): floor, so INT(-1.5) is -2."""
-    x = coerce_to_number(args[0])
+    x = coerce_to_number(x)
     if isinstance(x, CellError):
         return x
     return float(math.floor(x))
 
 
-def fn_rand(ctx: "EvalContext", args: Sequence) -> Value:
+def fn_rand(ctx: "EvalContext") -> Value:
     """RAND(): uniform draw from [0, 1) using the context's generator."""
     return ctx.rng.random()
 

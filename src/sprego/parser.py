@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .grid import CellAddress, GridError, RangeRef, parse_cell
-from .values import BLANK, CellError, OMITTED, _Sentinel, render_number
+from .values import BLANK, CellError, OMITTED, _Sentinel, _finite, render_number
 
 
 class FormulaError(Exception):
@@ -253,7 +253,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Literal(float(tok.text)), depth
+            # a literal too large for a double, like 1e999, is #NUM!
+            return Literal(_finite(float(tok.text))), depth
         if tok.kind == "string":
             self.advance()
             return Literal(tok.text[1:-1].replace('""', '"')), depth

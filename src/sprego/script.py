@@ -125,11 +125,13 @@ class TaskScript:
     directives: list[Directive]
 
 
-def _split_fields(text: str, line: Optional[int], row_separator: str = ";"):
-    """Split expectation data, remembering which fields were quoted.
+def _split_fields(text: str, line: Optional[int], noun: str,
+                  row_separator: str = ";"):
+    """Split one line of fields, remembering which were quoted.
 
     Returns rows of (text, was_quoted) pairs.  Quotes follow CSV
     conventions ("" escapes a quote); unquoted fields are stripped.
+    noun names what is being split in error messages.
     """
     rows: list[list[tuple[str, bool]]] = [[]]
     buffer: list[str] = []
@@ -180,7 +182,7 @@ def _split_fields(text: str, line: Optional[int], row_separator: str = ";"):
         buffer.append(ch)
         i += 1
     if quoted and not closed:
-        raise ScriptError(line, "unterminated quote in expectation data")
+        raise ScriptError(line, f"unterminated quote in {noun}")
     push()
     return rows
 
@@ -206,13 +208,14 @@ def parse_scalar_field(text: str, quoted: bool) -> Scalar:
     return text
 
 
-def _parse_set_literal(text: str, line: Optional[int]) -> Scalar:
-    """The value of a SET directive or a --set option."""
+def _parse_set_literal(text: str, line: Optional[int],
+                       source: str = "SET") -> Scalar:
+    """The value of a SET directive, or of a --set option (source)."""
     stripped = text.strip()
     if stripped.startswith('"'):
-        fields = _split_fields(stripped, line)
+        fields = _split_fields(stripped, line, f"{source} value")
         if len(fields) != 1 or len(fields[0]) != 1:
-            raise ScriptError(line, "SET takes exactly one value")
+            raise ScriptError(line, f"{source} takes exactly one value")
         return parse_scalar_field(*fields[0][0])
     return parse_scalar_field(stripped, quoted=False)
 
@@ -279,21 +282,23 @@ def parse_task_script(source: Union[str, Path], *,
             else:
                 rows = tuple(
                     tuple(parse_scalar_field(*f) for f in row)
-                    for row in _split_fields(data, line_no))
+                    for row in _split_fields(data, line_no,
+                                             "expectation data"))
                 directives.append(Expect(target, rows, "inline", line_no))
         else:
             raise ScriptError(line_no, f"unknown directive {keyword!r}")
     return TaskScript(path, directives)
 
 
-def _load_expect_file(path: Path, line: int) -> tuple[tuple[Scalar, ...], ...]:
+def _load_expect_file(path: Path) -> tuple[tuple[Scalar, ...], ...]:
     try:
         content = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IngestError(str(exc)) from exc
     rows = []
     for file_line in content.splitlines():
-        fields = _split_fields(file_line, line, row_separator="\x00")
+        fields = _split_fields(file_line, None, "expectation file",
+                               row_separator="\x00")
         rows.append(tuple(parse_scalar_field(*f) for f in fields[0]))
     return tuple(rows)
 
@@ -385,7 +390,7 @@ class _Runner:
     def do_set(self, directive: SetCell) -> bool:
         addr = parse_a1(directive.target)
         if isinstance(addr, RangeRef):
-            raise ScriptError(directive.line, "SET takes a single cell")
+            raise ScriptError(None, "SET takes a single cell")
         self.sheet.set(addr, directive.value)
         self.written.add((addr.row, addr.col))
         return self.note(directive.line,
@@ -401,9 +406,8 @@ class _Runner:
             result = ArrayValue(1, 1, (result,))
         if result.shape != (target.rows, target.cols):
             raise ScriptError(
-                directive.line,
-                f"STEP {directive.label} produced {result.rows}x{result.cols} "
-                f"but {target.a1} is {target.rows}x{target.cols}")
+                None, f"STEP {directive.label} produced {result.rows}x"
+                f"{result.cols} but {target.a1} is {target.rows}x{target.cols}")
         self.sheet.spill(target.top_left, result)
         self.written.update(target_keys)
         self.steps[directive.label] = directive
@@ -414,7 +418,7 @@ class _Runner:
     def do_trace(self, directive: Trace) -> bool:
         step = self.steps.get(directive.label)
         if step is None:
-            raise ScriptError(directive.line,
+            raise ScriptError(None,
                               f"TRACE of unknown step {directive.label!r}")
         ctx = EvalContext(self.sheet, rng=self.rng)
         table = trace(step.formula, ctx)
@@ -429,15 +433,14 @@ class _Runner:
         if missing is not None:
             row, col = missing
             raise ScriptError(
-                directive.line,
-                f"EXPECT {target.a1} covers {CellAddress(col, row).a1}, "
+                None, f"EXPECT {target.a1} covers {CellAddress(col, row).a1}, "
                 "which no directive has written")
         expected_rows = directive.rows
         if directive.source.startswith("@"):
             path = Path(directive.source[1:])
             if not path.is_absolute():
                 path = self.base_dir / path
-            expected_rows = _load_expect_file(path, directive.line)
+            expected_rows = _load_expect_file(path)
         if (len(expected_rows), max((len(r) for r in expected_rows), default=0)) \
                 != (target.rows, target.cols):
             return self.note(

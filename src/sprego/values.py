@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -73,6 +74,9 @@ OMITTED = _Sentinel("OMITTED")
 
 Scalar = Union[float, str, bool, CellError, _Sentinel]
 
+#: Longest text & and SUBSTITUTE build (Excel's cell limit); past it, #VALUE!
+MAX_TEXT = 32767
+
 
 def is_number(value: Scalar) -> bool:
     # bool is not a float subclass, so booleans do not slip through
@@ -134,10 +138,10 @@ def coerce_to_number(value: Scalar) -> float | CellError:
     Booleans become 1/0, Blank and Omitted become 0, text must parse
     fully as a number and errors pass through unchanged.
     """
+    if isinstance(value, float):  # bool is not a float subclass
+        return value
     if isinstance(value, bool):
         return 1.0 if value else 0.0
-    if isinstance(value, float):
-        return value
     if isinstance(value, str):
         parsed = parse_number(value)
         return VALUE_ERR if parsed is None else parsed
@@ -148,7 +152,7 @@ def coerce_to_number(value: Scalar) -> float | CellError:
 
 def coerce_to_text(value: Scalar) -> str | CellError:
     """Coerce a scalar to text; errors pass through unchanged."""
-    if isinstance(value, CellError):
+    if isinstance(value, (str, CellError)):
         return value
     return render(value)
 
@@ -170,16 +174,17 @@ def is_truthy(value: Scalar) -> bool | CellError:
     return False
 
 
-# Cross-type ordering: numbers < text < booleans.
-_TYPE_RANK = {"number": 0, "text": 1, "bool": 2}
+_COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def _rank_and_key(value: Scalar):
+    # cross-type ordering: numbers < text < booleans
     if isinstance(value, bool):
-        return "bool", int(value)
+        return 2, value
     if isinstance(value, float):
-        return "number", value
-    return "text", value.lower()
+        return 0, value
+    return 1, value.lower()
 
 
 def compare(left: Scalar, right: Scalar, op: str) -> bool | CellError:
@@ -190,6 +195,13 @@ def compare(left: Scalar, right: Scalar, op: str) -> bool | CellError:
     Blank operand adapts to the other side's type before comparing.
     Errors propagate.
     """
+    test = _COMPARISONS.get(op)
+    if test is None:
+        raise ValueError(f"unknown comparison operator {op!r}")
+    if left.__class__ is float and right.__class__ is float:
+        return test(left, right)
+    if left.__class__ is str and right.__class__ is str:
+        return test(left.lower(), right.lower())
     if isinstance(left, CellError):
         return left
     if isinstance(right, CellError):
@@ -198,28 +210,9 @@ def compare(left: Scalar, right: Scalar, op: str) -> bool | CellError:
     right = _adapt_blank(right, left)
     lrank, lkey = _rank_and_key(left)
     rrank, rkey = _rank_and_key(right)
-    if lrank == rrank:
-        if lkey < rkey:
-            order = -1
-        elif lkey > rkey:
-            order = 1
-        else:
-            order = 0
-    else:
-        order = -1 if _TYPE_RANK[lrank] < _TYPE_RANK[rrank] else 1
-    if op == "=":
-        return order == 0
-    if op == "<>":
-        return order != 0
-    if op == "<":
-        return order < 0
-    if op == "<=":
-        return order <= 0
-    if op == ">":
-        return order > 0
-    if op == ">=":
-        return order >= 0
-    raise ValueError(f"unknown comparison operator {op!r}")
+    if lrank != rrank:
+        return test(lrank, rrank)
+    return test(lkey, rkey)
 
 
 def _adapt_blank(value: Scalar, other: Scalar) -> Scalar:

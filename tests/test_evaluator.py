@@ -11,10 +11,12 @@ from sprego.values import (
     ArrayValue,
     BLANK,
     DIV0_ERR,
+    MAX_TEXT,
     NA_ERR,
     NUM_ERR,
     VALUE_ERR,
     CellError,
+    render,
 )
 
 
@@ -298,3 +300,119 @@ class TestVolatileAndAnchor:
 
     def test_anchor_feeds_row(self):
         assert ev("=ROW()+COLUMN()", anchor="D7") == 11.0
+
+
+# Every operator over every pair of operand types: a number, a boolean,
+# numeric text, other text, empty text, a blank cell (A1) and an error
+# (A2).  Each row is one left operand, each column one right operand;
+# text results are quoted.
+CROSS_OPERANDS = ['1.5', 'TRUE', '"2"', '"x"', '""', 'A1', 'A2']
+CROSS_TABLE = {
+    "+": [
+        '3 2.5 3.5 #VALUE! #VALUE! 1.5 #DIV/0!',
+        '2.5 2 3 #VALUE! #VALUE! 1 #DIV/0!',
+        '3.5 3 4 #VALUE! #VALUE! 2 #DIV/0!',
+        '#VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #DIV/0!',
+        '#VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #DIV/0!',
+        '1.5 1 2 #VALUE! #VALUE! 0 #DIV/0!',
+        '#DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0!',
+    ],
+    "-": [
+        '0 0.5 -0.5 #VALUE! #VALUE! 1.5 #DIV/0!',
+        '-0.5 0 -1 #VALUE! #VALUE! 1 #DIV/0!',
+        '0.5 1 0 #VALUE! #VALUE! 2 #DIV/0!',
+        '#VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #DIV/0!',
+        '#VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #DIV/0!',
+        '-1.5 -1 -2 #VALUE! #VALUE! 0 #DIV/0!',
+        '#DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0!',
+    ],
+    "*": [
+        '2.25 1.5 3 #VALUE! #VALUE! 0 #DIV/0!',
+        '1.5 1 2 #VALUE! #VALUE! 0 #DIV/0!',
+        '3 2 4 #VALUE! #VALUE! 0 #DIV/0!',
+        '#VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #DIV/0!',
+        '#VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #DIV/0!',
+        '0 0 0 #VALUE! #VALUE! 0 #DIV/0!',
+        '#DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0!',
+    ],
+    "/": [
+        '1 1.5 0.75 #VALUE! #VALUE! #DIV/0! #DIV/0!',
+        '0.6666666666666666 1 0.5 #VALUE! #VALUE! #DIV/0! #DIV/0!',
+        '1.3333333333333333 2 1 #VALUE! #VALUE! #DIV/0! #DIV/0!',
+        '#VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #DIV/0!',
+        '#VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #DIV/0!',
+        '0 0 0 #VALUE! #VALUE! #DIV/0! #DIV/0!',
+        '#DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0!',
+    ],
+    "^": [
+        '1.8371173070873836 1.5 2.25 #VALUE! #VALUE! 1 #DIV/0!',
+        '1 1 1 #VALUE! #VALUE! 1 #DIV/0!',
+        '2.8284271247461903 2 4 #VALUE! #VALUE! 1 #DIV/0!',
+        '#VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #DIV/0!',
+        '#VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #VALUE! #DIV/0!',
+        '0 0 0 #VALUE! #VALUE! #NUM! #DIV/0!',
+        '#DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0!',
+    ],
+    "&": [
+        '"1.51.5" "1.5TRUE" "1.52" "1.5x" "1.5" "1.5" #DIV/0!',
+        '"TRUE1.5" "TRUETRUE" "TRUE2" "TRUEx" "TRUE" "TRUE" #DIV/0!',
+        '"21.5" "2TRUE" "22" "2x" "2" "2" #DIV/0!',
+        '"x1.5" "xTRUE" "x2" "xx" "x" "x" #DIV/0!',
+        '"1.5" "TRUE" "2" "x" "" "" #DIV/0!',
+        '"1.5" "TRUE" "2" "x" "" "" #DIV/0!',
+        '#DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0!',
+    ],
+    "=": [
+        'TRUE FALSE FALSE FALSE FALSE FALSE #DIV/0!',
+        'FALSE TRUE FALSE FALSE FALSE FALSE #DIV/0!',
+        'FALSE FALSE TRUE FALSE FALSE FALSE #DIV/0!',
+        'FALSE FALSE FALSE TRUE FALSE FALSE #DIV/0!',
+        'FALSE FALSE FALSE FALSE TRUE TRUE #DIV/0!',
+        'FALSE FALSE FALSE FALSE TRUE TRUE #DIV/0!',
+        '#DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0!',
+    ],
+    "<": [
+        'FALSE TRUE TRUE TRUE TRUE FALSE #DIV/0!',
+        'FALSE FALSE FALSE FALSE FALSE FALSE #DIV/0!',
+        'FALSE TRUE FALSE TRUE FALSE FALSE #DIV/0!',
+        'FALSE TRUE FALSE FALSE FALSE FALSE #DIV/0!',
+        'FALSE TRUE TRUE TRUE FALSE FALSE #DIV/0!',
+        'TRUE TRUE TRUE TRUE FALSE FALSE #DIV/0!',
+        '#DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0! #DIV/0!',
+    ],
+}
+
+
+class TestCrossTypeTable:
+    def test_every_operator_over_every_operand_pair(self):
+        sheet = Sheet()
+        sheet.set(parse_cell("A2"), DIV0_ERR)
+
+        def show(value):
+            return f'"{value}"' if isinstance(value, str) else render(value)
+
+        got = {op: [" ".join(show(ev(f"={a}{op}{b}", sheet))
+                             for b in CROSS_OPERANDS)
+                    for a in CROSS_OPERANDS]
+               for op in CROSS_TABLE}
+        assert got == CROSS_TABLE
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize("formula", [
+        "=1e999", "=-1e999", "=1e999%", "=1E400*0", '=LEFT("abc",1e999)',
+        '=RIGHT("abc",1e999)', '=FIND("a","abc",1e999)', "=ROUND(1,1e999)",
+    ])
+    def test_non_finite_number_literal_is_num_error(self, formula):
+        assert ev(formula) is NUM_ERR
+
+    def test_non_finite_literal_is_an_ordinary_error_value(self):
+        assert ev("=ISERROR(1e999)") is True
+        assert ev("=1.7976931348623157e308") == 1.7976931348623157e308
+
+    def test_concat_stops_at_the_text_limit(self):
+        sheet = Sheet()
+        sheet.set(parse_cell("A1"), "a" * (MAX_TEXT - 1))
+        assert ev('=A1&"b"', sheet) == "a" * (MAX_TEXT - 1) + "b"
+        assert ev('=A1&"bc"', sheet) is VALUE_ERR
+        assert ev('=LEN(A1&"b"&"c")', sheet) is VALUE_ERR

@@ -1,6 +1,8 @@
 """The built-in function library, exercised through formula evaluation."""
 
+import inspect
 import random
+import time
 
 import pytest
 
@@ -11,6 +13,7 @@ from sprego.values import (
     ArrayValue,
     BLANK,
     DIV0_ERR,
+    MAX_TEXT,
     NA_ERR,
     NAME_ERR,
     NUM_ERR,
@@ -123,6 +126,23 @@ class TestSubstitute:
 
     def test_can_delete(self):
         assert ev('=SUBSTITUTE("EUW)",")","")') == "EUW"
+
+    def test_result_longer_than_the_text_limit(self):
+        sheet = Sheet()
+        sheet.set(parse_cell("A1"), "a" * (MAX_TEXT - 2) + "bb")
+        assert len(ev('=SUBSTITUTE(A1,"b","c")', sheet)) == MAX_TEXT
+        assert ev('=SUBSTITUTE(A1,"bb","ccc")', sheet) is VALUE_ERR
+        assert ev('=SUBSTITUTE(A1,"b","cc")', sheet) is VALUE_ERR
+        assert ev('=SUBSTITUTE(A1,"b","cc",2)', sheet) is VALUE_ERR
+        assert ev('=SUBSTITUTE(A1,"b","c",2)', sheet).endswith("bc")
+
+    def test_doubling_forty_times_stops_at_the_limit(self):
+        formula = '"a"'
+        for _ in range(40):
+            formula = f'SUBSTITUTE({formula},"a","aa")'
+        start = time.perf_counter()
+        assert ev("=" + formula) is VALUE_ERR
+        assert time.perf_counter() - start < 1.0
 
 
 class TestAggregates:
@@ -386,6 +406,33 @@ class TestCallPlumbing:
         assert ev("=LEN(1,2)") is VALUE_ERR
         assert ev("=ROUND(1)") is VALUE_ERR
         assert ev("=OFFSET(A1,1)") is VALUE_ERR
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, d in REGISTRY.items() if d.impl is not None))
+    def test_kernel_takes_every_allowed_argument_count(self, name):
+        # impl(ctx, *args): an arity the registry allows must bind, or
+        # the call would end in a Python TypeError
+        descriptor = REGISTRY[name]
+        signature = inspect.signature(descriptor.impl)
+        ctx = EvalContext(Sheet())
+        most = descriptor.max_args
+        top = most if most is not None else descriptor.min_args + 3
+        for count in range(descriptor.min_args, top + 1):
+            signature.bind(ctx, *[0.0] * count)
+        if most is not None:
+            with pytest.raises(TypeError):
+                signature.bind(ctx, *[0.0] * (most + 1))
+
+    @pytest.mark.parametrize("formula, expected", [
+        ('=LEFT("abc",)', ""),
+        ('=RIGHT("abc",)', ""),
+        ('=FIND("b","abc",)', VALUE_ERR),
+        ('=SUBSTITUTE("aba","a","x",)', VALUE_ERR),
+        ("=ROUND(2.5,)", 3.0),
+    ])
+    def test_empty_slot_is_omitted_not_the_default(self, formula, expected):
+        result = ev(formula)
+        assert type(result) is type(expected) and result == expected
 
     def test_lookup_is_case_insensitive(self):
         assert lookup("sum") is REGISTRY["SUM"]

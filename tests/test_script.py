@@ -369,6 +369,41 @@ EXPECT C2:C3 = 30;99
     def test_eval_missing_workbook(self, capsys):
         assert main(["eval", "/no/such.csv", "=1"]) == IO_FAILED
 
+    @pytest.mark.parametrize("formula", ["=1e999", '=LEFT("abc",1e999)'])
+    def test_non_finite_literal_prints_num_error(self, capsys, formula):
+        assert main(["eval", formula]) == OK
+        assert main(["trace", formula]) == OK
+        out = capsys.readouterr().out
+        assert out.startswith("#NUM!\n") and out.endswith("#NUM!\n")
+
+    def test_forty_nested_substitutes_end_in_value_error(self, capsys):
+        formula = '"a"'
+        for _ in range(40):
+            formula = f'SUBSTITUTE({formula},"a","aa")'
+        code, seconds = timed(lambda: main(["eval", "=LEN(" + formula + ")"]))
+        assert code == OK and capsys.readouterr().out == "#VALUE!\n"
+        assert seconds < 1.0
+
+    @pytest.mark.parametrize("script, message", [
+        ("SET A1 = 1\nTRACE nope\n", "line 2: TRACE of unknown step 'nope'"),
+        ("STEP S1 A1:A2 = =1\n", "line 1: STEP S1 produced 1x1 but A1:A2 is 2x1"),
+        ("SET A1 = 1\nEXPECT A1:A2 = 1;2\n",
+         "line 2: EXPECT A1:A2 covers A2, which no directive has written"),
+    ])
+    def test_directive_error_names_its_line_once(self, capsys, tmp_path,
+                                                 script, message):
+        path = write(tmp_path, "t.sprego", script)
+        assert main(["run", str(path)]) == EVAL_FAILED
+        assert message in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("literal, message", [
+        ('"x', "unterminated quote in --set value"),
+        ('"a","b"', "--set takes exactly one value"),
+    ])
+    def test_set_flag_errors_name_the_flag(self, capsys, literal, message):
+        assert main(["eval", "=A1", "--set", f"A1={literal}"]) == EVAL_FAILED
+        assert capsys.readouterr().err == f"sprego: {message}\n"
+
 
 WHOLE_SHEET = "A1:XFD1048576"
 
