@@ -119,7 +119,9 @@ class RangeRef:
                        range(self.top_left.col, self.bottom_right.col + 1))
 
 
-_A1_RE = re.compile(r"\$?([A-Za-z]{1,3})\$?([0-9]+)\Z")
+#: One A1 cell such as C2 or $C$2, grouping its letters and its digits.
+CELL_PATTERN = r"\$?([A-Za-z]{1,3})\$?([0-9]+)"
+_A1_RE = re.compile(CELL_PATTERN + r"\Z")
 
 
 def parse_cell(token: str) -> CellAddress:

@@ -6,6 +6,11 @@ exponentiation (left-associative), the percent postfix, then unary
 sign, so -2^3 is (-2)^3 and -5% is (-5)%.  A leading = is accepted and
 braces around the whole formula mark array entry.
 
+Lexing is one pattern table, _TOKEN_RULES, read as one regular
+expression with a named group per token kind.  An error label such as
+#N/A is an "error" token, a literal like a number; a character that no
+rule takes is an error, and a ( ) , : { } token's kind is its text.
+
 The parser climbs precedence: one loop reads each binary operator's
 level from _BINARY_LEVEL, the table unparse() reads too, and recurses
 only into a right operand, a parenthesis or an argument list.
@@ -33,7 +38,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from .grid import CellAddress, GridError, RangeRef, parse_cell
-from .values import BLANK, CellError, OMITTED, _Sentinel, _finite, render_number
+from .values import (BOOLEAN_BY_LABEL, ERROR_BY_LABEL, NUMBER_PATTERN,
+                     OMITTED, CellError, _Sentinel, _finite, render)
 
 
 class FormulaError(Exception):
@@ -47,66 +53,44 @@ class FormulaError(Exception):
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # "number", "string", "ident", "op", "(", ")", ",", ":", "{", "}", "end"
+    kind: str  # number, string, error, ident, op, end, or one of ( ) , : { }
     text: str
     offset: int
 
 
-_NUMBER_TOKEN = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_TOKEN = re.compile(r"\$?[A-Za-z_][A-Za-z0-9_.$]*")
-_TWO_CHAR_OPS = ("<=", ">=", "<>")
-_ONE_CHAR_OPS = "=<>&+-*/^%"
-_PUNCT = "(),:{}"
+#: The lexical rules in the order they are tried (see the module docstring).
+_TOKEN_RULES = (
+    ("space", r"[ \t\r\n]+"),
+    ("op", r"<=|>=|<>|[=<>&+\-*/^%]"),
+    ("punct", r"[(),:{}]"),
+    # "" is an escaped quote; (?!") stops a match that would end inside
+    # one, so the string is unterminated instead.  The body repeats runs,
+    # not single characters, so the match keeps no state per character.
+    ("string", r'"[^"]*(?:""[^"]*)*"(?!")'),
+    ("number", NUMBER_PATTERN),
+    ("error", "|".join(map(re.escape, ERROR_BY_LABEL))),
+    ("ident", r"\$?[A-Za-z_][A-Za-z0-9_.$]*"),
+    ("mismatch", r"."),
+)
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})"
+                                for kind, pattern in _TOKEN_RULES), re.S)
 
 
 def tokenize(text: str) -> list[Token]:
     """Lex a formula into tokens, ending with a synthetic "end" token."""
     tokens: list[Token] = []
-    pos = 0
-    size = len(text)
-    while pos < size:
-        ch = text[pos]
-        if ch in " \t\r\n":
-            pos += 1
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        if text[pos:pos + 2] in _TWO_CHAR_OPS:
-            tokens.append(Token("op", text[pos:pos + 2], pos))
-            pos += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token("op", ch, pos))
-            pos += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(ch, ch, pos))
-            pos += 1
-            continue
-        if ch == '"':
-            end = pos + 1
-            while True:
-                if end >= size:
-                    raise FormulaError(pos, "unterminated string literal")
-                if text[end] == '"':
-                    if end + 1 < size and text[end + 1] == '"':
-                        end += 2  # doubled quote is an escaped quote
-                        continue
-                    break
-                end += 1
-            tokens.append(Token("string", text[pos:end + 1], pos))
-            pos = end + 1
-            continue
-        if ch.isdigit() or (ch == "." and pos + 1 < size and text[pos + 1].isdigit()):
-            m = _NUMBER_TOKEN.match(text, pos)
-            tokens.append(Token("number", m.group(0), pos))
-            pos = m.end()
-            continue
-        m = _IDENT_TOKEN.match(text, pos)
-        if m:
-            tokens.append(Token("ident", m.group(0), pos))
-            pos = m.end()
-            continue
-        raise FormulaError(pos, f"unexpected character {ch!r}")
-    tokens.append(Token("end", "", size))
+        lexeme = m.group()
+        if kind == "mismatch":
+            if lexeme == '"':
+                raise FormulaError(m.start(), "unterminated string literal")
+            raise FormulaError(m.start(), f"unexpected character {lexeme!r}")
+        tokens.append(Token(lexeme if kind == "punct" else kind, lexeme,
+                            m.start()))
+    tokens.append(Token("end", "", len(text)))
     return tokens
 
 
@@ -258,6 +242,9 @@ class _Parser:
         if tok.kind == "string":
             self.advance()
             return Literal(tok.text[1:-1].replace('""', '"')), depth
+        if tok.kind == "error":
+            self.advance()
+            return Literal(ERROR_BY_LABEL[tok.text]), depth
         if tok.kind == "(":
             self.open()
             result = self.expression(depth)
@@ -272,10 +259,8 @@ class _Parser:
         if self.peek().kind == "(":
             return self.call(tok, depth)
         upper = tok.text.upper()
-        if upper == "TRUE":
-            return Literal(True), depth
-        if upper == "FALSE":
-            return Literal(False), depth
+        if upper in BOOLEAN_BY_LABEL:
+            return Literal(BOOLEAN_BY_LABEL[upper]), depth
         first = self.cell_of(tok)
         if self.peek().kind == ":":
             self.advance()
@@ -353,23 +338,16 @@ def _level(expr: Expr) -> int:
 def unparse(expr: Expr) -> str:
     """Render a tree back to text with only the parentheses it needs.
 
-    parse_expression(unparse(e)) reproduces e exactly.  Number
+    parse_expression(unparse(e)) reproduces e exactly.  Text literals
+    are quoted with "" escapes; every other literal is written as
+    values.render shows it, so an error literal is its label.  Number
     literals are non-negative by construction (a negative constant
     parses as unary minus), so rendering never has to guard a sign.
     """
     if isinstance(expr, Literal):
-        value = expr.value
-        if value is OMITTED:
-            return ""
-        if value is BLANK:
-            return ""
-        if isinstance(value, bool):
-            return "TRUE" if value else "FALSE"
-        if isinstance(value, float):
-            return render_number(value)
-        if isinstance(value, CellError):
-            return str(value)
-        return '"' + value.replace('"', '""') + '"'
+        if isinstance(expr.value, str):
+            return '"' + expr.value.replace('"', '""') + '"'
+        return render(expr.value)
     if isinstance(expr, Ref):
         return expr.addr.a1
     if isinstance(expr, RangeLit):

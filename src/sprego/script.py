@@ -15,8 +15,8 @@ range, which must match the result's shape exactly.  EXPECT compares a
 previously written range cell-by-cell: text, booleans, blanks and
 error kinds must match exactly, numbers within 1e-9 relative or 1e-12
 absolute, whichever is looser.  In expectation data a quoted field is
-always text, so "14" is the text and 14 the number; an empty unquoted
-field is a blank.
+always text, so "14" is the text and 14 the number, and blanks around
+a quoted field are ignored; an empty unquoted field is a blank.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Optional, Union
 
 from .evaluator import EvalContext, evaluate_formula
 from .grid import (
+    CELL_PATTERN,
     CellAddress,
     GridError,
     IngestError,
@@ -43,6 +44,7 @@ from .tracer import TraceError, render_tsv, trace
 from .values import (
     ArrayValue,
     BLANK,
+    BOOLEAN_BY_LABEL,
     CellError,
     ERROR_BY_LABEL,
     Scalar,
@@ -130,61 +132,34 @@ def _split_fields(text: str, line: Optional[int], noun: str,
     """Split one line of fields, remembering which were quoted.
 
     Returns rows of (text, was_quoted) pairs.  Quotes follow CSV
-    conventions ("" escapes a quote); unquoted fields are stripped.
-    noun names what is being split in error messages.
+    conventions ("" escapes a quote) and blanks around a quoted field
+    are ignored; unquoted fields are stripped.  noun names what is being
+    split in error messages.
     """
+    # one match per field: a quoted field (its text, then its closing
+    # quote, empty if there is none) or the bare text up to a separator,
+    # then the character after it, empty at the end of the line
+    field_re = re.compile(r'[ \t]*(?:"([^"]*(?:""[^"]*)*)("?)[ \t]*|([^,'
+                          + re.escape(row_separator) + r']*))(.?)', re.S)
     rows: list[list[tuple[str, bool]]] = [[]]
-    buffer: list[str] = []
-    quoted = False
-    closed = False  # a quoted field has ended; only separators may follow
-    i = 0
-
-    def push() -> None:
-        nonlocal buffer, quoted, closed
-        text_value = "".join(buffer) if quoted else "".join(buffer).strip()
-        rows[-1].append((text_value, quoted))
-        buffer = []
-        quoted = False
-        closed = False
-
-    while i < len(text):
-        ch = text[i]
-        if quoted and not closed:
-            if ch == '"':
-                if i + 1 < len(text) and text[i + 1] == '"':
-                    buffer.append('"')
-                    i += 2
-                    continue
-                closed = True
-                i += 1
-                continue
-            buffer.append(ch)
-            i += 1
-            continue
-        if ch == '"' and not buffer and not closed:
-            quoted = True
-            i += 1
-            continue
-        if ch == ",":
-            push()
-            i += 1
-            continue
-        if ch == row_separator:
-            push()
+    pos = 0
+    while True:
+        m = field_re.match(text, pos)
+        quoted, closing, bare, separator = m.groups()
+        if bare is not None:
+            rows[-1].append((bare.strip(), False))
+        elif closing:
+            rows[-1].append((quoted.replace('""', '"'), True))
+        else:
+            raise ScriptError(line, f"unterminated quote in {noun}")
+        if not separator:
+            return rows
+        if separator == row_separator:
             rows.append([])
-            i += 1
-            continue
-        if closed:
-            if ch in " \t":
-                i += 1
-                continue
-            raise ScriptError(line, f"unexpected {ch!r} after closing quote")
-        buffer.append(ch)
-        i += 1
-    if quoted and not closed:
-        raise ScriptError(line, f"unterminated quote in {noun}")
-    push()
-    return rows
+        elif separator != ",":
+            raise ScriptError(line,
+                              f"unexpected {separator!r} after closing quote")
+        pos = m.end()
 
 
 def parse_scalar_field(text: str, quoted: bool) -> Scalar:
@@ -196,10 +171,8 @@ def parse_scalar_field(text: str, quoted: bool) -> Scalar:
     if text == "":
         return BLANK
     upper = text.upper()
-    if upper == "TRUE":
-        return True
-    if upper == "FALSE":
-        return False
+    if upper in BOOLEAN_BY_LABEL:
+        return BOOLEAN_BY_LABEL[upper]
     if text in ERROR_BY_LABEL:
         return ERROR_BY_LABEL[text]
     number = parse_number(text)
@@ -220,9 +193,18 @@ def _parse_set_literal(text: str, line: Optional[int],
     return parse_scalar_field(stripped, quoted=False)
 
 
-_STEP_RE = re.compile(r"(\S+)\s+(\$?[A-Za-z]{1,3}\$?\d+(?::\$?[A-Za-z]{1,3}\$?\d+)?)\s*=\s*(.+)\Z", re.S)
-_SET_RE = re.compile(r"(\$?[A-Za-z]{1,3}\$?\d+)\s*=\s*(.+)\Z", re.S)
-_LOAD_RE = re.compile(r"(\S+)(?:\s+AT\s+(\d+))?(\s+TEXT)?\s*\Z", re.I)
+#: The syntax of each directive after its keyword, which is matched
+#: against the rest of the line with its outer blanks stripped.
+_SYNTAX = {
+    "LOAD": re.compile(r"(?P<path>\S+)(?:\s+AT\s+(?P<offset>\d+))?"
+                       r"(?P<text>\s+TEXT)?\s*\Z", re.I),
+    "SET": re.compile(rf"(?P<target>{CELL_PATTERN})\s*=\s*(?P<value>.+)\Z"),
+    "STEP": re.compile(rf"(?P<label>\S+)\s+"
+                       rf"(?P<target>{CELL_PATTERN}(?::{CELL_PATTERN})?)"
+                       r"\s*=\s*(?P<formula>.+)\Z"),
+    "TRACE": re.compile(r"(?P<label>[^ ]+)\Z"),
+    "EXPECT": re.compile(r"(?P<target>[^=]*)=(?P<data>.*)\Z"),
+}
 
 
 def parse_task_script(source: Union[str, Path], *,
@@ -242,51 +224,38 @@ def parse_task_script(source: Union[str, Path], *,
         if not stripped or stripped.startswith("#"):
             continue
         keyword, _, rest = stripped.partition(" ")
-        rest = rest.strip()
         keyword = keyword.upper()
+        syntax = _SYNTAX.get(keyword)
+        if syntax is None:
+            raise ScriptError(line_no, f"unknown directive {keyword!r}")
+        m = syntax.match(rest.strip())
+        if not m:
+            raise ScriptError(line_no, f"malformed {keyword}: {stripped!r}")
         if keyword == "LOAD":
-            m = _LOAD_RE.match(rest)
-            if not m:
-                raise ScriptError(line_no, f"malformed LOAD: {stripped!r}")
-            directives.append(Load(m.group(1), int(m.group(2) or 0),
-                                   bool(m.group(3)), line_no))
+            directive = Load(m["path"], int(m["offset"] or 0), bool(m["text"]),
+                             line_no)
         elif keyword == "SET":
-            m = _SET_RE.match(rest)
-            if not m:
-                raise ScriptError(line_no, f"malformed SET: {stripped!r}")
-            directives.append(SetCell(m.group(1),
-                                      _parse_set_literal(m.group(2), line_no),
-                                      line_no))
+            value = _parse_set_literal(m["value"], line_no)
+            directive = SetCell(m["target"], value, line_no)
         elif keyword == "STEP":
-            m = _STEP_RE.match(rest)
-            if not m:
-                raise ScriptError(line_no, f"malformed STEP: {stripped!r}")
-            label = m.group(1)
+            label = m["label"]
             if label in labels:
                 raise ScriptError(line_no, f"duplicate step label {label!r}")
             labels.add(label)
-            directives.append(Step(label, m.group(2), m.group(3).strip(),
-                                   line_no))
+            directive = Step(label, m["target"], m["formula"], line_no)
         elif keyword == "TRACE":
-            if not rest or " " in rest:
-                raise ScriptError(line_no, f"malformed TRACE: {stripped!r}")
-            directives.append(Trace(rest, line_no))
-        elif keyword == "EXPECT":
-            target, eq, data = rest.partition("=")
-            if not eq:
-                raise ScriptError(line_no, f"malformed EXPECT: {stripped!r}")
-            target = target.strip()
-            data = data.strip()
+            directive = Trace(m["label"], line_no)
+        else:  # EXPECT
+            target, data = m["target"].strip(), m["data"].strip()
             if data.startswith("@"):
-                directives.append(Expect(target, (), data, line_no))
+                directive = Expect(target, (), data, line_no)
             else:
                 rows = tuple(
                     tuple(parse_scalar_field(*f) for f in row)
                     for row in _split_fields(data, line_no,
                                              "expectation data"))
-                directives.append(Expect(target, rows, "inline", line_no))
-        else:
-            raise ScriptError(line_no, f"unknown directive {keyword!r}")
+                directive = Expect(target, rows, "inline", line_no)
+        directives.append(directive)
     return TaskScript(path, directives)
 
 

@@ -53,6 +53,9 @@ NAME_ERR = CellError(ErrorKind.NAME)
 ERROR_BY_LABEL = {err.kind.value: err for err in
                   (VALUE_ERR, DIV0_ERR, NUM_ERR, NA_ERR, REF_ERR, NAME_ERR)}
 
+#: Boolean literals, which formulas and expectation data read in any case.
+BOOLEAN_BY_LABEL = {"TRUE": True, "FALSE": False}
+
 
 class _Sentinel:
     """Identity-compared singleton placeholder."""
@@ -83,7 +86,10 @@ def is_number(value: Scalar) -> bool:
     return isinstance(value, float)
 
 
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
+#: An unsigned number: the grammar of number literals in formulas and,
+#: with an optional sign, of numeric text in cells and CSV fields.
+NUMBER_PATTERN = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER_RE = re.compile(r"[+-]?" + NUMBER_PATTERN + r"\Z")
 
 
 def parse_number(text: str) -> float | None:

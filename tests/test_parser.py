@@ -23,7 +23,15 @@ from sprego.parser import (
 )
 from sprego.script import PARSE_FAILED
 from sprego.tracer import trace
-from sprego.values import OMITTED
+from sprego.values import (
+    DIV0_ERR,
+    NA_ERR,
+    NAME_ERR,
+    NUM_ERR,
+    OMITTED,
+    REF_ERR,
+    VALUE_ERR,
+)
 
 
 def kinds(text):
@@ -62,6 +70,48 @@ class TestTokenize:
     def test_unexpected_character(self):
         with pytest.raises(FormulaError):
             tokenize("1 ? 2")
+
+    @pytest.mark.parametrize("text, offset, char", [
+        ("=\u00b2", 1, "\u00b2"),   # str.isdigit accepts it, \d does not
+        ("=.\u00b2", 1, "."),
+        ("1+\u00b2", 2, "\u00b2"),
+    ])
+    def test_non_decimal_digit_is_unexpected(self, text, offset, char):
+        with pytest.raises(FormulaError) as err:
+            tokenize(text)
+        assert err.value.offset == offset
+        assert err.value.message == f"unexpected character {char!r}"
+
+    @pytest.mark.parametrize("text, offset", [('"""', 0), ('1&"a""', 2)])
+    def test_escaped_quote_never_closes_a_string(self, text, offset):
+        with pytest.raises(FormulaError) as err:
+            tokenize(text)
+        assert err.value.offset == offset
+        assert err.value.message == "unterminated string literal"
+
+    @pytest.mark.parametrize("label, error", [
+        ("#VALUE!", VALUE_ERR), ("#DIV/0!", DIV0_ERR), ("#NUM!", NUM_ERR),
+        ("#N/A", NA_ERR), ("#REF!", REF_ERR), ("#NAME?", NAME_ERR),
+    ])
+    def test_error_label_is_one_token(self, label, error):
+        assert [(t.kind, t.text) for t in tokenize(label)] == [
+            ("error", label), ("end", "")]
+        assert parse_expression(label).value is error
+
+    @pytest.mark.parametrize("text", ["#", "#FOO", "#n/a"])
+    def test_hash_outside_a_label_is_unexpected(self, text):
+        with pytest.raises(FormulaError) as err:
+            tokenize(text)
+        assert err.value.offset == 0
+        assert err.value.message == "unexpected character '#'"
+
+    def test_cli_reports_lex_errors_and_reads_labels(self, capsys):
+        assert main(["eval", "=\u00b2"]) == PARSE_FAILED
+        assert main(["eval", "=ISERROR(#N/A)"]) == 0
+        captured = capsys.readouterr()
+        assert "unexpected character" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert captured.out == "TRUE\n"
 
 
 class TestParseShapes:
@@ -200,6 +250,9 @@ ROUND_TRIP_CASES = [
     "RAND()",
     "A1:B2",
     "TRUE<>FALSE",
+    'LEFT("abc",1e999)',
+    "ISERROR(#N/A)",
+    "#DIV/0!+1",
 ]
 
 

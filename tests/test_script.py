@@ -19,6 +19,7 @@ from sprego.script import (
     SetCell,
     Step,
     Trace,
+    _split_fields,
     parse_scalar_field,
     scalars_match,
 )
@@ -77,6 +78,11 @@ SET A5 = #N/A
                                          'EXPECT A1:B2 = 1,2;3,"4"\n'))
         assert script.directives[0].rows == ((1.0, 2.0), (3.0, "4"))
 
+    def test_inline_expect_quote_after_a_blank_is_text(self, tmp_path):
+        script = parse_task_script(write(tmp_path, "t.sprego",
+                                         'EXPECT A1:B1 = 1, "2"\n'))
+        assert script.directives[0].rows == ((1.0, "2"),)
+
     def test_duplicate_step_labels_rejected(self, tmp_path):
         path = write(tmp_path, "t.sprego",
                      "STEP S1 A1 = =1\nSTEP S1 A2 = =2\n")
@@ -101,6 +107,40 @@ SET A5 = #N/A
     def test_missing_script_file(self, tmp_path):
         with pytest.raises(IngestError):
             parse_task_script(tmp_path / "absent.sprego")
+
+
+class TestSplitFields:
+    @pytest.mark.parametrize("text, separator, rows", [
+        ('1,2;3,"4"', ";", [[("1", False), ("2", False)],
+                            [("3", False), ("4", True)]]),
+        ('"a" ,b', ";", [[("a", True), ("b", False)]]),
+        ('ab"c', ";", [[('ab"c', False)]]),
+        ('""', ";", [[("", True)]]),
+        ('"say ""hi"""', ";", [[('say "hi"', True)]]),
+        (",", ";", [[("", False), ("", False)]]),
+        (";", ";", [[("", False)], [("", False)]]),
+        (" x ", ";", [[("x", False)]]),
+        ('1;2,"a;b"', "\x00", [[("1;2", False), ("a;b", True)]]),
+        # blanks before an opening quote are skipped like those after it
+        ('1, "2"', ";", [[("1", False), ("2", True)]]),
+    ])
+    def test_rows(self, text, separator, rows):
+        assert _split_fields(text, 3, "data", separator) == rows
+
+    @pytest.mark.parametrize("text, message", [
+        ('"a"b', "line 3: unexpected 'b' after closing quote"),
+        ('"abc', "line 3: unterminated quote in data"),
+    ])
+    def test_errors(self, text, message):
+        with pytest.raises(ScriptError) as err:
+            _split_fields(text, 3, "data")
+        assert str(err.value) == message
+
+    def test_expect_with_blank_before_open_quote(self, capsys, tmp_path):
+        path = write(tmp_path, "t.sprego", 'SET A1 = 1\nEXPECT A1 = 1, "2\n')
+        assert main(["run", str(path)]) == EVAL_FAILED
+        assert capsys.readouterr().err == (
+            "sprego: line 2: unterminated quote in expectation data\n")
 
 
 class TestScalarFields:
