@@ -7,6 +7,9 @@ stretches along its short axis).  Outside array entry a multi-cell
 array in a scalar position is a #VALUE! error instead; there is no
 implicit intersection.
 
+lift also coerces each lifted argument as its mode says (a function's
+descriptor, or _OPERATORS), so kernels see numbers or text already.
+
 Errors are values, not exceptions: they flow out of individual
 elements and poison exactly the results that depend on them.
 Evaluation never mutates the sheet.
@@ -19,9 +22,9 @@ import random
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, repeat
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-from .functions import REF, SCALAR, lookup, read_range
+from .functions import COERCION, NUMBER, REF, SCALAR, TEXT, lookup, read_range
 from .grid import MAX_RANGE_CELLS, CellAddress, RangeRef, Sheet
 from .parser import Binary, Call, Expr, Formula, Literal, RangeLit, Ref, Unary
 from .values import (
@@ -36,8 +39,6 @@ from .values import (
     VALUE_ERR,
     Value,
     _finite,
-    coerce_to_number,
-    coerce_to_text,
     compare,
     is_truthy,
 )
@@ -55,32 +56,6 @@ class EvalContext:
     anchor: CellAddress = CellAddress(1, 1)
     rng: random.Random = field(default_factory=random.Random)
     node_values: Optional[dict[int, Value]] = None
-
-
-def _operator_kernel(combine: Callable[..., Value], arity: int = 2,
-                     text: bool = False) -> Callable[..., Value]:
-    """Scalar kernel for an operator: coerce each operand (to text for
-    &, else to a number), pass the first error on, else combine.  Two
-    float operands of an arithmetic operator need no coercion."""
-    if arity == 1:
-        def unary(a: Scalar) -> Value:
-            x = coerce_to_number(a)
-            if isinstance(x, CellError):
-                return x
-            return combine(x)
-        return unary
-
-    def binary(a: Scalar, b: Scalar) -> Value:
-        if not text and a.__class__ is float and b.__class__ is float:
-            return combine(a, b)
-        x = coerce_to_text(a) if text else coerce_to_number(a)
-        if isinstance(x, CellError):
-            return x
-        y = coerce_to_text(b) if text else coerce_to_number(b)
-        if isinstance(y, CellError):
-            return y
-        return combine(x, y)
-    return binary
 
 
 def _divide(x: float, y: float) -> Value:
@@ -103,24 +78,23 @@ def _power(x: float, y: float) -> Value:
     return _finite(result)
 
 
-def _comparison_kernel(op: str) -> Callable[[Scalar, Scalar], Value]:
-    def kernel(a: Scalar, b: Scalar) -> Value:
-        return compare(a, b, op)
-    return kernel
-
-
-_NEGATE = _operator_kernel(operator.neg, arity=1)
-_PERCENT = _operator_kernel(lambda x: x / 100.0, arity=1)
-
-_BINARY_KERNELS: dict[str, Callable[[Scalar, Scalar], Value]] = {
-    "+": _operator_kernel(lambda x, y: _finite(x + y)),
-    "-": _operator_kernel(lambda x, y: _finite(x - y)),
-    "*": _operator_kernel(lambda x, y: _finite(x * y)),
-    "/": _operator_kernel(_divide),
-    "^": _operator_kernel(_power),
-    "&": _operator_kernel(lambda x, y: VALUE_ERR if len(x) + len(y) > MAX_TEXT
-                          else x + y, text=True),
-    **{op: _comparison_kernel(op) for op in ("=", "<>", "<", "<=", ">", ">=")},
+#: (operator, operand count) -> (combine, the lifted operands' coercions).
+#: Combine functions take operands already coerced by their mode.
+_OPERATORS = {
+    (op, arity): (combine, dict.fromkeys(range(arity), COERCION[mode]))
+    for (op, arity), (combine, mode) in {
+        ("-", 1): (operator.neg, NUMBER),
+        ("%", 1): (lambda x: x / 100.0, NUMBER),
+        ("+", 2): (lambda x, y: _finite(x + y), NUMBER),
+        ("-", 2): (lambda x, y: _finite(x - y), NUMBER),
+        ("*", 2): (lambda x, y: _finite(x * y), NUMBER),
+        ("/", 2): (_divide, NUMBER),
+        ("^", 2): (_power, NUMBER),
+        ("&", 2): (lambda x, y: VALUE_ERR if len(x) + len(y) > MAX_TEXT
+                   else x + y, TEXT),
+        **{(op, 2): (lambda x, y, op=op: compare(x, y, op), SCALAR)
+           for op in ("=", "<>", "<", "<=", ">", ">=")},
+    }.items()
 }
 
 
@@ -166,6 +140,12 @@ def _spread(array: ArrayValue, rows: int, cols: int) -> tuple[Scalar, ...]:
     return cells
 
 
+def _holds(cells: Sequence, kind: type) -> bool:
+    """Whether any of the cells is of exactly this type (CellError and
+    ArrayValue have no subclasses)."""
+    return kind in set(map(type, cells))
+
+
 def _element_result(value: Value) -> Scalar:
     """A kernel's result for one element: an array per element cannot
     nest inside the result, so only a 1x1 array stands for its value."""
@@ -180,74 +160,109 @@ def lift(
     args: list[Value],
     ctx: EvalContext,
     *,
-    lifted: Optional[list[int]] = None,
+    lifted: Optional[dict[int, Optional[Callable]]] = None,
     captures_errors: bool = False,
 ) -> Value:
     """Apply a scalar kernel, repeating it element-wise over arrays.
 
-    Only the positions named in `lifted` (ascending; all of them by
-    default) participate; other arguments pass through whole on every
-    element call.  Unless the kernel captures errors, an error in a
-    lifted argument short-circuits that element (first error in
-    argument order wins).  A kernel that produces an array for a
-    single element cannot be represented and yields #VALUE! there.
-    A broadcast result above MAX_RANGE_CELLS elements is #NUM!.
+    Only the positions that `lifted` maps (ascending, each to its
+    coercion or to None; all of them, uncoerced, by default)
+    participate; other arguments pass through whole on every element
+    call.  For each element the result is:
 
-    The element loop does only per-element work: a stretched array is
-    expanded once per call, and a lifted scalar that is an error is
-    found once, before the loop.
+    1. the first error among the lifted arguments, in argument order
+       (skipped when the kernel captures errors);
+    2. otherwise, the first error that a coercion made, in argument
+       order;
+    3. otherwise, the kernel's result on the coerced values.
+
+    A kernel that produces an array for a single element cannot be
+    represented and yields #VALUE! there.  A broadcast result above
+    MAX_RANGE_CELLS elements is #NUM!.
     """
     if lifted is None:
-        lifted = range(len(args))
-    arrays = [i for i in lifted if isinstance(args[i], ArrayValue)]
+        lifted = dict.fromkeys(range(len(args)))
+    values = list(args)
+    arrays = []
+    for i in lifted:
+        if isinstance(values[i], ArrayValue):
+            if ctx.array_entered:
+                arrays.append(i)
+            else:
+                values[i] = _only_element(values[i])
+                if values[i] is None:
+                    return VALUE_ERR
+    if arrays:
+        return _broadcast(kernel, values, arrays, lifted, captures_errors)
 
-    if arrays and not ctx.array_entered:
-        args = list(args)
-        for i in arrays:
-            args[i] = _only_element(args[i])
-            if args[i] is None:
-                return VALUE_ERR
-        arrays = []
+    # single application: the kernel may legitimately produce a whole
+    # array (TRANSPOSE, a resized OFFSET, ROW over a range)
+    made = None  # the first error a coercion made
+    for i, coerce in lifted.items():
+        value = values[i]
+        if isinstance(value, CellError) and not captures_errors:
+            return value
+        if coerce is not None:
+            value = values[i] = coerce(value)
+            if made is None and isinstance(value, CellError):
+                made = value
+    return kernel(*values) if made is None else made
 
-    checked = () if captures_errors else lifted
-    stop = None  # the first lifted scalar that is an error
-    for i in checked:
-        if isinstance(args[i], CellError):
-            stop = i
-            break
-    if not arrays:
-        # single application: the kernel may legitimately produce a
-        # whole array (TRANSPOSE, a resized OFFSET, ROW over a range)
-        return kernel(*args) if stop is None else args[stop]
 
-    shape = broadcast_shape([args[i].shape for i in arrays])
+def _broadcast(kernel: Callable[..., Value], values: list, arrays: list[int],
+               lifted: dict[int, Optional[Callable]],
+               captures_errors: bool) -> Value:
+    """lift's element loop, for lifted arrays under array entry.
+
+    It does only per-element work: a lifted scalar is coerced once per
+    call and an array once per element, before the loop, and a
+    stretched array is expanded once.
+    """
+    shape = broadcast_shape([values[i].shape for i in arrays])
     if shape is None:
         return VALUE_ERR
     rows, cols = shape
     if rows * cols > MAX_RANGE_CELLS:
         return NUM_ERR  # checked before any array is expanded
-    # one row-major sequence per argument, so zip yields each
+    # one row-major sequence per array argument, so zip yields each
     # element's argument tuple
-    columns: list = [repeat(arg) for arg in args]
     for i in arrays:
-        columns[i] = _spread(args[i], rows, cols)
-    # arrays that can decide an element before the scalar error does
-    watched = [i for i in arrays
-               if i in checked and (stop is None or i < stop)
-               and any(map(isinstance, columns[i], repeat(CellError)))]
-    if stop is None and not watched:
+        values[i] = _spread(values[i], rows, cols)
+    raw = list(values)
+    for i, coerce in lifted.items():
+        if coerce is not None:
+            values[i] = (tuple(map(coerce, raw[i])) if i in arrays
+                         else coerce(raw[i]))
+    # a raw error passes through its coercion, so only an array whose
+    # coerced cells hold an error can hold one raw
+    erring = {i for i in arrays if (lifted[i] or not captures_errors)
+              and _holds(values[i], CellError)}
+    # what can decide an element before the kernel does, in lift's
+    # order; a scalar error decides every element it is reached on
+    deciders = []
+    order = chain(((raw, i) for i in (() if captures_errors else lifted)),
+                  ((values, i) for i, coerce in lifted.items() if coerce))
+    for source, i in order:
+        value = source[i]
+        if isinstance(value, CellError):
+            deciders.append(repeat(value))
+            break
+        if i in erring and _holds(value, CellError):
+            deciders.append(value)
+    columns = [values[i] if i in arrays else repeat(value)
+               for i, value in enumerate(values)]
+    if not deciders:
         cells = list(map(kernel, *columns))
     else:
         cells = []
-        for call_args in zip(*columns):
-            for i in watched:
-                if isinstance(call_args[i], CellError):
-                    cells.append(call_args[i])
+        for call_args, decided in zip(zip(*columns), zip(*deciders)):
+            for value in decided:
+                if isinstance(value, CellError):
+                    cells.append(value)
                     break
             else:
-                cells.append(kernel(*call_args) if stop is None
-                             else args[stop])
-    if any(map(isinstance, cells, repeat(ArrayValue))):
+                cells.append(kernel(*call_args))
+    if _holds(cells, ArrayValue):
         cells = [_element_result(value) for value in cells]
     return ArrayValue(rows, cols, tuple(cells))
 
@@ -268,11 +283,7 @@ def _branch_result(expr: Optional[Expr], ctx: EvalContext,
     return evaluate(expr, ctx)
 
 
-def _choose(condition: Scalar, then_value: Scalar,
-            else_value: Scalar) -> Value:
-    truth = is_truthy(condition)
-    if isinstance(truth, CellError):
-        return truth
+def _choose(truth: bool, then_value: Scalar, else_value: Scalar) -> Value:
     return then_value if truth else else_value
 
 
@@ -295,6 +306,7 @@ def eval_if(args: tuple[Expr, ...], ctx: EvalContext) -> Value:
             branches = [_branch_result(then_expr, ctx, absent_default=0.0),
                         _branch_result(else_expr, ctx, absent_default=False)]
             return lift(_choose, [condition, *branches], ctx,
+                        lifted={0: is_truthy, 1: None, 2: None},
                         captures_errors=True)
         condition = _only_element(condition)
         if condition is None:
@@ -321,7 +333,7 @@ def _eval_call(call: Call, ctx: EvalContext) -> Value:
         return eval_if(call.args, ctx)
 
     prepared: list = []
-    lifted: list[int] = []
+    lifted: dict = {}
     for index, arg_expr in enumerate(call.args):
         mode = descriptor.mode_for(index)
         if mode == REF:
@@ -333,8 +345,8 @@ def _eval_call(call: Call, ctx: EvalContext) -> Value:
                 return VALUE_ERR  # these arguments must be references
         else:
             prepared.append(evaluate(arg_expr, ctx))
-            if mode == SCALAR:
-                lifted.append(index)
+            if mode in COERCION:
+                lifted[index] = COERCION[mode]
 
     return lift(partial(descriptor.impl, ctx), prepared, ctx, lifted=lifted,
                 captures_errors=descriptor.captures_errors)
@@ -351,10 +363,12 @@ def evaluate(expr: Expr, ctx: EvalContext) -> Value:
     if isinstance(expr, Unary):
         value = evaluate(expr.operand, ctx)
         if expr.op != "+":  # unary plus is a sign-preserving no-op
-            value = lift(_NEGATE if expr.op == "-" else _PERCENT, [value], ctx)
+            combine, lifted = _OPERATORS[expr.op, 1]
+            value = lift(combine, [value], ctx, lifted=lifted)
     elif isinstance(expr, Binary):
+        combine, lifted = _OPERATORS[expr.op, 2]
         operands = [evaluate(expr.left, ctx), evaluate(expr.right, ctx)]
-        value = lift(_BINARY_KERNELS[expr.op], operands, ctx)
+        value = lift(combine, operands, ctx, lifted=lifted)
     elif isinstance(expr, Call):
         value = _eval_call(expr, ctx)
     else:

@@ -6,12 +6,20 @@ few numeric utilities.  Every function is described by a
 FunctionDescriptor that tells the evaluator how to prepare each
 argument:
 
-* SCALAR arguments are lifted element-wise over arrays, so kernels
-  see plain scalars and are called once per element.
+* NUMBER, TEXT and LOGICAL arguments are lifted element-wise over
+  arrays and coerced (COERCION): kernels see floats, strs and bools,
+  one element per call.  SCALAR arguments are lifted uncoerced.
 * ARRAY arguments arrive whole (scalars stay scalars; kernels that
   need a rectangle wrap them as 1x1).
 * REF arguments are never evaluated; the evaluator resolves the
   argument expression to a range and passes the range itself.
+
+Coercion is written once: evaluator.lift applies it before the kernel
+runs.  Five sites coerce for themselves, as each must look at another
+argument first: SMALL/LARGE's k and MATCH's mode (the ARRAY argument's
+errors win), SUBSTITUTE's instance (an empty old string returns the
+text unread), OFFSET's height and width (an empty slot means the
+reference's own size) and _collect_numbers (the aggregate rule).
 
 Every kernel is called as impl(ctx, *args): the evaluation context,
 then one positional parameter per argument written in the formula.
@@ -20,9 +28,9 @@ that is left out, as in LEFT("abc"); an empty slot, as in LEFT("abc",),
 still arrives as OMITTED and coerces like a blank.
 
 Unless a descriptor sets captures_errors, the evaluator propagates an
-error found in a SCALAR argument before the kernel runs, so kernels
-only defend against errors coming out of their own coercions and out
-of ARRAY elements.
+error found in a lifted argument, or made by coercing one, before the
+kernel runs, so kernels only defend against errors coming out of
+ARRAY elements and the five sites above.
 """
 
 from __future__ import annotations
@@ -57,8 +65,19 @@ if TYPE_CHECKING:
     from .evaluator import EvalContext
 
 SCALAR = "scalar"
+NUMBER = "number"
+TEXT = "text"
+LOGICAL = "logical"
 ARRAY = "array"
 REF = "ref"
+
+#: The lifted modes and the coercion each applies (None: none).
+COERCION: dict[str, Optional[Callable]] = {
+    SCALAR: None,
+    NUMBER: coerce_to_number,
+    TEXT: coerce_to_text,
+    LOGICAL: is_truthy,
+}
 
 
 @dataclass(frozen=True)
@@ -79,28 +98,20 @@ class FunctionDescriptor:
 
 # ---------------------------------------------------------------- text
 
-def fn_left(ctx: "EvalContext", text: Scalar, count: Scalar = 1.0) -> Value:
+def fn_left(ctx: "EvalContext", text: str, count: float = 1.0) -> Value:
     """LEFT(text, count=1): leading characters of text.
 
     A fractional count is truncated; a negative count is an error and
     a count beyond the length returns the whole text.
     """
-    text = coerce_to_text(text)
-    count = coerce_to_number(count)
-    if isinstance(count, CellError):
-        return count
     n = int(count)
     if n < 0:
         return VALUE_ERR
     return text[:n]
 
 
-def fn_right(ctx: "EvalContext", text: Scalar, count: Scalar = 1.0) -> Value:
+def fn_right(ctx: "EvalContext", text: str, count: float = 1.0) -> Value:
     """RIGHT(text, count=1): trailing characters of text."""
-    text = coerce_to_text(text)
-    count = coerce_to_number(count)
-    if isinstance(count, CellError):
-        return count
     n = int(count)
     if n < 0:
         return VALUE_ERR
@@ -109,15 +120,11 @@ def fn_right(ctx: "EvalContext", text: Scalar, count: Scalar = 1.0) -> Value:
     return text[-n:]
 
 
-def fn_len(ctx: "EvalContext", text: Scalar) -> Value:
-    return float(len(coerce_to_text(text)))
+def fn_len(ctx: "EvalContext", text: str) -> Value:
+    return float(len(text))
 
 
-def _find_core(needle: Scalar, hay: Scalar, start: Scalar, fold: bool) -> Value:
-    needle, hay = coerce_to_text(needle), coerce_to_text(hay)
-    start = coerce_to_number(start)
-    if isinstance(start, CellError):
-        return start
+def _find_core(needle: str, hay: str, start: float, fold: bool) -> Value:
     at = int(start)
     if at < 1 or at > len(hay) + 1:
         return VALUE_ERR
@@ -131,8 +138,8 @@ def _find_core(needle: Scalar, hay: Scalar, start: Scalar, fold: bool) -> Value:
     return float(index + 1)
 
 
-def fn_find(ctx: "EvalContext", needle: Scalar, text: Scalar,
-            start: Scalar = 1.0) -> Value:
+def fn_find(ctx: "EvalContext", needle: str, text: str,
+            start: float = 1.0) -> Value:
     """FIND(needle, text, start=1): case-sensitive position, 1-based.
 
     A miss is an error value, which is what makes ISERROR(FIND(...))
@@ -141,13 +148,13 @@ def fn_find(ctx: "EvalContext", needle: Scalar, text: Scalar,
     return _find_core(needle, text, start, fold=False)
 
 
-def fn_search(ctx: "EvalContext", needle: Scalar, text: Scalar,
-              start: Scalar = 1.0) -> Value:
+def fn_search(ctx: "EvalContext", needle: str, text: str,
+              start: float = 1.0) -> Value:
     """SEARCH(needle, text, start=1): like FIND but case-insensitive."""
     return _find_core(needle, text, start, fold=True)
 
 
-def fn_substitute(ctx: "EvalContext", text: Scalar, old: Scalar, new: Scalar,
+def fn_substitute(ctx: "EvalContext", text: str, old: str, new: str,
                   instance: Optional[Scalar] = None) -> Value:
     """SUBSTITUTE(text, old, new, instance?).
 
@@ -156,9 +163,6 @@ def fn_substitute(ctx: "EvalContext", text: Scalar, old: Scalar, new: Scalar,
     occurrences, or an empty old string, leaves the text unchanged.
     A result longer than MAX_TEXT is #VALUE!, found before it is built.
     """
-    text = coerce_to_text(text)
-    old = coerce_to_text(old)
-    new = coerce_to_text(new)
     if old == "":
         return text
     if instance is None:
@@ -299,10 +303,7 @@ def fn_or(ctx: "EvalContext", *args: Value) -> Value:
     return False if found else VALUE_ERR
 
 
-def fn_not(ctx: "EvalContext", value: Scalar) -> Value:
-    truth = is_truthy(value)
-    if isinstance(truth, CellError):
-        return truth
+def fn_not(ctx: "EvalContext", truth: bool) -> Value:
     return not truth
 
 
@@ -380,22 +381,16 @@ def _unwrap(array: ArrayValue) -> Value:
     return array.first() if array.rows == 1 and array.cols == 1 else array
 
 
-def fn_index(ctx: "EvalContext", array: Value, row: Scalar,
-             col: Scalar = 1.0) -> Value:
+def fn_index(ctx: "EvalContext", array: Value, row: float,
+             col: float = 1.0) -> Value:
     """INDEX(array, row, col=1): one element, or a whole row/column.
 
     Row or column 0 selects the entire column/row; indexes past the
     edge are reference errors.
     """
     array = _as_array(array)
-    row_value = coerce_to_number(row)
-    if isinstance(row_value, CellError):
-        return row_value
-    col_value = coerce_to_number(col)
-    if isinstance(col_value, CellError):
-        return col_value
-    r = int(row_value)
-    c = int(col_value)
+    r = int(row)
+    c = int(col)
     if r < 0 or c < 0:
         return VALUE_ERR
     if r > array.rows or c > array.cols:
@@ -411,7 +406,7 @@ def fn_index(ctx: "EvalContext", array: Value, row: Scalar,
     return array.get(r - 1, c - 1)
 
 
-def fn_offset(ctx: "EvalContext", base: RangeRef, rows: Scalar, cols: Scalar,
+def fn_offset(ctx: "EvalContext", base: RangeRef, rows: float, cols: float,
               height: Scalar = OMITTED, width: Scalar = OMITTED) -> Value:
     """OFFSET(ref, rows, cols, height?, width?): a shifted range's values.
 
@@ -419,15 +414,12 @@ def fn_offset(ctx: "EvalContext", base: RangeRef, rows: Scalar, cols: Scalar,
     are given; anything that lands outside the grid is a reference
     error.
     """
-    if height is OMITTED:
-        height = float(base.rows)
-    if width is OMITTED:
-        width = float(base.cols)
-    numbers = [coerce_to_number(v) for v in (rows, cols, height, width)]
-    for number in numbers:
+    height = base.rows if height is OMITTED else coerce_to_number(height)
+    width = base.cols if width is OMITTED else coerce_to_number(width)
+    for number in (height, width):
         if isinstance(number, CellError):
             return number
-    d_rows, d_cols, height, width = map(int, numbers)
+    d_rows, d_cols, height, width = map(int, (rows, cols, height, width))
     if height < 1 or width < 1:
         return VALUE_ERR
     top_row = base.top_left.row + d_rows
@@ -478,19 +470,13 @@ def fn_transpose(ctx: "EvalContext", value: Value) -> Value:
 
 # --------------------------------------------------------------- numeric
 
-def fn_round(ctx: "EvalContext", x: Scalar, digits: Scalar) -> Value:
+def fn_round(ctx: "EvalContext", x: float, digits: float) -> Value:
     """ROUND(x, digits): decimal rounding with half away from zero.
 
     Works on the shortest decimal form of x, so ROUND(2.345, 2) is
     2.35 even though the double below 2.345 is what is stored.
     Negative digit counts round left of the decimal point.
     """
-    x = coerce_to_number(x)
-    if isinstance(x, CellError):
-        return x
-    digits = coerce_to_number(digits)
-    if isinstance(digits, CellError):
-        return digits
     digits = int(digits)
     if digits > 330:
         return x  # finer than any double, nothing to do
@@ -503,11 +489,8 @@ def fn_round(ctx: "EvalContext", x: Scalar, digits: Scalar) -> Value:
     return _finite(float(result))
 
 
-def fn_int(ctx: "EvalContext", x: Scalar) -> Value:
+def fn_int(ctx: "EvalContext", x: float) -> Value:
     """INT(x): floor, so INT(-1.5) is -2."""
-    x = coerce_to_number(x)
-    if isinstance(x, CellError):
-        return x
     return float(math.floor(x))
 
 
@@ -525,27 +508,27 @@ REGISTRY: dict[str, FunctionDescriptor] = {d.name: d for d in [
     FunctionDescriptor("MAX", 1, None, (ARRAY,), fn_max),
     FunctionDescriptor("SMALL", 2, 2, (ARRAY, SCALAR), fn_small),
     FunctionDescriptor("LARGE", 2, 2, (ARRAY, SCALAR), fn_large),
-    FunctionDescriptor("LEFT", 1, 2, (SCALAR, SCALAR), fn_left),
-    FunctionDescriptor("RIGHT", 1, 2, (SCALAR, SCALAR), fn_right),
-    FunctionDescriptor("LEN", 1, 1, (SCALAR,), fn_len),
-    FunctionDescriptor("FIND", 2, 3, (SCALAR, SCALAR, SCALAR), fn_find),
-    FunctionDescriptor("SEARCH", 2, 3, (SCALAR, SCALAR, SCALAR), fn_search),
-    FunctionDescriptor("SUBSTITUTE", 3, 4, (SCALAR, SCALAR, SCALAR, SCALAR),
+    FunctionDescriptor("LEFT", 1, 2, (TEXT, NUMBER), fn_left),
+    FunctionDescriptor("RIGHT", 1, 2, (TEXT, NUMBER), fn_right),
+    FunctionDescriptor("LEN", 1, 1, (TEXT,), fn_len),
+    FunctionDescriptor("FIND", 2, 3, (TEXT, TEXT, NUMBER), fn_find),
+    FunctionDescriptor("SEARCH", 2, 3, (TEXT, TEXT, NUMBER), fn_search),
+    FunctionDescriptor("SUBSTITUTE", 3, 4, (TEXT, TEXT, TEXT, SCALAR),
                        fn_substitute),
-    FunctionDescriptor("IF", 2, 3, (SCALAR, SCALAR, SCALAR), None, lazy=True),
+    FunctionDescriptor("IF", 2, 3, (LOGICAL, SCALAR, SCALAR), None, lazy=True),
     FunctionDescriptor("MATCH", 2, 3, (SCALAR, ARRAY, SCALAR), fn_match),
-    FunctionDescriptor("INDEX", 2, 3, (ARRAY, SCALAR, SCALAR), fn_index),
+    FunctionDescriptor("INDEX", 2, 3, (ARRAY, NUMBER, NUMBER), fn_index),
     FunctionDescriptor("ISERROR", 1, 1, (SCALAR,), fn_iserror, captures_errors=True),
     FunctionDescriptor("AND", 1, None, (ARRAY,), fn_and),
     FunctionDescriptor("OR", 1, None, (ARRAY,), fn_or),
-    FunctionDescriptor("NOT", 1, 1, (SCALAR,), fn_not),
+    FunctionDescriptor("NOT", 1, 1, (LOGICAL,), fn_not),
     FunctionDescriptor("ROW", 0, 1, (REF,), fn_row),
     FunctionDescriptor("COLUMN", 0, 1, (REF,), fn_column),
-    FunctionDescriptor("OFFSET", 3, 5, (REF, SCALAR, SCALAR, SCALAR, SCALAR),
+    FunctionDescriptor("OFFSET", 3, 5, (REF, NUMBER, NUMBER, SCALAR, SCALAR),
                        fn_offset),
     FunctionDescriptor("TRANSPOSE", 1, 1, (ARRAY,), fn_transpose),
-    FunctionDescriptor("ROUND", 2, 2, (SCALAR, SCALAR), fn_round),
-    FunctionDescriptor("INT", 1, 1, (SCALAR,), fn_int),
+    FunctionDescriptor("ROUND", 2, 2, (NUMBER, NUMBER), fn_round),
+    FunctionDescriptor("INT", 1, 1, (NUMBER,), fn_int),
     FunctionDescriptor("RAND", 0, 0, (), fn_rand),
 ]}
 

@@ -15,6 +15,10 @@ The parser climbs precedence: one loop reads each binary operator's
 level from _BINARY_LEVEL, the table unparse() reads too, and recurses
 only into a right operand, a parenthesis or an argument list.
 
+Formula text is bounded by MAX_FORMULA_CHARS (Excel's limit), checked
+before lexing, so the token list and the tree stay small whatever the
+input.
+
 Nesting is bounded by MAX_DEPTH, counted as open parentheses and
 argument lists and as the depth of the tree (the nodes above its
 deepest leaf); past it the parse fails with "formula nested too
@@ -58,6 +62,9 @@ class Token:
     offset: int
 
 
+#: Longest formula text tokenize accepts, counting = and braces.
+MAX_FORMULA_CHARS = 8192
+
 #: The lexical rules in the order they are tried (see the module docstring).
 _TOKEN_RULES = (
     ("space", r"[ \t\r\n]+"),
@@ -78,6 +85,9 @@ _TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})"
 
 def tokenize(text: str) -> list[Token]:
     """Lex a formula into tokens, ending with a synthetic "end" token."""
+    if len(text) > MAX_FORMULA_CHARS:
+        raise FormulaError(MAX_FORMULA_CHARS, f"formula longer than "
+                           f"{MAX_FORMULA_CHARS} characters")
     tokens: list[Token] = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup

@@ -196,7 +196,7 @@ def _parse_set_literal(text: str, line: Optional[int],
 #: The syntax of each directive after its keyword, which is matched
 #: against the rest of the line with its outer blanks stripped.
 _SYNTAX = {
-    "LOAD": re.compile(r"(?P<path>\S+)(?:\s+AT\s+(?P<offset>\d+))?"
+    "LOAD": re.compile(r"(?P<path>\S+)(?:\s+AT\s+(?P<offset>[0-9]+))?"
                        r"(?P<text>\s+TEXT)?\s*\Z", re.I),
     "SET": re.compile(rf"(?P<target>{CELL_PATTERN})\s*=\s*(?P<value>.+)\Z"),
     "STEP": re.compile(rf"(?P<label>\S+)\s+"

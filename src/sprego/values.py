@@ -88,7 +88,8 @@ def is_number(value: Scalar) -> bool:
 
 #: An unsigned number: the grammar of number literals in formulas and,
 #: with an optional sign, of numeric text in cells and CSV fields.
-NUMBER_PATTERN = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+#: Digits are ASCII only (a str pattern's \d would take any script's).
+NUMBER_PATTERN = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _NUMBER_RE = re.compile(r"[+-]?" + NUMBER_PATTERN + r"\Z")
 
 

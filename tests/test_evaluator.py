@@ -16,6 +16,7 @@ from sprego.values import (
     NUM_ERR,
     VALUE_ERR,
     CellError,
+    coerce_to_number,
     render,
 )
 
@@ -45,6 +46,9 @@ class TestArithmetic:
         assert ev("=10-4-3") == 3.0
         assert ev("=6/4") == 1.5
         assert ev("=2^10") == 1024.0
+
+    def test_text_of_other_scripts_digits_is_not_numeric(self):
+        assert ev('="\u0663"+1') is VALUE_ERR
 
     def test_division_by_zero(self):
         assert ev("=1/0") is DIV0_ERR
@@ -207,6 +211,30 @@ class TestLiftErrorOrder:
         assert calls == [(1.0, DIV0_ERR), (NA_ERR, DIV0_ERR),
                          (3.0, DIV0_ERR)]
 
+    def test_raw_error_beats_an_earlier_coercion_error(self):
+        calls = []
+        column = ArrayValue.column([1.0, NA_ERR, 3.0])
+        ctx = EvalContext(Sheet(), array_entered=True)
+        result = lift(self.recording(calls), ["x", column], ctx,
+                      lifted={0: coerce_to_number, 1: coerce_to_number})
+        assert result.cells == (VALUE_ERR, NA_ERR, VALUE_ERR)
+        assert calls == []
+
+    def test_scalar_coerced_once_and_array_once_per_element(self):
+        seen = []
+
+        def counting(value):
+            seen.append(value)
+            return coerce_to_number(value)
+        calls = []
+        column = ArrayValue.column(["1", "2", "3"])
+        ctx = EvalContext(Sheet(), array_entered=True)
+        result = lift(self.recording(calls), ["5", column, "t"], ctx,
+                      lifted={0: counting, 1: counting, 2: None})
+        assert result.cells == (0.0,) * 3
+        assert sorted(seen) == ["1", "2", "3", "5"]
+        assert calls == [(5.0, 1.0, "t"), (5.0, 2.0, "t"), (5.0, 3.0, "t")]
+
     def test_row_by_column_stretches_to_the_outer_grid(self):
         calls = []
 
@@ -219,6 +247,36 @@ class TestLiftErrorOrder:
         result = lift(add, [row, column], ctx)
         assert result.to_rows() == [[11.0, 12.0, 13.0], [21.0, 22.0, 23.0]]
         assert len(calls) == 6
+
+
+class TestCoercionErrorOrder:
+    """Per element: a raw error in an argument wins over an error that
+    coercing an earlier argument makes, and a coercion error wins over
+    the kernel."""
+
+    @pytest.fixture
+    def mixed(self):
+        """A1 = 1, A2 = #N/A, A3 = "7", B1 = 5."""
+        s = Sheet()
+        s.set(parse_cell("A1"), 1.0)
+        s.set(parse_cell("A2"), NA_ERR)
+        s.set(parse_cell("A3"), "7")
+        s.set(parse_cell("B1"), 5.0)
+        return s
+
+    # ="x"+A2 with A2 = #DIV/0! is pinned by TestCrossTypeTable
+
+    @pytest.mark.parametrize("formula", ['{="x"*A1:A3}', '{=A1:A3*"x"}'])
+    def test_operator_over_a_column(self, mixed, formula):
+        assert ev(formula, mixed).cells == (VALUE_ERR, NA_ERR, VALUE_ERR)
+
+    def test_not_over_a_column(self, mixed):
+        assert ev("{=NOT(A1:A3)}", mixed).cells == (False, NA_ERR, VALUE_ERR)
+
+    def test_if_condition_over_a_column(self, mixed):
+        # the condition's own error is the element's result even though
+        # IF's array branch captures errors in the branches
+        assert ev("{=IF(A1:A3,1,2)}", mixed).cells == (1.0, NA_ERR, VALUE_ERR)
 
 
 class TestIf:

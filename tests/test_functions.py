@@ -397,6 +397,39 @@ class TestNumeric:
         assert first != second
 
 
+class TestCoercionErrorOrder:
+    """Which error an element gets when several arguments are wrong.
+    The sheet is A1 = 1, A2 = #N/A, A3 = "7", B1 = 5."""
+
+    @pytest.fixture
+    def mixed(self):
+        s = Sheet()
+        s.set(parse_cell("A1"), 1.0)
+        s.set(parse_cell("A2"), NA_ERR)
+        s.set(parse_cell("A3"), "7")
+        s.set(parse_cell("B1"), 5.0)
+        return s
+
+    @pytest.mark.parametrize("formula, expected", [
+        # the values argument's errors win over a bad k or mode
+        ('=SMALL(1/0,"x")', DIV0_ERR),
+        ('=SMALL(A1:A2,"x")', NA_ERR),
+        ('=LARGE(A1:A2,"x")', NA_ERR),
+        ('=MATCH(1,1/0,"x")', DIV0_ERR),
+        # an empty old string returns the text before instance is read
+        ('=SUBSTITUTE("abc","","x","zz")', "abc"),
+        # empty height and width slots mean the reference's own size
+        ("=OFFSET(B1,0,0,,)", 5.0),
+    ])
+    def test_scalar_result(self, mixed, formula, expected):
+        result = ev(formula, mixed)
+        assert type(result) is type(expected) and result == expected
+
+    def test_text_function_over_a_column(self, mixed):
+        result = ev('{=LEFT(A1:A3,"x")}', mixed)
+        assert result.cells == (VALUE_ERR, NA_ERR, VALUE_ERR)
+
+
 class TestCallPlumbing:
     def test_unknown_function_evaluates_to_name_error(self):
         assert ev("=NOPE(1,2)") is NAME_ERR

@@ -207,6 +207,11 @@ class TestLoadCsv:
         assert sheet.get(parse_cell("B3")) is BLANK
         assert (3, 2) not in sheet.used_cells()
 
+    def test_other_scripts_digits_stay_text(self):
+        sheet = load_csv(io.StringIO("n\n\u0663\n12\n"))
+        assert sheet.get(parse_cell("A2")) == "\u0663"
+        assert sheet.get(parse_cell("A3")) == 12.0
+
     def test_force_text(self):
         sheet = load_csv(io.StringIO(SAMPLE), force_text=True)
         assert sheet.get(parse_cell("B2")) == "3"

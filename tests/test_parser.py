@@ -7,6 +7,7 @@ from sprego.evaluator import EvalContext, evaluate_formula
 from sprego.grid import CellAddress, Sheet, parse_a1
 from sprego.parser import (
     MAX_DEPTH,
+    MAX_FORMULA_CHARS,
     Binary,
     Call,
     Formula,
@@ -325,3 +326,37 @@ class TestNestingLimit:
         assert captured.err.count("nested too deeply") == 2
         assert "nested too deeply" in captured.out
         assert "Traceback" not in captured.err + captured.out
+
+
+class TestFormulaLength:
+    """Formula text longer than MAX_FORMULA_CHARS is refused before it
+    is lexed."""
+
+    def test_text_of_exactly_the_limit_parses(self):
+        text = '="' + "a" * (MAX_FORMULA_CHARS - 3) + '"'
+        assert len(text) == MAX_FORMULA_CHARS == 8192
+        assert parse_formula(text).expr == Literal("a" * 8189)
+
+    def test_one_character_more_is_a_formula_error(self):
+        text = '="' + "a" * (MAX_FORMULA_CHARS - 2) + '"'
+        with pytest.raises(FormulaError) as caught:
+            tokenize(text)
+        assert caught.value.offset == 8192
+        assert caught.value.message == "formula longer than 8192 characters"
+
+    def test_cli_exits_2_without_a_traceback(self, capsys, tmp_path):
+        text = '="' + 'a""' * 350_000 + '"'  # a 1 MB string literal
+        script = tmp_path / "long.sprego"
+        script.write_text(f"STEP S1 A1 = {text}\n", encoding="utf-8")
+        assert main(["eval", text]) == PARSE_FAILED
+        assert main(["run", str(script)]) == PARSE_FAILED
+        captured = capsys.readouterr()
+        assert "formula longer than 8192 characters" in captured.err
+        assert "formula longer than 8192 characters" in captured.out
+        assert "Traceback" not in captured.err + captured.out
+
+
+class TestAsciiDigits:
+    def test_other_scripts_digits_are_not_number_literals(self, capsys):
+        assert main(["eval", "=\u0663+1"]) == PARSE_FAILED
+        assert "unexpected character '\u0663'" in capsys.readouterr().err

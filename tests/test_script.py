@@ -98,6 +98,7 @@ SET A5 = #N/A
         "TRACE two words",
         "EXPECT A1 9",           # no equals sign
         "FROB A1 = 1",
+        "LOAD data.csv AT \u0663",  # offsets are ASCII digits
     ])
     def test_malformed_lines(self, tmp_path, line):
         path = write(tmp_path, "t.sprego", line + "\n")

@@ -41,6 +41,8 @@ class TestParseNumber:
         "", " ", "abc", "1.1k", "12 Views", "1,000", "0x10",
         "1e", "--2", "1 2", "nan", "inf", "-inf", "1_000",
         "1e400",  # overflows a double, cells never hold inf
+        # digits are ASCII only: an Arabic-Indic 3, a fullwidth 12
+        "\u0663", "\uff11\uff12",
     ])
     def test_rejects(self, text):
         assert parse_number(text) is None
