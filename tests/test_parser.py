@@ -106,6 +106,18 @@ class TestTokenize:
         assert err.value.offset == 0
         assert err.value.message == "unexpected character '#'"
 
+    def test_tokens_have_kind_text_offset_and_end(self):
+        toks = tokenize("=SUM(A1:B2, -3%)")
+        assert [(t.kind, t.text, t.offset) for t in toks] == [
+            ("op", "=", 0), ("ident", "SUM", 1), ("(", "(", 4),
+            ("ident", "A1", 5), (":", ":", 7), ("ident", "B2", 8),
+            (",", ",", 10), ("op", "-", 12), ("number", "3", 13),
+            ("op", "%", 14), (")", ")", 15), ("end", "", 16),
+        ]
+        assert isinstance(toks, list)
+        assert [(t.kind, t.text, t.offset) for t in tokenize("")] == [
+            ("end", "", 0)]
+
     def test_cli_reports_lex_errors_and_reads_labels(self, capsys):
         assert main(["eval", "=\u00b2"]) == PARSE_FAILED
         assert main(["eval", "=ISERROR(#N/A)"]) == 0
@@ -229,6 +241,65 @@ class TestFormulaEntry:
             parse_formula("=LEFT(RIGHT(C2,2)")
         with pytest.raises(FormulaError):
             parse_formula("=1)")
+
+
+#: Malformed formulas and the (offset, message) of their FormulaError.
+MALFORMED = [
+    ("=LEFT(RIGHT(C2,2)", 17, "expected ')'"),
+    ("=(1+2", 5, "expected ')'"),
+    ("=SUM(1 2)", 7, "expected ')'"),
+    ("=SUM(1,,2", 9, "expected ')'"),
+    ("=LEN(", 5, "expected a value"),
+    ("=1+", 3, "expected a value"),
+    ("=2^", 3, "expected a value"),
+    ("=1+*2", 3, "expected a value"),
+    ("=1&&2", 3, "expected a value"),
+    ("=LEFT(C2,", 9, "expected a value"),
+    ("=A1:", 4, "expected 'ident'"),
+    ("=A1:1", 4, "expected 'ident'"),
+    ("=A1:(B2)", 4, "expected 'ident'"),
+    ("=A1:B", 4, "not a cell address: 'B'"),
+    ("=ZZZZ1", 1, "not a cell address: 'ZZZZ1'"),
+    ("=foo", 1, "not a cell address: 'foo'"),
+    ("={1}+1", 1, "expected a value"),
+    ("{=1}+2", 0, "array braces must wrap the whole formula"),
+    ("{=1", 0, "array braces must wrap the whole formula"),
+    ("=()", 2, "expected a value"),
+    ("=(,)", 2, "expected a value"),
+    ("=,", 1, "expected a value"),
+    ("=)", 1, "expected a value"),
+    ("=1 2", 3, "unexpected trailing input"),
+    ("=1)", 2, "unexpected trailing input"),
+    ("=TRUE:A1", 5, "unexpected trailing input"),
+    ("=A1:B2:C3", 6, "unexpected trailing input"),
+    ("=1e5e5", 4, "unexpected trailing input"),
+    ("%", 0, "expected a value"),
+    ("=%", 1, "expected a value"),
+    ("=1+%", 3, "expected a value"),
+    ("=-", 2, "expected a value"),
+    ("=+-", 3, "expected a value"),
+    ("=-%", 2, "expected a value"),
+    ("=-(", 3, "expected a value"),
+    ("", 0, "empty formula"),
+    ("=", 1, "empty formula"),
+    ("   ", 3, "empty formula"),
+    ("{=}", 3, "empty formula"),
+    ('=1&"oops', 3, "unterminated string literal"),
+    ("=1 ? 2", 3, "unexpected character '?'"),
+    ("=" + "-" * 129 + "1", 130, "formula nested too deeply"),
+    ("=1" + "%" * 129, 131, "formula nested too deeply"),
+    ("=" + "-" * 64 + "1" + "%" * 65, 131, "formula nested too deeply"),
+    ("=1" + "+1" * 129, 260, "formula nested too deeply"),
+    ("=" + "LEN(" * 129 + "1" + ")" * 129, 517, "formula nested too deeply"),
+]
+
+
+class TestErrorSurface:
+    @pytest.mark.parametrize("text, offset, message", MALFORMED)
+    def test_offset_and_message(self, text, offset, message):
+        with pytest.raises(FormulaError) as caught:
+            parse_formula(text)
+        assert (caught.value.offset, caught.value.message) == (offset, message)
 
 
 ROUND_TRIP_CASES = [
