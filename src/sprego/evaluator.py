@@ -332,21 +332,17 @@ def _eval_call(call: Call, ctx: EvalContext) -> Value:
     if descriptor.lazy:
         return eval_if(call.args, ctx)
 
+    modes, lifted = descriptor.plan(count)
     prepared: list = []
-    lifted: dict = {}
-    for index, arg_expr in enumerate(call.args):
-        mode = descriptor.mode_for(index)
-        if mode == REF:
-            if isinstance(arg_expr, Ref):
-                prepared.append(RangeRef.cell(arg_expr.addr))
-            elif isinstance(arg_expr, RangeLit):
-                prepared.append(arg_expr.rng)
-            else:
-                return VALUE_ERR  # these arguments must be references
-        else:
+    for mode, arg_expr in zip(modes, call.args):
+        if mode != REF:
             prepared.append(evaluate(arg_expr, ctx))
-            if mode in COERCION:
-                lifted[index] = COERCION[mode]
+        elif isinstance(arg_expr, Ref):
+            prepared.append(RangeRef.cell(arg_expr.addr))
+        elif isinstance(arg_expr, RangeLit):
+            prepared.append(arg_expr.rng)
+        else:
+            return VALUE_ERR  # these arguments must be references
 
     return lift(partial(descriptor.impl, ctx), prepared, ctx, lifted=lifted,
                 captures_errors=descriptor.captures_errors)

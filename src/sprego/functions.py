@@ -36,7 +36,7 @@ ARRAY elements and the five sites above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP, localcontext
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -90,10 +90,27 @@ class FunctionDescriptor:
     captures_errors: bool = False
     lazy: bool = False  # evaluated by special-case logic, not a kernel
 
+    #: argument count -> plan(count), filled on first use
+    _plans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
     def mode_for(self, index: int) -> str:
         if index < len(self.modes):
             return self.modes[index]
         return self.modes[-1] if self.modes else SCALAR
+
+    def plan(self, count: int) -> tuple[tuple[str, ...],
+                                        dict[int, Optional[Callable]]]:
+        """A call's plan for `count` arguments: each argument's mode,
+        and the lifted positions with their coercions, as lift takes
+        them.  Each count's plan is built once."""
+        plan = self._plans.get(count)
+        if plan is None:
+            modes = tuple(map(self.mode_for, range(count)))
+            plan = self._plans[count] = (modes, {
+                index: COERCION[mode] for index, mode in enumerate(modes)
+                if mode in COERCION})
+        return plan
 
 
 # ---------------------------------------------------------------- text
@@ -210,11 +227,19 @@ def _collect_numbers(args: Sequence) -> list[float] | CellError:
     return numbers
 
 
+def _total(numbers: list[float]) -> Value:
+    """The exact sum, or #NUM! when it, or fsum's running sum, overflows."""
+    try:
+        return _finite(math.fsum(numbers))
+    except OverflowError:  # fsum raises instead of returning inf
+        return NUM_ERR
+
+
 def fn_sum(ctx: "EvalContext", *args: Value) -> Value:
     numbers = _collect_numbers(args)
     if isinstance(numbers, CellError):
         return numbers
-    return _finite(math.fsum(numbers))
+    return _total(numbers)
 
 
 def fn_average(ctx: "EvalContext", *args: Value) -> Value:
@@ -223,7 +248,10 @@ def fn_average(ctx: "EvalContext", *args: Value) -> Value:
         return numbers
     if not numbers:
         return DIV0_ERR
-    return _finite(math.fsum(numbers) / len(numbers))
+    total = _total(numbers)
+    if isinstance(total, CellError):
+        return total
+    return total / len(numbers)
 
 
 def fn_min(ctx: "EvalContext", *args: Value) -> Value:

@@ -10,10 +10,13 @@ Lexing is one pattern table, _TOKEN_RULES, read as one regular
 expression with a named group per token kind.  An error label such as
 #N/A is an "error" token, a literal like a number; a character that no
 rule takes is an error, and a ( ) , : { } token's kind is its text.
+A token is a tuple (kind, text, offset).
 
-The parser climbs precedence: one loop reads each binary operator's
-level from _BINARY_LEVEL, the table unparse() reads too, and recurses
-only into a right operand, a parenthesis or an argument list.
+The parser splits the token list once into parallel kinds and texts
+and reads them by index.  It climbs precedence: one loop reads an
+operand's signs and % postfixes and each binary operator's level from
+_BINARY_LEVEL, the table unparse() reads too, and recurses only into
+a right operand, a parenthesis or an argument list.
 
 Formula text is bounded by MAX_FORMULA_CHARS (Excel's limit), checked
 before lexing, so the token list and the tree stay small whatever the
@@ -24,10 +27,10 @@ argument lists and as the depth of the tree (the nodes above its
 deepest leaf); past it the parse fails with "formula nested too
 deeply".  The evaluator, unparse() and the tracer recurse over the
 tree, and the bound keeps every formula the parser accepts within
-Python's default limit of 1000 frames.  The costliest levels take 5
-frames in this parser (nested calls), 4 in the evaluator (nested IF)
-and 3 in unparse(), so 128 levels take at most 640 frames and leave
-about 350 for the callers.
+Python's default limit of 1000 frames.  The costliest levels take 4
+frames in this parser (nested calls) and in the evaluator (nested
+IF), and 3 in unparse(), so 128 levels take at most 512 frames and
+leave about 480 for the callers.
 
 Expression nodes are frozen dataclasses, so structurally equal
 subtrees compare equal.  The tracer does not hash them to find
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .grid import CellAddress, GridError, RangeRef, parse_cell
 from .values import (BOOLEAN_BY_LABEL, ERROR_BY_LABEL, NUMBER_PATTERN,
@@ -55,8 +58,7 @@ class FormulaError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # number, string, error, ident, op, end, or one of ( ) , : { }
     text: str
     offset: int
@@ -89,6 +91,10 @@ def tokenize(text: str) -> list[Token]:
         raise FormulaError(MAX_FORMULA_CHARS, f"formula longer than "
                            f"{MAX_FORMULA_CHARS} characters")
     tokens: list[Token] = []
+    append = tokens.append
+    # tuple.__new__ builds the token without NamedTuple's Python-level
+    # __new__, which costs as much as the rest of the loop
+    new = tuple.__new__
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "space":
@@ -98,9 +104,9 @@ def tokenize(text: str) -> list[Token]:
             if lexeme == '"':
                 raise FormulaError(m.start(), "unterminated string literal")
             raise FormulaError(m.start(), f"unexpected character {lexeme!r}")
-        tokens.append(Token(lexeme if kind == "punct" else kind, lexeme,
-                            m.start()))
-    tokens.append(Token("end", "", len(text)))
+        append(new(Token, (lexeme if kind == "punct" else kind, lexeme,
+                           m.start())))
+    append(Token("end", "", len(text)))
     return tokens
 
 
@@ -169,40 +175,38 @@ MAX_DEPTH = 128
 class _Parser:
     """Precedence climbing over the token list.
 
-    The parse methods take `depth`, the number of nodes known to sit
-    above the node they build, and return that node with `deepest`,
-    the number of nodes above its deepest leaf.  A binary operator or
-    % found after an operand was parsed pushes the operand one level
-    down, so `deepest` can grow on the way back up as well as on the
-    way down; both are checked against MAX_DEPTH.
+    The token list is split once into parallel kinds and texts, which
+    the parse methods read at self.pos.  The parse methods take
+    `depth`, the number of nodes known to sit above the node they
+    build, and return that node with `deepest`, the number of nodes
+    above its deepest leaf.  A binary operator or % found after an
+    operand was parsed pushes the operand one level down, so `deepest`
+    can grow on the way back up as well as on the way down; both are
+    checked against MAX_DEPTH.
     """
 
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        self.kinds, self.texts, self.offsets = zip(*tokens)
         self.pos = 0
         self.nesting = 0  # parentheses and argument lists now open
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise FormulaError(tok.offset, f"expected {kind!r}")
-        return self.advance()
+    def expect(self, kind: str) -> int:
+        """Step past a token of this kind and return its position."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise FormulaError(self.offsets[pos], f"expected {kind!r}")
+        self.pos = pos + 1
+        return pos
 
     def bounded(self, depth: int) -> int:
         if depth > MAX_DEPTH:
-            raise FormulaError(self.peek().offset, "formula nested too deeply")
+            raise FormulaError(self.offsets[self.pos],
+                               "formula nested too deeply")
         return depth
 
     def open(self) -> None:
-        self.expect("(")
+        """Step past a ( the caller has seen."""
+        self.pos += 1
         self.nesting = self.bounded(self.nesting + 1)
 
     def close(self) -> None:
@@ -210,99 +214,104 @@ class _Parser:
         self.nesting -= 1
 
     def expression(self, depth: int, min_level: int = 1) -> tuple[Expr, int]:
-        """Operands joined by binary operators of min_level or tighter."""
-        node, deepest = self.operand(depth)
-        while True:
-            tok = self.peek()
-            level = _BINARY_LEVEL.get(tok.text) if tok.kind == "op" else None
+        """Operands joined by binary operators of min_level or tighter.
+
+        An operand is prefix signs, an atom, then % postfixes.  Signs
+        bind tightest and % next, so -2^3 is (-2)^3 and -5% is (-5)%.
+        """
+        kinds, texts = self.kinds, self.texts
+        first = pos = self.pos
+        while kinds[pos] == "op" and texts[pos] in ("+", "-"):
+            pos += 1
+        self.pos = pos
+        node, deepest = self.atom(self.bounded(depth + pos - first))
+        while pos > first:
+            pos -= 1
+            node = Unary(texts[pos], node)
+        pos = self.pos
+        while kinds[pos] == "op" and texts[pos] == "%":
+            self.pos = pos = pos + 1
+            node = Unary("%", node)
+            deepest = self.bounded(deepest + 1)
+        while kinds[pos] == "op":
+            op = texts[pos]
+            level = _BINARY_LEVEL.get(op)
             if level is None or level < min_level:
-                return node, deepest
-            self.advance()
+                break
+            self.pos = pos + 1
             # only tighter operators reach into the right operand, so an
             # equal-level operator after it associates left
             right, right_deepest = self.expression(self.bounded(depth + 1),
                                                    level + 1)
-            node = Binary(tok.text, node, right)
+            node = Binary(op, node, right)
             deepest = self.bounded(max(deepest + 1, right_deepest))
-
-    def operand(self, depth: int) -> tuple[Expr, int]:
-        """Prefix signs, an atom, then % postfixes.
-
-        Signs bind tightest and % next, so -2^3 is (-2)^3 and -5% is
-        (-5)%.
-        """
-        signs: list[str] = []
-        while self.peek().kind == "op" and self.peek().text in ("+", "-"):
-            signs.append(self.advance().text)
-        node, deepest = self.atom(self.bounded(depth + len(signs)))
-        for op in reversed(signs):
-            node = Unary(op, node)
-        while self.peek().kind == "op" and self.peek().text == "%":
-            self.advance()
-            node = Unary("%", node)
-            deepest = self.bounded(deepest + 1)
+            pos = self.pos
         return node, deepest
 
     def atom(self, depth: int) -> tuple[Expr, int]:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
+        pos = self.pos
+        kind, text = self.kinds[pos], self.texts[pos]
+        if kind == "number":
+            self.pos = pos + 1
             # a literal too large for a double, like 1e999, is #NUM!
-            return Literal(_finite(float(tok.text))), depth
-        if tok.kind == "string":
-            self.advance()
-            return Literal(tok.text[1:-1].replace('""', '"')), depth
-        if tok.kind == "error":
-            self.advance()
-            return Literal(ERROR_BY_LABEL[tok.text]), depth
-        if tok.kind == "(":
+            return Literal(_finite(float(text))), depth
+        if kind == "string":
+            self.pos = pos + 1
+            return Literal(text[1:-1].replace('""', '"')), depth
+        if kind == "error":
+            self.pos = pos + 1
+            return Literal(ERROR_BY_LABEL[text]), depth
+        if kind == "(":
             self.open()
             result = self.expression(depth)
             self.close()
             return result
-        if tok.kind == "ident":
+        if kind == "ident":
             return self.name(depth)
-        raise FormulaError(tok.offset, "expected a value")
+        raise FormulaError(self.offsets[pos], "expected a value")
 
     def name(self, depth: int) -> tuple[Expr, int]:
-        tok = self.advance()
-        if self.peek().kind == "(":
-            return self.call(tok, depth)
-        upper = tok.text.upper()
+        pos = self.pos
+        self.pos = pos + 1
+        after = self.kinds[pos + 1]
+        if after == "(":
+            return self.call(self.texts[pos], depth)
+        upper = self.texts[pos].upper()
         if upper in BOOLEAN_BY_LABEL:
             return Literal(BOOLEAN_BY_LABEL[upper]), depth
-        first = self.cell_of(tok)
-        if self.peek().kind == ":":
-            self.advance()
-            second = self.cell_of(self.expect("ident"))
+        first = self.cell_at(pos)
+        if after == ":":
+            self.pos = pos + 2
+            second = self.cell_at(self.expect("ident"))
             return RangeLit(RangeRef.make(first, second)), depth
         return Ref(first), depth
 
-    def cell_of(self, tok: Token) -> CellAddress:
+    def cell_at(self, pos: int) -> CellAddress:
         try:
-            return parse_cell(tok.text)
+            return parse_cell(self.texts[pos])
         except GridError as exc:
-            raise FormulaError(tok.offset, str(exc)) from None
+            raise FormulaError(self.offsets[pos], str(exc)) from None
 
-    def call(self, name_tok: Token, depth: int) -> tuple[Expr, int]:
+    def call(self, name: str, depth: int) -> tuple[Expr, int]:
         self.open()
+        kinds = self.kinds
         args: list[Expr] = []
         deepest = depth
-        if self.peek().kind != ")":
+        if kinds[self.pos] != ")":
             arg_depth = self.bounded(depth + 1)
             while True:
-                if self.peek().kind in (",", ")"):
+                if kinds[self.pos] in (",", ")"):
                     args.append(Literal(OMITTED))  # empty slot
                     deepest = max(deepest, arg_depth)
                 else:
                     arg, arg_deepest = self.expression(arg_depth)
                     args.append(arg)
                     deepest = max(deepest, arg_deepest)
-                if self.peek().kind != ",":
+                if kinds[self.pos] != ",":
                     break
-                self.advance()
+                self.pos += 1
         self.close()
-        return Call(name_tok.text.upper(), tuple(args)), deepest
+        return Call(name.upper(), tuple(args)), deepest
 
 
 def parse_formula(text: str) -> Formula:
@@ -312,24 +321,21 @@ def parse_formula(text: str) -> Formula:
     flag rather than appearing in the tree.
     """
     tokens = tokenize(text)
-    array_entered = False
-    if tokens and tokens[0].kind == "{":
+    array_entered = tokens[0].kind == "{"
+    if array_entered:
         if len(tokens) < 3 or tokens[-2].kind != "}":
             raise FormulaError(tokens[0].offset,
                                "array braces must wrap the whole formula")
-        array_entered = True
-        end = tokens[-1]
-        tokens = tokens[1:-2] + [end]
-    if tokens and tokens[0].kind == "op" and tokens[0].text == "=":
+        tokens = tokens[1:-2] + tokens[-1:]
+    if tokens[0].kind == "op" and tokens[0].text == "=":
         tokens = tokens[1:]
     parser = _Parser(tokens)
-    first = parser.peek()
-    if first.kind == "end":
-        raise FormulaError(first.offset, "empty formula")
+    if parser.kinds[parser.pos] == "end":
+        raise FormulaError(parser.offsets[parser.pos], "empty formula")
     expr, _ = parser.expression(0)
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise FormulaError(trailing.offset, "unexpected trailing input")
+    if parser.kinds[parser.pos] != "end":
+        raise FormulaError(parser.offsets[parser.pos],
+                           "unexpected trailing input")
     return Formula(expr, array_entered)
 
 

@@ -1,5 +1,6 @@
 """The built-in function library, exercised through formula evaluation."""
 
+import dataclasses
 import inspect
 import random
 import time
@@ -7,7 +8,9 @@ import time
 import pytest
 
 from sprego import EvalContext, Sheet, evaluate_formula, parse_formula
-from sprego.functions import FUNCTION_NAMES, REGISTRY, lookup
+from sprego.cli import main
+from sprego.functions import (FUNCTION_NAMES, REGISTRY, FunctionDescriptor,
+                              lookup)
 from sprego.grid import parse_cell
 from sprego.values import (
     ArrayValue,
@@ -188,6 +191,19 @@ class TestAggregates:
 
     def test_average_of_nothing(self, sheet):
         assert ev("=AVERAGE(B1:B2)", sheet) is DIV0_ERR
+
+    @pytest.mark.parametrize("formula", [
+        "=SUM(1e308,1e308)", "=AVERAGE(1e308,1e308,3)",
+        "=SUM(1e308,1e308,-1e308)",  # fsum's running sum overflows too
+    ])
+    def test_overflowing_sum_is_num_error(self, formula):
+        assert ev(formula) is NUM_ERR
+
+    def test_overflowing_sum_in_the_cli(self, capsys):
+        assert main(["eval", "=SUM(1e308,1e308)"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "#NUM!\n"
+        assert "Traceback" not in captured.err + captured.out
 
     def test_min_max(self, sheet):
         assert ev("=MIN(A1:A3)", sheet) == 10.0
@@ -466,6 +482,40 @@ class TestCallPlumbing:
     def test_empty_slot_is_omitted_not_the_default(self, formula, expected):
         result = ev(formula)
         assert type(result) is type(expected) and result == expected
+
+    def test_call_plan_is_built_once_per_argument_count(self, monkeypatch):
+        # a fresh copy of LEFT's descriptor starts with no plans
+        monkeypatch.setitem(REGISTRY, "LEFT",
+                            dataclasses.replace(REGISTRY["LEFT"]))
+        calls = []
+        mode_for = FunctionDescriptor.mode_for
+
+        def counting(self, index):
+            calls.append(index)
+            return mode_for(self, index)
+
+        monkeypatch.setattr(FunctionDescriptor, "mode_for", counting)
+        formula = parse_formula('=LEFT("abc",2)')
+        ctx = EvalContext(Sheet())
+        assert evaluate_formula(formula, ctx) == "ab"
+        assert calls == [0, 1]
+        assert evaluate_formula(formula, ctx) == "ab"
+        assert calls == [0, 1]
+
+    def test_ref_argument_must_be_a_reference(self):
+        assert ev("=ROW(1+1)") is VALUE_ERR
+        assert ev('=ROW("A1")') is VALUE_ERR
+        # a plan built for one argument count does not serve another
+        assert ev("=ROW()", anchor="B7") == 7.0
+        assert ev("=ROW(B2)") == 2.0
+
+    @pytest.mark.parametrize("formula", [
+        "=LEN()", "=LEN(1,2)", "=ROUND(1)", "=ROUND(1,2,3)", "=IF(TRUE)",
+        "=IF(TRUE,1,2,3)", "=NOT()", "=RAND(1)",
+    ])
+    def test_argument_count_outside_the_range_is_value_error(self, formula):
+        assert ev(formula) is VALUE_ERR
+        assert ev(formula) is VALUE_ERR  # and again, once planned
 
     def test_lookup_is_case_insensitive(self):
         assert lookup("sum") is REGISTRY["SUM"]
