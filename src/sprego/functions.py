@@ -14,6 +14,9 @@ argument:
 * REF arguments are never evaluated; the evaluator resolves the
   argument expression to a range and passes the range itself.
 
+The evaluator reads a call's modes and coercions from the descriptor's
+plan for its argument count, built on first use.
+
 Coercion is written once: evaluator.lift applies it before the kernel
 runs.  Five sites coerce for themselves, as each must look at another
 argument first: SMALL/LARGE's k and MATCH's mode (the ARRAY argument's
@@ -80,6 +83,10 @@ COERCION: dict[str, Optional[Callable]] = {
 }
 
 
+#: Longest argument list whose call plan a descriptor keeps.
+MAX_PLANNED_ARGS = 32
+
+
 @dataclass(frozen=True)
 class FunctionDescriptor:
     name: str
@@ -90,7 +97,8 @@ class FunctionDescriptor:
     captures_errors: bool = False
     lazy: bool = False  # evaluated by special-case logic, not a kernel
 
-    #: argument count -> plan(count), filled on first use
+    #: argument count -> plan(count), filled on first use for counts up
+    #: to MAX_PLANNED_ARGS
     _plans: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -103,13 +111,17 @@ class FunctionDescriptor:
                                         dict[int, Optional[Callable]]]:
         """A call's plan for `count` arguments: each argument's mode,
         and the lifted positions with their coercions, as lift takes
-        them.  Each count's plan is built once."""
+        them.  Each count's plan is built once, unless the count is
+        above MAX_PLANNED_ARGS: a plan's size grows with its count, so
+        long argument lists are planned on every call instead of kept."""
         plan = self._plans.get(count)
         if plan is None:
             modes = tuple(map(self.mode_for, range(count)))
-            plan = self._plans[count] = (modes, {
-                index: COERCION[mode] for index, mode in enumerate(modes)
-                if mode in COERCION})
+            plan = (modes, {index: COERCION[mode]
+                            for index, mode in enumerate(modes)
+                            if mode in COERCION})
+            if count <= MAX_PLANNED_ARGS:
+                self._plans[count] = plan
         return plan
 
 
@@ -249,9 +261,7 @@ def fn_average(ctx: "EvalContext", *args: Value) -> Value:
     if not numbers:
         return DIV0_ERR
     total = _total(numbers)
-    if isinstance(total, CellError):
-        return total
-    return total / len(numbers)
+    return total if isinstance(total, CellError) else total / len(numbers)
 
 
 def fn_min(ctx: "EvalContext", *args: Value) -> Value:
