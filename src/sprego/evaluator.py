@@ -24,7 +24,8 @@ from functools import partial
 from itertools import chain, repeat
 from typing import Callable, Optional, Sequence
 
-from .functions import COERCION, NUMBER, REF, SCALAR, TEXT, lookup, read_range
+from .functions import (COERCION, NUMBER, SCALAR, TEXT, FunctionDescriptor,
+                        lookup, read_range)
 from .grid import MAX_RANGE_CELLS, CellAddress, RangeRef, Sheet
 from .parser import Binary, Call, Expr, Formula, Literal, RangeLit, Ref, Unary
 from .values import (
@@ -274,50 +275,35 @@ def display_value(value: Value) -> Scalar:
     return value
 
 
-def _branch_result(expr: Optional[Expr], ctx: EvalContext,
-                   absent_default: Value) -> Value:
-    if expr is None:
-        return absent_default
-    if isinstance(expr, Literal) and expr.value is OMITTED:
-        return 0.0  # IF(c,,x): present-but-empty slot counts as 0
-    return evaluate(expr, ctx)
+def _apply(descriptor: FunctionDescriptor, args: list[Value],
+           ctx: EvalContext) -> Value:
+    """Lift a built-in's kernel over its prepared arguments."""
+    return lift(partial(descriptor.impl, ctx), args, ctx,
+                lifted=descriptor.plans[min(len(args), len(descriptor.modes))],
+                captures_errors=descriptor.captures_errors)
 
 
-def _choose(truth: bool, then_value: Scalar, else_value: Scalar) -> Value:
-    return then_value if truth else else_value
+def eval_if(args: tuple[Expr, ...], ctx: EvalContext,
+            descriptor: FunctionDescriptor) -> Value:
+    """IF(condition, then, else?), by the descriptor's kernel.
 
-
-def eval_if(args: tuple[Expr, ...], ctx: EvalContext) -> Value:
-    """IF(condition, then, else?).
-
-    With a scalar condition only the selected branch is evaluated.
-    With an array condition (array entry) both branches are computed
-    once and chosen element-wise by lifting; since errors are plain
-    values this is observationally the same, element by element, and
-    an error in the branch not chosen goes unseen.  A false condition
-    with no else argument gives FALSE, and an empty slot gives 0.
+    Under a scalar condition only the chosen branch is evaluated, and
+    it comes back whole.  Under an array condition (array entry) every
+    argument is evaluated and the call lifts like any other; errors
+    being values, one in the branch not chosen goes unseen.
     """
     condition = evaluate(args[0], ctx)
-    then_expr = args[1]
-    else_expr = args[2] if len(args) > 2 else None
-
-    if isinstance(condition, ArrayValue):
-        if ctx.array_entered:
-            branches = [_branch_result(then_expr, ctx, absent_default=0.0),
-                        _branch_result(else_expr, ctx, absent_default=False)]
-            return lift(_choose, [condition, *branches], ctx,
-                        lifted={0: is_truthy, 1: None, 2: None},
-                        captures_errors=True)
-        condition = _only_element(condition)
-        if condition is None:
-            return VALUE_ERR
-
-    truth = is_truthy(condition)
+    if ctx.array_entered and isinstance(condition, ArrayValue):
+        return _apply(descriptor, [condition, *(evaluate(arg, ctx)
+                                                for arg in args[1:])], ctx)
+    truth = lift(is_truthy, [condition], ctx)  # read as any scalar slot
     if isinstance(truth, CellError):
         return truth
-    if truth:
-        return _branch_result(then_expr, ctx, absent_default=0.0)
-    return _branch_result(else_expr, ctx, absent_default=False)
+    taken = 1 if truth else 2
+    # the kernel never reads the branch not taken, left unevaluated
+    branches = [evaluate(arg, ctx) if index == taken else OMITTED
+                for index, arg in enumerate(args[1:], start=1)]
+    return descriptor.impl(ctx, truth, *branches)
 
 
 def _eval_call(call: Call, ctx: EvalContext) -> Value:
@@ -330,12 +316,11 @@ def _eval_call(call: Call, ctx: EvalContext) -> Value:
     if descriptor.max_args is not None and count > descriptor.max_args:
         return VALUE_ERR
     if descriptor.lazy:
-        return eval_if(call.args, ctx)
+        return eval_if(call.args, ctx, descriptor)
 
-    modes, lifted = descriptor.plan(count)
     prepared: list = []
-    for mode, arg_expr in zip(modes, call.args):
-        if mode != REF:
+    for index, arg_expr in enumerate(call.args):
+        if index not in descriptor.refs:
             prepared.append(evaluate(arg_expr, ctx))
         elif isinstance(arg_expr, Ref):
             prepared.append(RangeRef.cell(arg_expr.addr))
@@ -343,9 +328,7 @@ def _eval_call(call: Call, ctx: EvalContext) -> Value:
             prepared.append(arg_expr.rng)
         else:
             return VALUE_ERR  # these arguments must be references
-
-    return lift(partial(descriptor.impl, ctx), prepared, ctx, lifted=lifted,
-                captures_errors=descriptor.captures_errors)
+    return _apply(descriptor, prepared, ctx)
 
 
 def evaluate(expr: Expr, ctx: EvalContext) -> Value:

@@ -10,12 +10,15 @@ argument:
   arrays and coerced (COERCION): kernels see floats, strs and bools,
   one element per call.  SCALAR arguments are lifted uncoerced.
 * ARRAY arguments arrive whole (scalars stay scalars; kernels that
-  need a rectangle wrap them as 1x1).
+  need a rectangle wrap them as 1x1, an empty slot as a blank cell).
 * REF arguments are never evaluated; the evaluator resolves the
   argument expression to a range and passes the range itself.
 
-The evaluator reads a call's modes and coercions from the descriptor's
-plan for its argument count, built on first use.
+A descriptor builds its call plans when it is made, one per argument
+count up to the number of its modes; an unlimited function's repeating
+last mode is ARRAY, never lifted, so longer calls share the last plan.
+IF's kernel is ordinary too: being lazy only lets the evaluator choose
+which of its arguments to evaluate (evaluator.eval_if).
 
 Coercion is written once: evaluator.lift applies it before the kernel
 runs.  Five sites coerce for themselves, as each must look at another
@@ -83,46 +86,29 @@ COERCION: dict[str, Optional[Callable]] = {
 }
 
 
-#: Longest argument list whose call plan a descriptor keeps.
-MAX_PLANNED_ARGS = 32
-
-
 @dataclass(frozen=True)
 class FunctionDescriptor:
     name: str
     min_args: int
     max_args: Optional[int]  # None means unlimited
-    modes: tuple[str, ...]  # per position; the last mode repeats
-    impl: Optional[Callable]
+    modes: tuple[str, ...]  # per position; unlimited repeats the last, ARRAY
+    impl: Callable
     captures_errors: bool = False
-    lazy: bool = False  # evaluated by special-case logic, not a kernel
+    lazy: bool = False  # the evaluator picks the arguments to evaluate
 
-    #: argument count -> plan(count), filled on first use for counts up
-    #: to MAX_PLANNED_ARGS
-    _plans: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    #: plans[n]: the lifted positions of an n-argument call, with their
+    #: coercions, as lift takes them; longer calls use the last plan
+    plans: tuple = field(init=False, repr=False, compare=False)
+    #: the positions whose argument must be a reference
+    refs: frozenset = field(init=False, repr=False, compare=False)
 
-    def mode_for(self, index: int) -> str:
-        if index < len(self.modes):
-            return self.modes[index]
-        return self.modes[-1] if self.modes else SCALAR
-
-    def plan(self, count: int) -> tuple[tuple[str, ...],
-                                        dict[int, Optional[Callable]]]:
-        """A call's plan for `count` arguments: each argument's mode,
-        and the lifted positions with their coercions, as lift takes
-        them.  Each count's plan is built once, unless the count is
-        above MAX_PLANNED_ARGS: a plan's size grows with its count, so
-        long argument lists are planned on every call instead of kept."""
-        plan = self._plans.get(count)
-        if plan is None:
-            modes = tuple(map(self.mode_for, range(count)))
-            plan = (modes, {index: COERCION[mode]
-                            for index, mode in enumerate(modes)
-                            if mode in COERCION})
-            if count <= MAX_PLANNED_ARGS:
-                self._plans[count] = plan
-        return plan
+    def __post_init__(self) -> None:
+        modes = self.modes
+        object.__setattr__(self, "plans", tuple(
+            {i: COERCION[m] for i, m in enumerate(modes[:n]) if m in COERCION}
+            for n in range(len(modes) + 1)))
+        object.__setattr__(self, "refs", frozenset(
+            i for i, m in enumerate(modes) if m == REF))
 
 
 # ---------------------------------------------------------------- text
@@ -341,6 +327,14 @@ def fn_or(ctx: "EvalContext", *args: Value) -> Value:
     return False if found else VALUE_ERR
 
 
+def fn_if(ctx: "EvalContext", truth: bool, then: Value,
+          otherwise: Value = False) -> Value:
+    """IF(condition, then, else=FALSE); an empty slot gives 0.  The
+    branch not chosen is never read, so an error there goes unseen."""
+    chosen = then if truth else otherwise
+    return 0.0 if chosen is OMITTED else chosen
+
+
 def fn_not(ctx: "EvalContext", truth: bool) -> Value:
     return not truth
 
@@ -403,7 +397,7 @@ def fn_match(ctx: "EvalContext", needle: Scalar, vector: Value,
 def _as_array(value: Value) -> ArrayValue:
     if isinstance(value, ArrayValue):
         return value
-    return ArrayValue(1, 1, (value,))
+    return ArrayValue(1, 1, (BLANK if value is OMITTED else value,))
 
 
 def read_range(sheet: Sheet, rng: RangeRef) -> Value:
@@ -553,7 +547,8 @@ REGISTRY: dict[str, FunctionDescriptor] = {d.name: d for d in [
     FunctionDescriptor("SEARCH", 2, 3, (TEXT, TEXT, NUMBER), fn_search),
     FunctionDescriptor("SUBSTITUTE", 3, 4, (TEXT, TEXT, TEXT, SCALAR),
                        fn_substitute),
-    FunctionDescriptor("IF", 2, 3, (LOGICAL, SCALAR, SCALAR), None, lazy=True),
+    FunctionDescriptor("IF", 2, 3, (LOGICAL, SCALAR, SCALAR), fn_if,
+                       captures_errors=True, lazy=True),
     FunctionDescriptor("MATCH", 2, 3, (SCALAR, ARRAY, SCALAR), fn_match),
     FunctionDescriptor("INDEX", 2, 3, (ARRAY, NUMBER, NUMBER), fn_index),
     FunctionDescriptor("ISERROR", 1, 1, (SCALAR,), fn_iserror, captures_errors=True),

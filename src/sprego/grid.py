@@ -218,10 +218,10 @@ CsvSource = Union[str, Path, IO[bytes], IO[str]]
 
 def _open_text(source: CsvSource) -> IO[str]:
     if isinstance(source, (str, Path)):
-        return open(source, encoding="utf-8", newline="")
+        return open(source, encoding="utf-8-sig", newline="")
     if isinstance(source, io.TextIOBase):
         return source
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
+    return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
 
 
 def _check_row(fields: list[str], row: int, column_offset: int) -> None:
@@ -245,7 +245,8 @@ def load_csv(
     force_text is set; everything else stays Text.  Empty fields stay
     Blank.  With header set, row 1 is kept as Text regardless.  The
     column_offset shifts the whole table right, leaving the first
-    columns free for derived series.
+    columns free for derived series.  A file or byte stream is read as
+    UTF-8, less the byte-order mark Excel's "CSV UTF-8" starts with.
     """
     if column_offset < 0:
         raise IngestError("column offset must be non-negative")

@@ -46,7 +46,8 @@ from typing import NamedTuple, Union
 
 from .grid import CellAddress, GridError, RangeRef, parse_cell
 from .values import (BOOLEAN_BY_LABEL, ERROR_BY_LABEL, NUMBER_PATTERN,
-                     OMITTED, CellError, _Sentinel, _finite, render)
+                     OMITTED, QUOTED_BODY, CellError, _Sentinel, _finite,
+                     render, unquote)
 
 
 class FormulaError(Exception):
@@ -72,10 +73,9 @@ _TOKEN_RULES = (
     ("space", r"[ \t\r\n]+"),
     ("op", r"<=|>=|<>|[=<>&+\-*/^%]"),
     ("punct", r"[(),:{}]"),
-    # "" is an escaped quote; (?!") stops a match that would end inside
-    # one, so the string is unterminated instead.  The body repeats runs,
-    # not single characters, so the match keeps no state per character.
-    ("string", r'"[^"]*(?:""[^"]*)*"(?!")'),
+    # (?!") stops a match that would end inside an escaped quote, so
+    # the string is unterminated instead
+    ("string", '"' + QUOTED_BODY + '"(?!")'),
     ("number", NUMBER_PATTERN),
     ("error", "|".join(map(re.escape, ERROR_BY_LABEL))),
     ("ident", r"\$?[A-Za-z_][A-Za-z0-9_.$]*"),
@@ -257,7 +257,7 @@ class _Parser:
             return Literal(_finite(float(text))), depth
         if kind == "string":
             self.pos = pos + 1
-            return Literal(text[1:-1].replace('""', '"')), depth
+            return Literal(unquote(text[1:-1])), depth
         if kind == "error":
             self.pos = pos + 1
             return Literal(ERROR_BY_LABEL[text]), depth

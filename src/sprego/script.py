@@ -47,9 +47,11 @@ from .values import (
     BOOLEAN_BY_LABEL,
     CellError,
     ERROR_BY_LABEL,
+    QUOTED_BODY,
     Scalar,
     parse_number,
     render,
+    unquote,
 )
 
 
@@ -139,7 +141,7 @@ def _split_fields(text: str, line: Optional[int], noun: str,
     # one match per field: a quoted field (its text, then its closing
     # quote, empty if there is none) or the bare text up to a separator,
     # then the character after it, empty at the end of the line
-    field_re = re.compile(r'[ \t]*(?:"([^"]*(?:""[^"]*)*)("?)[ \t]*|([^,'
+    field_re = re.compile(r'[ \t]*(?:"(' + QUOTED_BODY + r')("?)[ \t]*|([^,'
                           + re.escape(row_separator) + r']*))(.?)', re.S)
     rows: list[list[tuple[str, bool]]] = [[]]
     pos = 0
@@ -149,7 +151,7 @@ def _split_fields(text: str, line: Optional[int], noun: str,
         if bare is not None:
             rows[-1].append((bare.strip(), False))
         elif closing:
-            rows[-1].append((quoted.replace('""', '"'), True))
+            rows[-1].append((unquote(quoted), True))
         else:
             raise ScriptError(line, f"unterminated quote in {noun}")
         if not separator:

@@ -92,6 +92,16 @@ def is_number(value: Scalar) -> bool:
 NUMBER_PATTERN = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _NUMBER_RE = re.compile(r"[+-]?" + NUMBER_PATTERN + r"\Z")
 
+#: The inside of a quoted text, in formulas and in script fields, where
+#: "" is an escaped quote.  It repeats runs, not single characters, so a
+#: match keeps no state per character.
+QUOTED_BODY = r'[^"]*(?:""[^"]*)*'
+
+
+def unquote(body: str) -> str:
+    """The text a QUOTED_BODY match stands for."""
+    return body.replace('""', '"')
+
 
 def parse_number(text: str) -> float | None:
     """Parse text as a complete number, or return None.

@@ -306,6 +306,11 @@ class TestIf:
         value = evaluate_formula(parse_formula("=IF(FALSE,RAND(),RAND())"), ctx)
         assert value == expected
 
+    def test_scalar_condition_returns_a_multi_cell_branch_whole(self, sheet):
+        result = ev("=IF(TRUE,A1:A3)", sheet)
+        assert isinstance(result, ArrayValue)
+        assert result.to_rows() == [[1.0], [2.0], [3.0]]
+
     def test_array_condition_selects_element_wise(self, sheet):
         result = ev("{=IF(A1:A3>1.5,B1:B3,0)}", sheet)
         assert result.to_rows() == [[0.0], [20.0], [30.0]]

@@ -1,6 +1,5 @@
 """The built-in function library, exercised through formula evaluation."""
 
-import dataclasses
 import inspect
 import random
 import time
@@ -9,8 +8,7 @@ import pytest
 
 from sprego import EvalContext, Sheet, evaluate_formula, parse_formula
 from sprego.cli import main
-from sprego.functions import (FUNCTION_NAMES, MAX_PLANNED_ARGS, REGISTRY,
-                              FunctionDescriptor, lookup)
+from sprego.functions import ARRAY, FUNCTION_NAMES, REGISTRY, lookup
 from sprego.grid import parse_cell
 from sprego.values import (
     ArrayValue,
@@ -306,6 +304,12 @@ class TestMatchIndex:
         assert ev("=INDEX(A1:A3,4)", sheet) is REF_ERR
         assert ev("=INDEX(A1:A3,-1)", sheet) is VALUE_ERR
 
+    def test_index_of_an_empty_slot_is_blank(self):
+        # an empty ARRAY slot reads as a blank cell, never as the
+        # placeholder itself
+        assert ev("=INDEX(,1)") is BLANK
+        assert ev("=IF(TRUE,INDEX(,1))") is BLANK
+
     def test_match_index_compose(self, sheet):
         sheet.set(parse_cell("D1"), "EUW")
         sheet.set(parse_cell("D2"), "EUNE")
@@ -459,8 +463,7 @@ class TestCallPlumbing:
                         "=NOT()", "=RAND(1)"):
             assert ev(formula) is VALUE_ERR, formula
 
-    @pytest.mark.parametrize("name", sorted(
-        name for name, d in REGISTRY.items() if d.impl is not None))
+    @pytest.mark.parametrize("name", FUNCTION_NAMES)
     def test_kernel_takes_every_allowed_argument_count(self, name):
         # impl(ctx, *args): an arity the registry allows must bind, or
         # the call would end in a Python TypeError
@@ -486,32 +489,22 @@ class TestCallPlumbing:
         result = ev(formula)
         assert type(result) is type(expected) and result == expected
 
-    def test_call_plan_is_built_once_per_argument_count(self, monkeypatch):
-        # a fresh copy of LEFT's descriptor starts with no plans
-        monkeypatch.setitem(REGISTRY, "LEFT",
-                            dataclasses.replace(REGISTRY["LEFT"]))
-        calls = []
-        mode_for = FunctionDescriptor.mode_for
-
-        def counting(self, index):
-            calls.append(index)
-            return mode_for(self, index)
-
-        monkeypatch.setattr(FunctionDescriptor, "mode_for", counting)
-        formula = parse_formula('=LEFT("abc",2)')
+    @pytest.mark.parametrize("count", [33, 1000])
+    def test_long_argument_lists_evaluate_repeatedly(self, count):
         ctx = EvalContext(Sheet())
-        assert evaluate_formula(formula, ctx) == "ab"
-        assert calls == [0, 1]
-        assert evaluate_formula(formula, ctx) == "ab"
-        assert calls == [0, 1]
-        # a longer argument list than a descriptor keeps plans for is
-        # planned on every call
-        calls.clear()
-        count = MAX_PLANNED_ARGS + 1
-        formula = parse_formula("=SUM(" + ",".join(["1"] * count) + ")")
-        for _ in range(2):
-            assert evaluate_formula(formula, ctx) == float(count)
-        assert len(calls) == 2 * count
+        total = parse_formula("=SUM(" + ",".join(["1"] * count) + ")")
+        every = parse_formula("=AND(" + ",".join(["TRUE"] * count) + ")")
+        some = parse_formula("=AND(" + ",".join(["TRUE"] * count) + ",0)")
+        for _ in range(3):
+            assert evaluate_formula(total, ctx) == float(count)
+            assert evaluate_formula(every, ctx) is True
+            assert evaluate_formula(some, ctx) is False
+
+    def test_unlimited_functions_repeat_an_array_mode(self):
+        # a call longer than a descriptor's modes lifts nothing more
+        for descriptor in REGISTRY.values():
+            if descriptor.max_args is None:
+                assert descriptor.modes[-1] == ARRAY, descriptor.name
 
     def test_ref_argument_must_be_a_reference(self):
         assert ev("=ROW(1+1)") is VALUE_ERR

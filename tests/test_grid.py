@@ -243,6 +243,13 @@ class TestLoadCsv:
         with pytest.raises(IngestError):
             load_csv(io.BytesIO(b"a,\xff\xfe\n"))
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text(SAMPLE, encoding="utf-8-sig")
+        assert load_csv(path).get(parse_cell("A1")) == "name"
+        stream = io.BytesIO(SAMPLE.encode("utf-8-sig"))
+        assert load_csv(stream).get(parse_cell("A1")) == "name"
+
     def test_byte_stream_left_open_for_caller(self):
         stream = io.BytesIO(SAMPLE.encode())
         load_csv(stream)

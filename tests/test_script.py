@@ -274,6 +274,11 @@ EXPECT A1 = 1000
 """)
         assert run_script(path).ok
 
+    def test_step_stores_an_index_of_an_empty_slot_as_blank(self, tmp_path):
+        path = write(tmp_path, "t.sprego", "STEP S1 A1 = =INDEX(,1)\n"
+                     "EXPECT A1 = \n")
+        assert run_script(path).ok
+
     def test_trace_of_unknown_label(self, tmp_path):
         path = write(tmp_path, "t.sprego", "TRACE S9\n")
         report = run_script(path)
@@ -323,6 +328,12 @@ class TestCli:
         code = main(["eval", str(book), "{=B2:B3*10}"])
         assert code == OK
         assert capsys.readouterr().out == "30\n40\n"
+
+    def test_eval_reads_past_a_byte_order_mark(self, capsys, tmp_path):
+        book = tmp_path / "bom.csv"
+        book.write_text("12\n", encoding="utf-8-sig")
+        assert main(["eval", str(book), "=A1+1", "--no-header"]) == OK
+        assert capsys.readouterr().out == "13\n"
 
     def test_eval_cell_flag_prints_first_component(self, capsys, tmp_path):
         book = write(tmp_path, "b.csv", SMALL_CSV)
