@@ -283,6 +283,10 @@ def _apply(descriptor: FunctionDescriptor, args: list[Value],
                 captures_errors=descriptor.captures_errors)
 
 
+#: IF's condition is lifted as any scalar slot, uncoerced.
+_CONDITION_PLAN: dict[int, Optional[Callable]] = {0: None}
+
+
 def eval_if(args: tuple[Expr, ...], ctx: EvalContext,
             descriptor: FunctionDescriptor) -> Value:
     """IF(condition, then, else?), by the descriptor's kernel.
@@ -296,7 +300,7 @@ def eval_if(args: tuple[Expr, ...], ctx: EvalContext,
     if ctx.array_entered and isinstance(condition, ArrayValue):
         return _apply(descriptor, [condition, *(evaluate(arg, ctx)
                                                 for arg in args[1:])], ctx)
-    truth = lift(is_truthy, [condition], ctx)  # read as any scalar slot
+    truth = lift(is_truthy, [condition], ctx, lifted=_CONDITION_PLAN)
     if isinstance(truth, CellError):
         return truth
     taken = 1 if truth else 2

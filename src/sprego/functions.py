@@ -201,6 +201,10 @@ def fn_substitute(ctx: "EvalContext", text: str, old: str, new: str,
 
 # ------------------------------------------------------------ aggregates
 
+#: The element types an aggregate keeps from an array.
+_NUMBER_OR_ERROR = frozenset((float, CellError))
+
+
 def _collect_numbers(args: Sequence) -> list[float] | CellError:
     """Flatten aggregate arguments into the numbers they contribute.
 
@@ -212,11 +216,10 @@ def _collect_numbers(args: Sequence) -> list[float] | CellError:
     numbers: list[float] = []
     for arg in args:
         if isinstance(arg, ArrayValue):
-            for element in arg.cells:
-                if isinstance(element, CellError):
-                    return element
-                if isinstance(element, float):
-                    numbers.append(element)
+            kept = [e for e in arg.cells if type(e) in _NUMBER_OR_ERROR]
+            if CellError in map(type, kept):
+                return next(e for e in kept if type(e) is CellError)
+            numbers += kept
         elif arg is not BLANK and arg is not OMITTED:
             number = coerce_to_number(arg)
             if isinstance(number, CellError):

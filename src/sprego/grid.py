@@ -1,14 +1,15 @@
-"""Sparse sheet storage, A1 addressing, CSV ingestion and array spill."""
+"""Sparse sheet storage by column, A1 addressing, CSV and array spill."""
 
 from __future__ import annotations
 
 import csv
 import io
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from pathlib import Path
-from typing import IO, Iterator, Union
+from typing import IO, Iterable, Iterator, Union
 
 from .values import (
     ArrayValue,
@@ -105,16 +106,20 @@ class RangeRef:
             return self.top_left.a1
         return f"{self.top_left.a1}:{self.bottom_right.a1}"
 
+    def check_size(self) -> None:
+        """Raise GridError for a rectangle of more than MAX_RANGE_CELLS."""
+        if self.rows * self.cols > MAX_RANGE_CELLS:
+            raise GridError(
+                f"range {self.a1} has {self.rows * self.cols} cells, "
+                f"more than the {MAX_RANGE_CELLS} one range may hold")
+
     def keys(self) -> Iterator[tuple[int, int]]:
         """Row-major (row, col) keys of every cell in the rectangle.
 
         Raises GridError, before yielding anything, for a rectangle of
         more than MAX_RANGE_CELLS cells.
         """
-        if self.rows * self.cols > MAX_RANGE_CELLS:
-            raise GridError(
-                f"range {self.a1} has {self.rows * self.cols} cells, "
-                f"more than the {MAX_RANGE_CELLS} one range may hold")
+        self.check_size()
         return product(range(self.top_left.row, self.bottom_right.row + 1),
                        range(self.top_left.col, self.bottom_right.col + 1))
 
@@ -151,35 +156,66 @@ def as_range(parsed: Union[CellAddress, RangeRef]) -> RangeRef:
     return parsed
 
 
+#: What an unwritten column reads as; never written to.
+_NO_CELLS: dict[int, Scalar] = {}
+
+
 @dataclass
 class Sheet:
-    """Sparse mapping from (row, col) to scalar values.
+    """Sparse cell values, stored by column: column -> row -> value.
 
     Unset cells read as BLANK, and writing BLANK unsets the cell, so
     the stored mapping never contains blanks (or Omitted, which is an
-    argument placeholder rather than data).
+    argument placeholder rather than data) nor an empty column.  A
+    range is read column by column: a column with fewer stored cells
+    than the range has rows is placed into a run of blanks, so its
+    cost is set by the stored data; any other is read row by row.
     """
 
-    _cells: dict[tuple[int, int], Scalar] = field(default_factory=dict)
+    _columns: dict[int, dict[int, Scalar]] = field(default_factory=dict)
 
     def get(self, addr: CellAddress) -> Scalar:
-        return self._cells.get((addr.row, addr.col), BLANK)
+        return self._columns.get(addr.col, _NO_CELLS).get(addr.row, BLANK)
 
     def set(self, addr: CellAddress, value: Scalar) -> None:
         if value is OMITTED:
             raise GridError("cannot store an omitted-argument placeholder")
-        if value is BLANK:
-            self._cells.pop((addr.row, addr.col), None)
-        else:
-            self._cells[(addr.row, addr.col)] = value
+        self._write(addr.col, ((addr.row, value),))
+
+    def _write(self, col: int, cells: Iterable[tuple[int, Scalar]]) -> None:
+        """Store (row, value) pairs in one column; BLANK unsets."""
+        column = self._columns.setdefault(col, {})
+        for row, value in cells:
+            if value is BLANK:
+                column.pop(row, None)
+            else:
+                column[row] = value
+        if not column:
+            del self._columns[col]
 
     def get_range(self, rng: RangeRef) -> ArrayValue:
-        """Dense snapshot of a rectangle; missing cells appear as BLANK.
-
-        Raises GridError for a rectangle above MAX_RANGE_CELLS.
+        """Dense row-major snapshot of a rectangle; missing cells appear
+        as BLANK.  Raises GridError for a rectangle above MAX_RANGE_CELLS.
         """
-        cells = tuple(map(self._cells.get, rng.keys(), repeat(BLANK)))
-        return ArrayValue(rng.rows, rng.cols, cells)
+        rng.check_size()
+        top, bottom = rng.top_left.row, rng.bottom_right.row
+        rows = bottom - top + 1
+        series = []
+        for col in range(rng.top_left.col, rng.bottom_right.col + 1):
+            column = self._columns.get(col, _NO_CELLS)
+            if len(column) < rows:
+                cells = [BLANK] * rows
+                for row, value in column.items():
+                    if top <= row <= bottom:
+                        cells[row - top] = value
+                series.append(cells)
+            else:
+                series.append(map(column.get, range(top, bottom + 1),
+                                  repeat(BLANK)))
+        if len(series) > 1:
+            return ArrayValue(rows, rng.cols,
+                              tuple(chain.from_iterable(zip(*series))))
+        return ArrayValue(rows, 1, tuple(series[0]))
 
     def spill(self, top_left: CellAddress, array: ArrayValue) -> RangeRef:
         """Write an array with its first element at top_left.
@@ -196,21 +232,20 @@ class Sheet:
                 "exceeds the sheet bounds")
         if OMITTED in array.cells:  # _Sentinel compares by identity
             raise GridError("cannot store an omitted-argument placeholder")
-        cells = self._cells
-        keys = product(range(top, bottom + 1), range(left, right + 1))
-        for key, value in zip(keys, array.cells):
-            if value is BLANK:
-                cells.pop(key, None)
-            else:
-                cells[key] = value
+        for offset, col in enumerate(range(left, right + 1)):
+            self._write(col, zip(range(top, bottom + 1),
+                                 array.cells[offset::array.cols]))
         return RangeRef.make(top_left, CellAddress(right, bottom))
 
     def update(self, other: "Sheet") -> None:
         """Copy every stored cell of another sheet over this one."""
-        self._cells.update(other._cells)
+        for col, column in other._columns.items():
+            self._columns.setdefault(col, {}).update(column)
 
     def used_cells(self) -> set[tuple[int, int]]:
-        return set(self._cells)
+        """The (row, col) position of every stored cell."""
+        return {(row, col) for col, column in self._columns.items()
+                for row in column}
 
 
 CsvSource = Union[str, Path, IO[bytes], IO[str]]
@@ -250,8 +285,7 @@ def load_csv(
     """
     if column_offset < 0:
         raise IngestError("column offset must be non-negative")
-    sheet = Sheet()
-    cells = sheet._cells
+    columns: defaultdict[int, dict[int, Scalar]] = defaultdict(dict)
     try:
         stream = _open_text(source)
     except OSError as exc:
@@ -271,7 +305,7 @@ def load_csv(
                     number = parse_number(text)
                     if number is not None:
                         value = number
-                cells[(row_idx, col_idx)] = value
+                columns[col_idx][row_idx] = value
     except UnicodeDecodeError as exc:
         raise IngestError(f"CSV source is not valid UTF-8: {exc}") from exc
     except csv.Error as exc:
@@ -282,7 +316,7 @@ def load_csv(
         elif stream is not source and isinstance(stream, io.TextIOWrapper):
             # keep the caller's byte stream open
             stream.detach()
-    return sheet
+    return Sheet(dict(columns))
 
 
 def range_to_csv(sheet: Sheet, rng: RangeRef) -> str:

@@ -4,7 +4,15 @@ import time
 
 import pytest
 
-from sprego import data_path, parse_task_script, run_script
+from sprego import (
+    EvalContext,
+    Sheet,
+    data_path,
+    evaluate_formula,
+    parse_formula,
+    parse_task_script,
+    run_script,
+)
 from sprego.cli import _build_sheet, build_parser, main
 from sprego.grid import IngestError, parse_cell
 from sprego.script import (
@@ -508,3 +516,22 @@ class TestRangeCap:
         report, seconds = timed(lambda: run_script(path))
         assert report.exit_code == EVAL_FAILED and seconds < 1.0
         assert "1048576 one range may hold" in report.render()
+
+
+class TestWholeColumnReads:
+    """A whole-column reference on an empty sheet reads every row as
+    blank: aggregates see no numbers, and a lifted kernel gives one
+    element per row."""
+
+    @pytest.mark.parametrize("formula", [
+        "=SUM(A1:A1048576)",
+        "=SUM(A1:A1048576,B1:B1048576,C1:C1048576,D1:D1048576)",
+    ])
+    def test_sum_is_zero(self, capsys, formula):
+        assert main(["eval", formula]) == OK
+        assert capsys.readouterr().out == "0\n"
+
+    def test_len_gives_a_zero_per_row(self):
+        formula = parse_formula("{=LEN(A1:A1048576)}")
+        value = evaluate_formula(formula, EvalContext(Sheet()))
+        assert value.shape == (1048576, 1) and set(value.cells) == {0.0}
