@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import Optional
 
 from .evaluator import EvalContext, display_value, evaluate_formula
-from .grid import Sheet, as_range, load_csv, parse_a1, parse_cell, range_to_csv
+from .grid import (Sheet, as_range, load_csv, parse_a1, parse_cell,
+                   range_to_csv, render_rows)
 from .parser import parse_formula
 from .script import (
     EXPECT_FAILED,
@@ -132,8 +133,7 @@ def cmd_eval(options) -> int:
     if options.cell or not isinstance(value, ArrayValue):
         print(render(display_value(value)))
     else:
-        for row in value.to_rows():
-            print("\t".join(render(v) for v in row))
+        print("\n".join(map("\t".join, render_rows(value))))
     if options.strict:
         values = value.cells if isinstance(value, ArrayValue) else (value,)
         if any(isinstance(v, CellError) for v in values):

@@ -22,10 +22,10 @@ import random
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, repeat
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from .functions import (COERCION, NUMBER, SCALAR, TEXT, FunctionDescriptor,
-                        lookup, read_range)
+from .functions import (COERCION, NUMBER, SCALAR, TEXT, UNCHANGED_BY,
+                        FunctionDescriptor, lookup, read_range)
 from .grid import MAX_RANGE_CELLS, CellAddress, RangeRef, Sheet
 from .parser import Binary, Call, Expr, Formula, Literal, RangeLit, Ref, Unary
 from .values import (
@@ -141,12 +141,6 @@ def _spread(array: ArrayValue, rows: int, cols: int) -> tuple[Scalar, ...]:
     return cells
 
 
-def _holds(cells: Sequence, kind: type) -> bool:
-    """Whether any of the cells is of exactly this type (CellError and
-    ArrayValue have no subclasses)."""
-    return kind in set(map(type, cells))
-
-
 def _element_result(value: Value) -> Scalar:
     """A kernel's result for one element: an array per element cannot
     nest inside the result, so only a 1x1 array stands for its value."""
@@ -216,8 +210,9 @@ def _broadcast(kernel: Callable[..., Value], values: list, arrays: list[int],
     """lift's element loop, for lifted arrays under array entry.
 
     It does only per-element work: a lifted scalar is coerced once per
-    call and an array once per element, before the loop, and a
-    stretched array is expanded once.
+    call and an array once per element, before the loop (unless its
+    coercion returns its element types unchanged), and a stretched
+    array is expanded once.
     """
     shape = broadcast_shape([values[i].shape for i in arrays])
     if shape is None:
@@ -225,30 +220,34 @@ def _broadcast(kernel: Callable[..., Value], values: list, arrays: list[int],
     rows, cols = shape
     if rows * cols > MAX_RANGE_CELLS:
         return NUM_ERR  # checked before any array is expanded
+    # each array argument's element types, raw and coerced (exact
+    # types: CellError and ArrayValue have no subclasses)
+    raw_kinds = {i: set(map(type, values[i].cells)) for i in arrays}
+    kinds = dict(raw_kinds)
     # one row-major sequence per array argument, so zip yields each
     # element's argument tuple
     for i in arrays:
         values[i] = _spread(values[i], rows, cols)
     raw = list(values)
     for i, coerce in lifted.items():
-        if coerce is not None:
-            values[i] = (tuple(map(coerce, raw[i])) if i in arrays
-                         else coerce(raw[i]))
-    # a raw error passes through its coercion, so only an array whose
-    # coerced cells hold an error can hold one raw
-    erring = {i for i in arrays if (lifted[i] or not captures_errors)
-              and _holds(values[i], CellError)}
+        if coerce and i not in arrays:
+            values[i] = coerce(raw[i])
+        elif coerce and not kinds[i].issubset(UNCHANGED_BY.get(coerce, ())):
+            values[i] = tuple(map(coerce, raw[i]))
+            kinds[i] = set(map(type, values[i]))
     # what can decide an element before the kernel does, in lift's
     # order; a scalar error decides every element it is reached on
     deciders = []
-    order = chain(((raw, i) for i in (() if captures_errors else lifted)),
-                  ((values, i) for i, coerce in lifted.items() if coerce))
-    for source, i in order:
+    order = chain(((raw, raw_kinds, i)
+                   for i in (() if captures_errors else lifted)),
+                  ((values, kinds, i)
+                   for i, coerce in lifted.items() if coerce))
+    for source, held, i in order:
         value = source[i]
         if isinstance(value, CellError):
             deciders.append(repeat(value))
             break
-        if i in erring and _holds(value, CellError):
+        if CellError in held.get(i, ()):
             deciders.append(value)
     columns = [values[i] if i in arrays else repeat(value)
                for i, value in enumerate(values)]
@@ -263,7 +262,7 @@ def _broadcast(kernel: Callable[..., Value], values: list, arrays: list[int],
                     break
             else:
                 cells.append(kernel(*call_args))
-    if _holds(cells, ArrayValue):
+    if ArrayValue in set(map(type, cells)):
         cells = [_element_result(value) for value in cells]
     return ArrayValue(rows, cols, tuple(cells))
 

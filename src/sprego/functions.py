@@ -85,6 +85,10 @@ COERCION: dict[str, Optional[Callable]] = {
     LOGICAL: is_truthy,
 }
 
+#: The element types each coercion returns as they are (the same object).
+UNCHANGED_BY = {coerce_to_number: {float, CellError},
+                coerce_to_text: {str, CellError}, is_truthy: {bool, CellError}}
+
 
 @dataclass(frozen=True)
 class FunctionDescriptor:

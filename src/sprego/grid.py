@@ -7,17 +7,17 @@ import io
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, product, repeat
+from itertools import chain, compress, product, repeat
+from math import isfinite
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
 from .values import (
     ArrayValue,
     BLANK,
-    CellError,
+    NUMBER_FIELD,
     OMITTED,
     Scalar,
-    parse_number,
     render,
 )
 
@@ -282,6 +282,8 @@ def load_csv(
     column_offset shifts the whole table right, leaving the first
     columns free for derived series.  A file or byte stream is read as
     UTF-8, less the byte-order mark Excel's "CSV UTF-8" starts with.
+    Fields are stored as text while rows stream in; then one pass per
+    column converts the fields that match NUMBER_FIELD.
     """
     if column_offset < 0:
         raise IngestError("column offset must be non-negative")
@@ -296,16 +298,9 @@ def load_csv(
         for row_idx, fields in enumerate(reader, start=1):
             if row_idx > MAX_ROWS or len(fields) + column_offset > MAX_COLS:
                 _check_row(fields, row_idx, column_offset)
-            numeric = not force_text and not (header and row_idx == 1)
             for col_idx, text in enumerate(fields, start=column_offset + 1):
-                if text == "":
-                    continue
-                value: Scalar = text
-                if numeric:
-                    number = parse_number(text)
-                    if number is not None:
-                        value = number
-                columns[col_idx][row_idx] = value
+                if text:
+                    columns[col_idx][row_idx] = text
     except UnicodeDecodeError as exc:
         raise IngestError(f"CSV source is not valid UTF-8: {exc}") from exc
     except csv.Error as exc:
@@ -316,7 +311,18 @@ def load_csv(
         elif stream is not source and isinstance(stream, io.TextIOWrapper):
             # keep the caller's byte stream open
             stream.detach()
+    first = 2 if header else 1  # a header row stays text
+    for column in () if force_text else columns.values():
+        for row in compress(column, map(NUMBER_FIELD.match, column.values())):
+            number = float(column[row].strip())
+            if row >= first and isfinite(number):
+                column[row] = number
     return Sheet(dict(columns))
+
+
+def render_rows(array: ArrayValue) -> Iterator[tuple[str, ...]]:
+    """The display text of every cell, one tuple per row, made lazily."""
+    return zip(*[iter(map(render, array.cells))] * array.cols)
 
 
 def range_to_csv(sheet: Sheet, rng: RangeRef) -> str:
@@ -326,8 +332,6 @@ def range_to_csv(sheet: Sheet, rng: RangeRef) -> str:
     load followed by an export reproduces every field's text.
     """
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    array = sheet.get_range(rng)
-    for row in array.to_rows():
-        writer.writerow([render(v) for v in row])
+    csv.writer(out, lineterminator="\n").writerows(
+        render_rows(sheet.get_range(rng)))
     return out.getvalue()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .evaluator import EvalContext, evaluate
-from .grid import RangeRef
+from .grid import RangeRef, render_rows
 from .parser import (
     Binary,
     Call,
@@ -164,18 +164,16 @@ def trace(
 
 
 def render_tsv(table: TraceTable) -> str:
-    """Trace table as TSV: a label header row, then one row per input."""
-    has_input = table.input_header is not None
-    header: list[str] = [table.input_header] if has_input else []
-    header.extend(step.label for step in table.steps)
-    lines = ["\t".join(header)]
-    for r in range(table.rows):
-        row: list[str] = []
-        if has_input:
-            row.append(render(table.input_values[r]))
-        for step in table.steps:
-            rendered = (render(step.results.get(r, c))
-                        for c in range(step.results.cols))
-            row.append(", ".join(rendered))
-        lines.append("\t".join(row))
-    return "\n".join(lines) + "\n"
+    """Trace table as TSV: a label header row, then one row per input.
+
+    It is rendered by column (a step of several columns shows each row
+    joined by ", ") and the columns are zipped into rows.
+    """
+    header = [step.label for step in table.steps]
+    columns = [map(", ".join, render_rows(step.results))
+               for step in table.steps]
+    if table.input_header is not None:
+        header.insert(0, table.input_header)
+        columns.insert(0, map(render, table.input_values))
+    rows = map("\t".join, zip(*columns))
+    return "\n".join(["\t".join(header), *rows]) + "\n"

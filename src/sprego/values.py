@@ -90,7 +90,10 @@ def is_number(value: Scalar) -> bool:
 #: with an optional sign, of numeric text in cells and CSV fields.
 #: Digits are ASCII only (a str pattern's \d would take any script's).
 NUMBER_PATTERN = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_NUMBER_RE = re.compile(r"[+-]?" + NUMBER_PATTERN + r"\Z")
+
+#: Numeric text: a signed number amid what str.strip() removes (\s,
+#: exactly).  float() rejects U+001C..U+001F, so strip a match first.
+NUMBER_FIELD = re.compile(r"\s*[+-]?" + NUMBER_PATTERN + r"\s*\Z")
 
 #: The inside of a quoted text, in formulas and in script fields, where
 #: "" is an escaped quote.  It repeats runs, not single characters, so a
@@ -106,14 +109,14 @@ def unquote(body: str) -> str:
 def parse_number(text: str) -> float | None:
     """Parse text as a complete number, or return None.
 
-    Leading and trailing whitespace is tolerated; anything else, such
-    as "1.1k" or "", is not a number.  Values that overflow a double
-    are rejected because cells never hold non-finite numbers.
+    The text must match NUMBER_FIELD, as a CSV field must: whitespace
+    around the number is tolerated; "1.1k", "inf" or "" is no number.
+    Values that overflow a double are rejected because cells never
+    hold non-finite numbers.
     """
-    stripped = text.strip()
-    if not _NUMBER_RE.match(stripped):
+    if not NUMBER_FIELD.match(text):
         return None
-    result = float(stripped)
+    result = float(text.strip())
     if not math.isfinite(result):
         return None
     return result

@@ -6,6 +6,7 @@ import pytest
 
 from sprego import EvalContext, Sheet, display_value, evaluate_formula, parse_formula
 from sprego.evaluator import broadcast_shape, lift
+from sprego.functions import UNCHANGED_BY
 from sprego.grid import parse_cell
 from sprego.values import (
     ArrayValue,
@@ -17,6 +18,8 @@ from sprego.values import (
     VALUE_ERR,
     CellError,
     coerce_to_number,
+    coerce_to_text,
+    is_truthy,
     render,
 )
 
@@ -277,6 +280,62 @@ class TestCoercionErrorOrder:
         # the condition's own error is the element's result even though
         # IF's array branch captures errors in the branches
         assert ev("{=IF(A1:A3,1,2)}", mixed).cells == (1.0, NA_ERR, VALUE_ERR)
+
+
+class TestCoercionSkip:
+    """An array whose element types its coercion returns unchanged
+    skips the coercion; any other is coerced element by element."""
+
+    @staticmethod
+    def counting(monkeypatch, coerce):
+        """A coercion that records its calls and is known to pass the
+        same types through as coerce."""
+        seen = []
+
+        def counted(value):
+            seen.append(value)
+            return coerce(value)
+        monkeypatch.setitem(UNCHANGED_BY, counted, UNCHANGED_BY[coerce])
+        return counted, seen
+
+    @pytest.mark.parametrize("coerce,cells", [
+        (coerce_to_text, ["ab", "c d", NA_ERR, ""]),
+        (coerce_to_number, [1.5, DIV0_ERR, -2.0, 0.0]),
+        (is_truthy, [True, VALUE_ERR, False, True]),
+    ])
+    def test_array_reaches_the_kernel_unchanged(self, monkeypatch, coerce,
+                                                cells):
+        counted, seen = self.counting(monkeypatch, coerce)
+        got = []
+        ctx = EvalContext(Sheet(), array_entered=True)
+        result = lift(lambda value: got.append(value) or 0.0,
+                      [ArrayValue.column(cells)], ctx, lifted={0: counted})
+        assert seen == []
+        kept = [v for v in cells if not isinstance(v, CellError)]
+        assert len(got) == len(kept)
+        assert all(a is b for a, b in zip(got, kept))
+        assert result.cells == tuple(
+            v if isinstance(v, CellError) else 0.0 for v in cells)
+
+    def test_mixed_columns_coerce_per_element_in_lift_order(self,
+                                                            monkeypatch):
+        counted, seen = self.counting(monkeypatch, coerce_to_number)
+        left = ["1", 2.0, "x", NA_ERR, True, "y", BLANK]
+        right = [DIV0_ERR, "2", "3", "z", 1.0, NUM_ERR, "q"]
+        plan = {0: counted, 1: counted}
+        ctx = EvalContext(Sheet(), array_entered=True)
+        result = lift(lambda x, y: x - y, [ArrayValue.column(left),
+                                           ArrayValue.column(right)],
+                      ctx, lifted=plan)
+        # lift's scalar path, one element at a time, is the model
+        scalar = EvalContext(Sheet())
+        expected = tuple(lift(lambda x, y: x - y, [a, b], scalar,
+                              lifted={0: coerce_to_number,
+                                      1: coerce_to_number})
+                         for a, b in zip(left, right))
+        assert result.cells == expected
+        assert expected[:4] == (DIV0_ERR, 0.0, VALUE_ERR, NA_ERR)
+        assert len(seen) == len(left) + len(right)
 
 
 class TestIf:

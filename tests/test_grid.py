@@ -1,6 +1,10 @@
 """Sheet storage, A1 addressing, CSV round trips and spilling."""
 
+import csv
 import io
+import math
+import random
+import re
 
 import pytest
 
@@ -21,7 +25,7 @@ from sprego.grid import (
     parse_cell,
     range_to_csv,
 )
-from sprego.values import ArrayValue, BLANK, OMITTED
+from sprego.values import ArrayValue, BLANK, NUMBER_PATTERN, OMITTED
 
 
 class TestColumnLetters:
@@ -260,6 +264,92 @@ class TestLoadCsv:
         path.write_text(SAMPLE, encoding="utf-8")
         sheet = load_csv(path)
         assert sheet.get(parse_cell("B4")) == 0.5
+
+
+# load_csv as it was written with one parse per field, kept as the
+# model its column-at-a-time number pass must agree with
+_MODEL_NUMBER = re.compile(r"[+-]?" + NUMBER_PATTERN + r"\Z")
+
+
+def _model_number(text):
+    stripped = text.strip()
+    if not _MODEL_NUMBER.match(stripped):
+        return None
+    result = float(stripped)
+    return result if math.isfinite(result) else None
+
+
+def _model_load(data: bytes, header, force_text, column_offset):
+    cells = {}
+    reader = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
+    for row_idx, fields in enumerate(reader, start=1):
+        numeric = not force_text and not (header and row_idx == 1)
+        for col_idx, text in enumerate(fields, start=column_offset + 1):
+            if text == "":
+                continue
+            value = text
+            if numeric:
+                number = _model_number(text)
+                if number is not None:
+                    value = number
+            cells[row_idx, col_idx] = value
+    return cells
+
+
+_CORES = ["0", "12", "-3", "+4.5", ".5", "5.", "-.5", "+5.", "1e3",
+          "-2.5E-3", "1E+2", "007", "-0", "1e999", "-1e999", "inf", "-inf",
+          "nan", "NaN", "Infinity", "1_000", "\u0661\u0662", "\u0663.5",
+          "1.2.3", "e5", "1e", ".", "+", "-", "", "0x10", "1,5", "12 3",
+          "abc", 'say "hi"', "a,b", "line\nbreak", "1\n2", "TRUE"]
+_PADS = ["", "", " ", "  ", "\t", "\xa0", "\u2028", "\u3000", "\x1f",
+         "\n", "\r\n"]
+
+
+def _random_csv(rng: random.Random) -> bytes:
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=rng.choice(
+        [csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    for _ in range(rng.randint(1, 30)):
+        writer.writerow([rng.choice(_PADS) + rng.choice(_CORES)
+                         + rng.choice(_PADS)
+                         for _ in range(rng.choice([0, 1, 2, 3, 5, 7]))])
+    text = out.getvalue()
+    return text.encode("utf-8-sig" if rng.random() < 0.3 else "utf-8")
+
+
+class TestLoadCsvAgainstPerFieldModel:
+    @pytest.mark.parametrize("header", [True, False])
+    @pytest.mark.parametrize("force_text", [False, True])
+    @pytest.mark.parametrize("column_offset", [0, 3])
+    def test_same_values_and_types(self, header, force_text, column_offset):
+        rng = random.Random(f"{header}-{force_text}-{column_offset}")
+        for _ in range(40):
+            data = _random_csv(rng)
+            sheet = load_csv(io.BytesIO(data), header=header,
+                             force_text=force_text,
+                             column_offset=column_offset)
+            model = _model_load(data, header, force_text, column_offset)
+            assert sheet.used_cells() == set(model)
+            for (row, col), value in model.items():
+                got = sheet.get(CellAddress(col, row))
+                assert (type(got), repr(got)) == (type(value), repr(value))
+
+    def test_each_core_inside_each_pad(self):
+        data = "n\n" + "\n".join(
+            f'"{pad}{core}{pad}"' for core in _CORES for pad in _PADS
+            if '"' not in core) + "\n"
+        model = _model_load(data.encode(), True, False, 0)
+        sheet = load_csv(io.StringIO(data))
+        kinds = {type(v) for v in model.values()}
+        assert kinds == {str, float}
+        for (row, col), value in model.items():
+            got = sheet.get(CellAddress(col, row))
+            assert (type(got), repr(got)) == (type(value), repr(value))
+
+    def test_off_sheet_message_is_unchanged(self):
+        with pytest.raises(GridError) as caught:
+            load_csv(io.StringIO("a\n"), column_offset=100000)
+        assert str(caught.value) == "address out of range: col=100001 row=1"
 
 
 class TestExport:

@@ -1,5 +1,7 @@
 """Lexing, parsing, precedence and the unparse round trip."""
 
+import random
+
 import pytest
 
 from sprego.cli import main
@@ -211,6 +213,26 @@ class TestPrecedence:
 
     def test_stacked_percent(self):
         assert parse_expression("200%%") == Unary("%", Unary("%", Literal(200.0)))
+
+    def test_unparenthesised_chains_evaluate_as_python_does(self):
+        """Seeded chains of + - * / over small integers, with no
+        parentheses at all, take Python's precedence and left
+        association; a division by zero anywhere makes #DIV/0!."""
+        rng = random.Random(7)
+        ctx = EvalContext(Sheet())
+        for _ in range(400):
+            digits = [str(rng.randint(0, 9)) for _ in range(rng.randint(2, 8))]
+            ops = [rng.choice("+-*/") for _ in digits[1:]]
+            text = digits[0] + "".join(map("".join, zip(ops, digits[1:])))
+            # float literals, so Python does the same double arithmetic
+            floats = digits[0] + ".0" + "".join(
+                op + digit + ".0" for op, digit in zip(ops, digits[1:]))
+            try:
+                expected = eval(floats, {"__builtins__": {}})
+            except ZeroDivisionError:
+                expected = DIV0_ERR
+            got = evaluate_formula(parse_formula("=" + text), ctx)
+            assert (text, got) == (text, expected)
 
 
 class TestFormulaEntry:
