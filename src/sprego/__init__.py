@@ -29,7 +29,6 @@ from .values import (
     BLANK,
     OMITTED,
     CellError,
-    ErrorKind,
     Scalar,
     coerce_to_number,
     coerce_to_text,
@@ -46,12 +45,12 @@ def data_path(name: str) -> Path:
 
 
 __all__ = [
-    "ArrayValue", "BLANK", "CellAddress", "CellError", "ErrorKind",
-    "EvalContext", "Formula", "FormulaError", "GridError", "IngestError",
-    "OMITTED", "RangeRef", "RunReport", "Scalar", "Sheet", "TaskScript",
-    "TraceTable", "coerce_to_number", "coerce_to_text", "compare",
-    "data_path", "decompose", "display_value", "evaluate",
-    "evaluate_formula", "lift", "load_csv", "parse_a1", "parse_formula",
-    "parse_task_script", "range_to_csv", "render", "render_tsv",
-    "run_script", "tokenize", "trace", "unparse",
+    "ArrayValue", "BLANK", "CellAddress", "CellError", "EvalContext",
+    "Formula", "FormulaError", "GridError", "IngestError", "OMITTED",
+    "RangeRef", "RunReport", "Scalar", "Sheet", "TaskScript", "TraceTable",
+    "coerce_to_number", "coerce_to_text", "compare", "data_path",
+    "decompose", "display_value", "evaluate", "evaluate_formula", "lift",
+    "load_csv", "parse_a1", "parse_formula", "parse_task_script",
+    "range_to_csv", "render", "render_tsv", "run_script", "tokenize",
+    "trace", "unparse",
 ]

@@ -96,6 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once: parsing leaves it unchanged (--set appends to a copy of
+#: its default list), so every call of main can share it.
+_PARSER = build_parser()
+
+
 def _build_sheet(options, workbook: Optional[str]) -> Sheet:
     if workbook is None:
         sheet = Sheet()
@@ -175,7 +180,7 @@ def cmd_export(options) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    options = build_parser().parse_args(argv)
+    options = _PARSER.parse_args(argv)
     handlers = {
         "eval": cmd_eval,
         "run": cmd_run,

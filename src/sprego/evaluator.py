@@ -42,6 +42,7 @@ from .values import (
     _finite,
     compare,
     is_truthy,
+    unwrap,
 )
 
 
@@ -120,15 +121,6 @@ def broadcast_shape(shapes: list[tuple[int, int]]) -> Optional[tuple[int, int]]:
     return rows, cols
 
 
-def _only_element(array: ArrayValue) -> Optional[Scalar]:
-    """The element of a 1x1 array.  A larger array has no single value
-    (there is no implicit intersection): None, which callers turn
-    into #VALUE!."""
-    if array.rows == 1 and array.cols == 1:
-        return array.first()
-    return None
-
-
 def _spread(array: ArrayValue, rows: int, cols: int) -> tuple[Scalar, ...]:
     """The array's cells stretched to rows x cols, row-major.  An array
     already of that shape comes back as it is; a single column repeats
@@ -144,10 +136,8 @@ def _spread(array: ArrayValue, rows: int, cols: int) -> tuple[Scalar, ...]:
 def _element_result(value: Value) -> Scalar:
     """A kernel's result for one element: an array per element cannot
     nest inside the result, so only a 1x1 array stands for its value."""
-    if isinstance(value, ArrayValue):
-        value = _only_element(value)
-        return VALUE_ERR if value is None else value
-    return value
+    value = unwrap(value)
+    return VALUE_ERR if isinstance(value, ArrayValue) else value
 
 
 def lift(
@@ -184,8 +174,8 @@ def lift(
             if ctx.array_entered:
                 arrays.append(i)
             else:
-                values[i] = _only_element(values[i])
-                if values[i] is None:
+                values[i] = unwrap(values[i])
+                if isinstance(values[i], ArrayValue):
                     return VALUE_ERR
     if arrays:
         return _broadcast(kernel, values, arrays, lifted, captures_errors)

@@ -65,6 +65,7 @@ from .values import (
     is_truthy,
     coerce_to_number,
     coerce_to_text,
+    unwrap,
 )
 
 if TYPE_CHECKING:
@@ -361,14 +362,6 @@ def _vector_elements(value: Value) -> list | None:
     return list(value.cells)
 
 
-def _same_kind(a: Scalar, b: Scalar) -> bool:
-    if isinstance(a, bool) or isinstance(b, bool):
-        return isinstance(a, bool) and isinstance(b, bool)
-    if isinstance(a, float) or isinstance(b, float):
-        return isinstance(a, float) and isinstance(b, float)
-    return isinstance(a, str) and isinstance(b, str)
-
-
 def fn_match(ctx: "EvalContext", needle: Scalar, vector: Value,
              mode: Scalar = 1.0) -> Value:
     """MATCH(needle, vector, mode=1): 1-based position in a vector.
@@ -392,7 +385,7 @@ def fn_match(ctx: "EvalContext", needle: Scalar, vector: Value,
     for position, element in enumerate(elements, start=1):
         if isinstance(element, CellError) or element is BLANK:
             continue
-        if not _same_kind(element, needle):
+        if type(element) is not type(needle):
             continue
         if compare(element, needle, op) is True:
             if op == "=":
@@ -416,10 +409,6 @@ def read_range(sheet: Sheet, rng: RangeRef) -> Value:
         return NUM_ERR
 
 
-def _unwrap(array: ArrayValue) -> Value:
-    return array.first() if array.rows == 1 and array.cols == 1 else array
-
-
 def fn_index(ctx: "EvalContext", array: Value, row: float,
              col: float = 1.0) -> Value:
     """INDEX(array, row, col=1): one element, or a whole row/column.
@@ -435,13 +424,13 @@ def fn_index(ctx: "EvalContext", array: Value, row: float,
     if r > array.rows or c > array.cols:
         return REF_ERR
     if r == 0 and c == 0:
-        return _unwrap(array)
+        return unwrap(array)
     if r == 0:
         column = [array.get(i, c - 1) for i in range(array.rows)]
-        return _unwrap(ArrayValue(array.rows, 1, tuple(column)))
+        return unwrap(ArrayValue(array.rows, 1, tuple(column)))
     if c == 0:
         row = [array.get(r - 1, j) for j in range(array.cols)]
-        return _unwrap(ArrayValue(1, array.cols, tuple(row)))
+        return unwrap(ArrayValue(1, array.cols, tuple(row)))
     return array.get(r - 1, c - 1)
 
 
@@ -471,8 +460,7 @@ def fn_offset(ctx: "EvalContext", base: RangeRef, rows: float, cols: float,
         CellAddress(left_col, top_row),
         CellAddress(left_col + width - 1, top_row + height - 1),
     )
-    values = read_range(ctx.sheet, shifted)
-    return _unwrap(values) if isinstance(values, ArrayValue) else values
+    return unwrap(read_range(ctx.sheet, shifted))
 
 
 def fn_row(ctx: "EvalContext", rng: Optional[RangeRef] = None) -> Value:

@@ -13,7 +13,7 @@ Lines starting with # are comments.  STEP evaluates its formula
 (braces request array entry) and spills the result over the declared
 range, which must match the result's shape exactly.  EXPECT compares a
 previously written range cell-by-cell: text, booleans, blanks and
-error kinds must match exactly, numbers within 1e-9 relative or 1e-12
+errors must match exactly, numbers within 1e-9 relative or 1e-12
 absolute, whichever is looser.  In expectation data a quoted field is
 always text, so "14" is the text and 14 the number, and blanks around
 a quoted field are ignored; an empty unquoted field is a blank.
@@ -33,11 +33,11 @@ from .grid import (
     CellAddress,
     GridError,
     IngestError,
-    RangeRef,
     Sheet,
     as_range,
     load_csv,
     parse_a1,
+    parse_cell,
 )
 from .parser import FormulaError, parse_formula
 from .tracer import TraceError, render_tsv, trace
@@ -45,7 +45,6 @@ from .values import (
     ArrayValue,
     BLANK,
     BOOLEAN_BY_LABEL,
-    CellError,
     ERROR_BY_LABEL,
     QUOTED_BODY,
     Scalar,
@@ -276,25 +275,22 @@ def _load_expect_file(path: Path) -> tuple[tuple[Scalar, ...], ...]:
 
 def scalars_match(expected: Scalar, actual: Scalar) -> bool:
     """Expectation equality: exact for text (case included), booleans,
-    blanks and error kinds; tolerant for numbers."""
+    blanks and errors; tolerant for numbers."""
     if isinstance(expected, bool) or isinstance(actual, bool):
         return expected is actual
     if isinstance(expected, float) and isinstance(actual, float):
         if expected == actual:
             return True
         return abs(actual - expected) <= max(1e-9 * abs(expected), 1e-12)
-    if isinstance(expected, CellError) or isinstance(actual, CellError):
-        return expected == actual
     if isinstance(expected, str) and isinstance(actual, str):
         return expected == actual
-    return expected is actual  # BLANK, or a type mismatch
+    return expected is actual  # an error, BLANK, or a type mismatch
 
 
 @dataclass
 class DirectiveOutcome:
     line: int
     text: str
-    ok: bool
     exit_code: int = OK
 
 
@@ -305,7 +301,7 @@ class RunReport:
 
     @property
     def ok(self) -> bool:
-        return all(outcome.ok for outcome in self.outcomes)
+        return self.exit_code == OK
 
     @property
     def exit_code(self) -> int:
@@ -328,10 +324,9 @@ class _Runner:
         self.steps: dict[str, Step] = {}
         self.report = RunReport(str(script.path or "<script>"))
 
-    def note(self, line: int, text: str, ok: bool = True,
-             exit_code: int = OK) -> bool:
-        self.report.outcomes.append(DirectiveOutcome(line, text, ok, exit_code))
-        return ok
+    def note(self, line: int, text: str, exit_code: int = OK) -> bool:
+        self.report.outcomes.append(DirectiveOutcome(line, text, exit_code))
+        return exit_code == OK
 
     def run_directive(self, directive: Directive) -> bool:
         handlers = {Load: self.do_load, SetCell: self.do_set,
@@ -342,8 +337,7 @@ class _Runner:
         except REPORTED_FAILURES as exc:
             code, message = describe_failure(exc)
             return self.note(directive.line,
-                             f"line {directive.line}: {message}",
-                             ok=False, exit_code=code)
+                             f"line {directive.line}: {message}", code)
 
     def do_load(self, directive: Load) -> bool:
         path = Path(directive.path)
@@ -359,9 +353,7 @@ class _Runner:
                          f"LOAD {directive.path}: {len(used)} cells")
 
     def do_set(self, directive: SetCell) -> bool:
-        addr = parse_a1(directive.target)
-        if isinstance(addr, RangeRef):
-            raise ScriptError(None, "SET takes a single cell")
+        addr = parse_cell(directive.target)
         self.sheet.set(addr, directive.value)
         self.written.add((addr.row, addr.col))
         return self.note(directive.line,
@@ -418,7 +410,7 @@ class _Runner:
                 directive.line,
                 f"EXPECT {target.a1}: FAIL (expected data is "
                 f"{len(expected_rows)} rows, range is {target.rows}x{target.cols})",
-                ok=False, exit_code=EXPECT_FAILED)
+                exit_code=EXPECT_FAILED)
         actual = self.sheet.get_range(target)
         for r, row in enumerate(expected_rows):
             for c, expected in enumerate(row):
@@ -429,7 +421,7 @@ class _Runner:
                         directive.line,
                         f"EXPECT {target.a1}: FAIL at {addr.a1}: "
                         f"expected {render(expected)!r}, got {render(got)!r}",
-                        ok=False, exit_code=EXPECT_FAILED)
+                        exit_code=EXPECT_FAILED)
         cell_count = target.rows * target.cols
         unit = "cell" if cell_count == 1 else "cells"
         return self.note(directive.line,

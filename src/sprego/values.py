@@ -3,13 +3,12 @@
 Cell values are represented with native Python types where one exists
 (float, str, bool) so that arithmetic and comparisons stay cheap.  The
 two stateless placeholders Blank and Omitted are module-level
-singletons, and spreadsheet errors are small frozen wrappers around an
-ErrorKind.  Everything here is immutable and hashable.
+singletons, and each spreadsheet error is one interned CellError named
+by its label.  Everything here is immutable and hashable.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import operator
 import re
@@ -17,41 +16,26 @@ from dataclasses import dataclass
 from typing import Union
 
 
-class ErrorKind(enum.Enum):
-    """The closed set of spreadsheet error conditions."""
-
-    VALUE = "#VALUE!"
-    DIV0 = "#DIV/0!"
-    NUM = "#NUM!"
-    NA = "#N/A"
-    REF = "#REF!"
-    NAME = "#NAME?"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellError:
-    """An error value.
+    """An error value, named by its label.
 
     Errors are ordinary values: they sit in cells, flow through
     formulas and absorb almost every operation applied to them.  Only
-    ISERROR consumes them.
+    ISERROR consumes them.  ERROR_BY_LABEL holds the only instances,
+    so errors compare by identity.
     """
 
-    kind: ErrorKind
+    label: str
 
     def __str__(self) -> str:
-        return self.kind.value
+        return self.label
 
 
-VALUE_ERR = CellError(ErrorKind.VALUE)
-DIV0_ERR = CellError(ErrorKind.DIV0)
-NUM_ERR = CellError(ErrorKind.NUM)
-NA_ERR = CellError(ErrorKind.NA)
-REF_ERR = CellError(ErrorKind.REF)
-NAME_ERR = CellError(ErrorKind.NAME)
+ERROR_BY_LABEL = {label: CellError(label) for label in
+                  ("#VALUE!", "#DIV/0!", "#NUM!", "#N/A", "#REF!", "#NAME?")}
 
-ERROR_BY_LABEL = {err.kind.value: err for err in
-                  (VALUE_ERR, DIV0_ERR, NUM_ERR, NA_ERR, REF_ERR, NAME_ERR)}
+VALUE_ERR, DIV0_ERR, NUM_ERR, NA_ERR, REF_ERR, NAME_ERR = ERROR_BY_LABEL.values()
 
 #: Boolean literals, which formulas and expectation data read in any case.
 BOOLEAN_BY_LABEL = {"TRUE": True, "FALSE": False}
@@ -79,11 +63,6 @@ Scalar = Union[float, str, bool, CellError, _Sentinel]
 
 #: Longest text & and SUBSTITUTE build (Excel's cell limit); past it, #VALUE!
 MAX_TEXT = 32767
-
-
-def is_number(value: Scalar) -> bool:
-    # bool is not a float subclass, so booleans do not slip through
-    return isinstance(value, float)
 
 
 #: An unsigned number: the grammar of number literals in formulas and,
@@ -148,7 +127,7 @@ def render(value: Scalar) -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, CellError):
-        return value.kind.value
+        return value.label
     return ""  # BLANK and OMITTED display as empty
 
 
@@ -295,3 +274,11 @@ class ArrayValue:
 
 
 Value = Union[Scalar, ArrayValue]
+
+
+def unwrap(value: Value) -> Value:
+    """A 1x1 array's element; any other value as it is.  A larger
+    array has no single value (there is no implicit intersection)."""
+    if isinstance(value, ArrayValue) and value.rows == 1 and value.cols == 1:
+        return value.cells[0]
+    return value

@@ -100,7 +100,7 @@ class TestErrorFlow:
 
     def test_first_error_in_argument_order_wins(self):
         assert ev("=(1/0)+NOPE()") is DIV0_ERR
-        assert ev("=NOPE()+(1/0)").kind.value == "#NAME?"
+        assert ev("=NOPE()+(1/0)").label == "#NAME?"
 
     def test_comparing_errors_propagates(self):
         assert ev("=1/0=1/0") is DIV0_ERR

@@ -286,6 +286,18 @@ class TestMatchIndex:
     def test_match_skips_wrong_types_and_blanks(self, sheet):
         assert ev('=MATCH("note",B1:B3,0)', sheet) == 1.0
         assert ev("=MATCH(2,B1:B3,0)", sheet) == 3.0
+        # a number, a boolean and numeric text are three types
+        s = Sheet()
+        for a1, value in (("A1", 1.0), ("A2", True), ("A3", "1"),
+                          ("B1", True), ("B2", 1.0)):
+            s.set(parse_cell(a1), value)
+        assert ev("=MATCH(TRUE,A1:A3,0)", s) == 2.0
+        assert ev("=MATCH(1,B1:B2,0)", s) == 2.0
+        assert ev('=MATCH("1",A1:A3,0)', s) == 3.0
+        assert ev("=MATCH(C9,A1:A3,0)", s) is NA_ERR
+        assert ev("=MATCH(,A1:A3,0)", s) is NA_ERR
+        assert ev("=MATCH(TRUE,A1:A3)", s) == 2.0
+        assert ev("=MATCH(0,B1:B2)", s) is NA_ERR
 
     def test_match_needs_a_vector(self, sheet):
         assert ev("=MATCH(1,A1:B2,0)", sheet) is VALUE_ERR

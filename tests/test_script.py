@@ -352,6 +352,12 @@ class TestCli:
         assert main(["eval", "=H3*2", "--set", "H3=21"]) == OK
         assert capsys.readouterr().out == "42\n"
 
+    def test_set_flag_does_not_carry_to_the_next_call(self, capsys):
+        # main shares one parser between calls
+        main(["eval", "=H3*2", "--set", "H3=21"])
+        assert main(["eval", "=H3*2"]) == OK
+        assert capsys.readouterr().out == "42\n0\n"
+
     @pytest.mark.parametrize("literal, stored", [
         ('"a,b"', "a,b"), ("5", 5.0), ("#N/A", NA_ERR)])
     def test_set_flag_reads_its_literal_like_set(self, literal, stored):

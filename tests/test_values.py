@@ -1,12 +1,17 @@
 """Scalar taxonomy: parsing, rendering, coercion and comparison."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import sprego
+from sprego.parser import parse_formula
+from sprego.script import parse_scalar_field
 from sprego.values import (
     ArrayValue,
     BLANK,
     OMITTED,
-    CellError,
     ERROR_BY_LABEL,
     DIV0_ERR,
     NA_ERR,
@@ -14,12 +19,13 @@ from sprego.values import (
     coerce_to_number,
     coerce_to_text,
     compare,
-    is_number,
     is_truthy,
     parse_number,
     render,
     render_number,
 )
+
+SRC = Path(sprego.__file__).parent
 
 
 class TestParseNumber:
@@ -93,7 +99,7 @@ class TestCoercion:
 
     def test_coerced_number_is_not_bool(self):
         result = coerce_to_number(True)
-        assert is_number(result) and not isinstance(result, bool)
+        assert isinstance(result, float) and not isinstance(result, bool)
 
     def test_to_text(self):
         assert coerce_to_text(2.0) == "2"
@@ -152,11 +158,33 @@ class TestErrorValues:
             "#VALUE!", "#DIV/0!", "#NUM!", "#N/A", "#REF!", "#NAME?"}
 
     def test_equality_and_hashing(self):
-        assert CellError(VALUE_ERR.kind) == VALUE_ERR
-        assert len({VALUE_ERR, CellError(VALUE_ERR.kind), DIV0_ERR}) == 2
+        assert VALUE_ERR == ERROR_BY_LABEL["#VALUE!"] and VALUE_ERR != DIV0_ERR
+        assert len({VALUE_ERR, ERROR_BY_LABEL["#VALUE!"], DIV0_ERR}) == 2
 
     def test_str(self):
         assert str(NA_ERR) == "#N/A"
+
+    @pytest.mark.parametrize("label", sorted(ERROR_BY_LABEL))
+    def test_every_way_in_gives_the_interned_error(self, label):
+        error = ERROR_BY_LABEL[label]
+        assert parse_formula("=" + label).expr.value is error
+        assert parse_scalar_field(label, False) is error
+        assert render(error) == str(error) == error.label == label
+
+    def test_only_the_label_table_makes_errors(self):
+        # errors compare by identity, which holds while ERROR_BY_LABEL
+        # makes every instance
+        calls = []
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and "CellError" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    calls.append((path.name, node.lineno))
+        lines = (SRC / "values.py").read_text(encoding="utf-8").splitlines()
+        table = 1 + next(i for i, line in enumerate(lines)
+                         if line.startswith("ERROR_BY_LABEL = "))
+        assert calls == [("values.py", table)]
 
 
 class TestArrayValue:
