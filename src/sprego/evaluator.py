@@ -30,6 +30,7 @@ from .grid import MAX_RANGE_CELLS, CellAddress, RangeRef, Sheet
 from .parser import Binary, Call, Expr, Formula, Literal, RangeLit, Ref, Unary
 from .values import (
     ArrayValue,
+    COMPARISONS,
     CellError,
     DIV0_ERR,
     MAX_TEXT,
@@ -40,7 +41,7 @@ from .values import (
     VALUE_ERR,
     Value,
     _finite,
-    compare,
+    finite,
     is_truthy,
     unwrap,
 )
@@ -81,21 +82,22 @@ def _power(x: float, y: float) -> Value:
 
 
 #: (operator, operand count) -> (combine, the lifted operands' coercions).
-#: Combine functions take operands already coerced by their mode.
+#: Combine functions take operands already coerced by their mode, and
+#: + - * and the comparisons run in one Python frame per element.
 _OPERATORS = {
     (op, arity): (combine, dict.fromkeys(range(arity), COERCION[mode]))
     for (op, arity), (combine, mode) in {
         ("-", 1): (operator.neg, NUMBER),
         ("%", 1): (lambda x: x / 100.0, NUMBER),
-        ("+", 2): (lambda x, y: _finite(x + y), NUMBER),
-        ("-", 2): (lambda x, y: _finite(x - y), NUMBER),
-        ("*", 2): (lambda x, y: _finite(x * y), NUMBER),
+        ("+", 2): (finite(operator.add), NUMBER),
+        ("-", 2): (finite(operator.sub), NUMBER),
+        ("*", 2): (finite(operator.mul), NUMBER),
         ("/", 2): (_divide, NUMBER),
         ("^", 2): (_power, NUMBER),
         ("&", 2): (lambda x, y: VALUE_ERR if len(x) + len(y) > MAX_TEXT
                    else x + y, TEXT),
-        **{(op, 2): (lambda x, y, op=op: compare(x, y, op), SCALAR)
-           for op in ("=", "<>", "<", "<=", ">", ">=")},
+        **{(op, 2): (comparison, SCALAR)
+           for op, comparison in COMPARISONS.items()},
     }.items()
 }
 
@@ -252,7 +254,9 @@ def _broadcast(kernel: Callable[..., Value], values: list, arrays: list[int],
                     break
             else:
                 cells.append(kernel(*call_args))
-    if ArrayValue in set(map(type, cells)):
+    # a kernel fed only scalars returns a scalar: only one with an argument
+    # passed whole (INDEX, OFFSET, ROW, COLUMN, TRANSPOSE) makes arrays
+    if len(lifted) < len(values) and ArrayValue in set(map(type, cells)):
         cells = [_element_result(value) for value in cells]
     return ArrayValue(rows, cols, tuple(cells))
 

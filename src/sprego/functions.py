@@ -50,6 +50,7 @@ from .grid import CellAddress, GridError, MAX_COLS, MAX_ROWS, RangeRef, Sheet
 from .values import (
     ArrayValue,
     BLANK,
+    COMPARISONS,
     CellError,
     DIV0_ERR,
     MAX_TEXT,
@@ -61,7 +62,6 @@ from .values import (
     VALUE_ERR,
     Value,
     _finite,
-    compare,
     is_truthy,
     coerce_to_number,
     coerce_to_text,
@@ -144,34 +144,29 @@ def fn_len(ctx: "EvalContext", text: str) -> Value:
     return float(len(text))
 
 
-def _find_core(needle: str, hay: str, start: float, fold: bool) -> Value:
-    at = int(start)
-    if at < 1 or at > len(hay) + 1:
-        return VALUE_ERR
-    if needle == "":
-        return float(at)
-    if fold:
-        needle, hay = needle.lower(), hay.lower()
-    index = hay.find(needle, at - 1)
-    if index < 0:
-        return VALUE_ERR
-    return float(index + 1)
-
-
 def fn_find(ctx: "EvalContext", needle: str, text: str,
             start: float = 1.0) -> Value:
     """FIND(needle, text, start=1): case-sensitive position, 1-based.
 
-    A miss is an error value, which is what makes ISERROR(FIND(...))
-    a usable containment test.
+    start may be one past the end, where only an empty needle is found
+    (at start).  A miss is an error value, which is what makes
+    ISERROR(FIND(...)) a usable containment test.
     """
-    return _find_core(needle, text, start, fold=False)
+    at = int(start)
+    if at < 1 or at > len(text) + 1:
+        return VALUE_ERR
+    index = text.find(needle, at - 1)
+    return VALUE_ERR if index < 0 else float(index + 1)
 
 
 def fn_search(ctx: "EvalContext", needle: str, text: str,
               start: float = 1.0) -> Value:
-    """SEARCH(needle, text, start=1): like FIND but case-insensitive."""
-    return _find_core(needle, text, start, fold=True)
+    """SEARCH(needle, text, start=1): FIND over case-folded text.  start
+    is checked against the text as written, as folding can lengthen it
+    ("\u0130".lower() is two characters)."""
+    if int(start) > len(text) + 1:
+        return VALUE_ERR
+    return fn_find(ctx, needle.lower(), text.lower(), start)
 
 
 def fn_substitute(ctx: "EvalContext", text: str, old: str, new: str,
@@ -380,15 +375,16 @@ def fn_match(ctx: "EvalContext", needle: Scalar, vector: Value,
     mode = coerce_to_number(mode)
     if isinstance(mode, CellError):
         return mode
-    op = "=" if mode == 0 else ("<=" if mode > 0 else ">=")
+    exact = mode == 0
+    matches = COMPARISONS["=" if exact else ("<=" if mode > 0 else ">=")]
     best: int | None = None
     for position, element in enumerate(elements, start=1):
         if isinstance(element, CellError) or element is BLANK:
             continue
         if type(element) is not type(needle):
             continue
-        if compare(element, needle, op) is True:
-            if op == "=":
+        if matches(element, needle) is True:
+            if exact:
                 return float(position)
             best = position
     return NA_ERR if best is None else float(best)

@@ -7,17 +7,16 @@ import io
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, compress, product, repeat
-from math import isfinite
+from itertools import chain, product, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
 from .values import (
     ArrayValue,
     BLANK,
-    NUMBER_FIELD,
     OMITTED,
     Scalar,
+    parse_number,
     render,
 )
 
@@ -282,12 +281,13 @@ def load_csv(
     column_offset shifts the whole table right, leaving the first
     columns free for derived series.  A file or byte stream is read as
     UTF-8, less the byte-order mark Excel's "CSV UTF-8" starts with.
-    Fields are stored as text while rows stream in; then one pass per
-    column converts the fields that match NUMBER_FIELD.
+    Each field is converted by values.parse_number as its row streams
+    in, so the text of a number is never held past its row.
     """
     if column_offset < 0:
         raise IngestError("column offset must be non-negative")
     columns: defaultdict[int, dict[int, Scalar]] = defaultdict(dict)
+    first = 2 if header else 1  # the first row that may hold numbers
     try:
         stream = _open_text(source)
     except OSError as exc:
@@ -298,9 +298,12 @@ def load_csv(
         for row_idx, fields in enumerate(reader, start=1):
             if row_idx > MAX_ROWS or len(fields) + column_offset > MAX_COLS:
                 _check_row(fields, row_idx, column_offset)
+            numeric = not force_text and row_idx >= first
             for col_idx, text in enumerate(fields, start=column_offset + 1):
-                if text:
-                    columns[col_idx][row_idx] = text
+                if not text:
+                    continue
+                number = parse_number(text) if numeric else None
+                columns[col_idx][row_idx] = text if number is None else number
     except UnicodeDecodeError as exc:
         raise IngestError(f"CSV source is not valid UTF-8: {exc}") from exc
     except csv.Error as exc:
@@ -311,12 +314,6 @@ def load_csv(
         elif stream is not source and isinstance(stream, io.TextIOWrapper):
             # keep the caller's byte stream open
             stream.detach()
-    first = 2 if header else 1  # a header row stays text
-    for column in () if force_text else columns.values():
-        for row in compress(column, map(NUMBER_FIELD.match, column.values())):
-            number = float(column[row].strip())
-            if row >= first and isfinite(number):
-                column[row] = number
     return Sheet(dict(columns))
 
 

@@ -9,11 +9,11 @@ by its label.  Everything here is immutable and hashable.
 
 from __future__ import annotations
 
-import math
 import operator
-import re
 from dataclasses import dataclass
-from typing import Union
+from functools import partial
+from math import isfinite
+from typing import Callable, Union
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,9 +70,9 @@ MAX_TEXT = 32767
 #: Digits are ASCII only (a str pattern's \d would take any script's).
 NUMBER_PATTERN = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
-#: Numeric text: a signed number amid what str.strip() removes (\s,
-#: exactly).  float() rejects U+001C..U+001F, so strip a match first.
-NUMBER_FIELD = re.compile(r"\s*[+-]?" + NUMBER_PATTERN + r"\s*\Z")
+#: The characters of a signed NUMBER_PATTERN.  Over them, float() reads
+#: exactly that grammar: its other words (inf, nan, 1_000) need others.
+_NUMBER_CHARS = "0123456789+-.eE"
 
 #: The inside of a quoted text, in formulas and in script fields, where
 #: "" is an escaped quote.  It repeats runs, not single characters, so a
@@ -88,22 +88,35 @@ def unquote(body: str) -> str:
 def parse_number(text: str) -> float | None:
     """Parse text as a complete number, or return None.
 
-    The text must match NUMBER_FIELD, as a CSV field must: whitespace
-    around the number is tolerated; "1.1k", "inf" or "" is no number.
+    The text must be a signed NUMBER_PATTERN amid what str.strip()
+    removes, as a CSV field must: "1.1k", "inf" or "" is no number.
     Values that overflow a double are rejected because cells never
     hold non-finite numbers.
     """
-    if not NUMBER_FIELD.match(text):
+    text = text.strip()  # float() alone would reject U+001C..U+001F
+    # a character outside the alphabet, or no digit ("", "-"), fails
+    # here rather than in float(), whose exception costs far more
+    if text.strip(_NUMBER_CHARS) or not text.strip("+-.eE"):
         return None
-    result = float(text.strip())
-    if not math.isfinite(result):
+    try:
+        result = float(text)
+    except ValueError:
         return None
-    return result
+    return result if isfinite(result) else None
 
 
-def _finite(value: float) -> float | CellError:
-    """A computed number, or #NUM! when it overflowed to infinity or NaN."""
-    return value if math.isfinite(value) else NUM_ERR
+def finite(op: Callable[[float, float], float]) -> Callable:
+    """op over two numbers, giving #NUM! where its result overflowed to
+    infinity or NaN (cells hold neither).  The check runs in the
+    returned function's own frame, so an element pays one call."""
+    def checked(x: float, y: float) -> float | CellError:
+        value = op(x, y)
+        return value if isfinite(value) else NUM_ERR
+    return checked
+
+
+#: One computed number under finite's rule (1.0 * x is x, exactly).
+_finite = partial(finite(operator.mul), 1.0)
 
 
 def render_number(value: float) -> str:
@@ -173,10 +186,6 @@ def is_truthy(value: Scalar) -> bool | CellError:
     return False
 
 
-_COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
-                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
 def _rank_and_key(value: Scalar):
     # cross-type ordering: numbers < text < booleans
     if isinstance(value, bool):
@@ -184,6 +193,34 @@ def _rank_and_key(value: Scalar):
     if isinstance(value, float):
         return 0, value
     return 1, value.lower()
+
+
+def _comparison(test: Callable) -> Callable:
+    """The comparison operator that orders two scalars by test, one of
+    operator's comparisons, bound once so an element pays one call."""
+    def compare_by(left: Scalar, right: Scalar) -> bool | CellError:
+        if left.__class__ is float and right.__class__ is float:
+            return test(left, right)
+        if left.__class__ is str and right.__class__ is str:
+            return test(left.lower(), right.lower())
+        if isinstance(left, CellError):
+            return left
+        if isinstance(right, CellError):
+            return right
+        left = _adapt_blank(left, right)
+        right = _adapt_blank(right, left)
+        lrank, lkey = _rank_and_key(left)
+        rrank, rkey = _rank_and_key(right)
+        if lrank != rrank:
+            return test(lrank, rrank)
+        return test(lkey, rkey)
+    return compare_by
+
+
+#: Each comparison operator over two scalars, as compare applies it.
+COMPARISONS = {op: _comparison(test) for op, test in (
+    ("=", operator.eq), ("<>", operator.ne), ("<", operator.lt),
+    ("<=", operator.le), (">", operator.gt), (">=", operator.ge))}
 
 
 def compare(left: Scalar, right: Scalar, op: str) -> bool | CellError:
@@ -194,24 +231,10 @@ def compare(left: Scalar, right: Scalar, op: str) -> bool | CellError:
     Blank operand adapts to the other side's type before comparing.
     Errors propagate.
     """
-    test = _COMPARISONS.get(op)
-    if test is None:
+    comparison = COMPARISONS.get(op)
+    if comparison is None:
         raise ValueError(f"unknown comparison operator {op!r}")
-    if left.__class__ is float and right.__class__ is float:
-        return test(left, right)
-    if left.__class__ is str and right.__class__ is str:
-        return test(left.lower(), right.lower())
-    if isinstance(left, CellError):
-        return left
-    if isinstance(right, CellError):
-        return right
-    left = _adapt_blank(left, right)
-    right = _adapt_blank(right, left)
-    lrank, lkey = _rank_and_key(left)
-    rrank, rkey = _rank_and_key(right)
-    if lrank != rrank:
-        return test(lrank, rrank)
-    return test(lkey, rkey)
+    return comparison(left, right)
 
 
 def _adapt_blank(value: Scalar, other: Scalar) -> Scalar:

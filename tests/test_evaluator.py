@@ -16,9 +16,11 @@ from sprego.values import (
     NA_ERR,
     NUM_ERR,
     VALUE_ERR,
+    ERROR_BY_LABEL,
     CellError,
     coerce_to_number,
     coerce_to_text,
+    compare,
     is_truthy,
     render,
 )
@@ -169,6 +171,13 @@ class TestBroadcasting:
         sheet.set(parse_cell("D2"), "cde")
         result = ev("{=LEN(D1:D2)}", sheet)
         assert result.to_rows() == [[2.0], [3.0]]
+
+    def test_an_array_made_for_one_element_is_value_error(self, sheet):
+        # INDEX's row 0 selects a whole column, which cannot nest in
+        # the result; row 1 selects one cell
+        sheet.set(parse_cell("A2"), 0.0)
+        result = ev("{=INDEX(B1:C2,A1:A2)}", sheet)
+        assert result.to_rows() == [[10.0], [VALUE_ERR]]
 
     def test_direct_lift_call(self):
         def add(a, b):
@@ -518,6 +527,45 @@ class TestCrossTypeTable:
                     for a in CROSS_OPERANDS]
                for op in CROSS_TABLE}
         assert got == CROSS_TABLE
+
+
+# Operands for the comparison operators: numbers, text in two cases,
+# both booleans, a blank cell and every error value
+COMPARED = [0.0, 1.5, -2.0, "abc", "ABC", "b", "", True, False, BLANK,
+            *ERROR_BY_LABEL.values()]
+
+
+class TestComparisonOperators:
+    """Each comparison operator, evaluated, agrees with values.compare."""
+
+    @pytest.fixture
+    def compared(self):
+        # the operands down A2:A<n+1> and across B1:<n>1
+        sheet = Sheet()
+        for i, value in enumerate(COMPARED):
+            if value is not BLANK:
+                sheet.set(parse_cell(f"A{i + 2}"), value)
+                sheet.set(parse_cell(f"{chr(ord('B') + i)}1"), value)
+        return sheet
+
+    @pytest.mark.parametrize("op", ["=", "<>", "<", "<=", ">", ">="])
+    def test_plain_entry(self, compared, op):
+        for i, left in enumerate(COMPARED):
+            for j, right in enumerate(COMPARED):
+                got = ev(f"=A{i + 2}{op}{chr(ord('B') + j)}1", compared)
+                want = compare(left, right, op)
+                assert (type(got), got) == (type(want), want), (left, right)
+
+    @pytest.mark.parametrize("op", ["=", "<>", "<", "<=", ">", ">="])
+    def test_array_entry(self, compared, op):
+        n = len(COMPARED)
+        got = ev(f"{{=A2:A{n + 1}{op}B1:{chr(ord('A') + n)}1}}", compared)
+        assert got.shape == (n, n)
+        for i, left in enumerate(COMPARED):
+            for j, right in enumerate(COMPARED):
+                want = compare(left, right, op)
+                cell = got.get(i, j)
+                assert (type(cell), cell) == (type(want), want), (left, right)
 
 
 class TestHostileInputs:

@@ -108,6 +108,11 @@ class TestFindSearch:
         assert ev('=FIND("x","abc")') is VALUE_ERR
         assert ev('=FIND("ab","xaxbx")') is VALUE_ERR
 
+    def test_search_checks_start_against_the_unfolded_text(self):
+        # "İ".lower() is two characters, but the text has one
+        assert ev('=SEARCH("","\u0130",3)') is VALUE_ERR
+        assert ev('=SEARCH("","\u0130",2)') == 2.0
+
 
 class TestSubstitute:
     def test_replaces_all_by_default(self):

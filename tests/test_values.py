@@ -1,6 +1,7 @@
 """Scalar taxonomy: parsing, rendering, coercion and comparison."""
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import sprego
 from sprego.parser import parse_formula
 from sprego.script import parse_scalar_field
+from test_grid import _CORES, _PADS, _model_number
 from sprego.values import (
     ArrayValue,
     BLANK,
@@ -52,6 +54,43 @@ class TestParseNumber:
     ])
     def test_rejects(self, text):
         assert parse_number(text) is None
+
+
+# what numeric text is built from: its alphabet, letters float() also
+# reads, ASCII and Unicode whitespace, and digits of other scripts
+_SPACES = " \t\n\r\x0b\x0c\xa0\u2028\u3000\x1c\x1d\x1e\x1f"
+_PIECES = list("0123456789" * 3 + "+-.eE" * 2 + "_infa \xa0\x1f") + [
+    "\u0663", "\uff11"]
+
+
+def _seeded_texts(count):
+    rng = random.Random("numeric-text")
+    for _ in range(count):
+        pads = ["".join(rng.choices(_SPACES, k=rng.choice([0, 0, 1, 2])))
+                for _ in range(2)]
+        core = "".join(rng.choices(_PIECES, k=rng.randint(0, 8)))
+        yield pads[0] + core + pads[1]
+
+
+class TestParseNumberAgainstTheGrammar:
+    """parse_number agrees with a regex reference written from
+    NUMBER_PATTERN, by type and repr."""
+
+    @staticmethod
+    def check(texts):
+        numbers = 0
+        for text in texts:
+            got, want = parse_number(text), _model_number(text)
+            assert (type(got), repr(got)) == (type(want), repr(want)), text
+            numbers += want is not None
+        return numbers
+
+    def test_each_core_inside_each_pad(self):
+        assert self.check(pad + core + pad
+                          for core in _CORES for pad in _PADS) > 100
+
+    def test_seeded_strings(self):
+        assert self.check(_seeded_texts(12000)) > 1000
 
 
 class TestRender:
