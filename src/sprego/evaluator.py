@@ -13,6 +13,10 @@ descriptor, or _OPERATORS), so kernels see numbers or text already.
 Errors are values, not exceptions: they flow out of individual
 elements and poison exactly the results that depend on them.
 Evaluation never mutates the sheet.
+
+A formula's twins (parser.intern: structurally equal subtrees, such as
+a range a pasted helper step repeats) are computed once per evaluation:
+the first one evaluated keeps its value in a memo the others read.
 """
 
 from __future__ import annotations
@@ -51,14 +55,22 @@ from .values import (
 class EvalContext:
     """Everything one evaluation needs: the sheet snapshot, the entry
     mode, the formula's own cell (for ROW/COLUMN) and the random
-    stream backing RAND.  When node_values is set, evaluate stores in
-    it the value of each operator and call node under id(node)."""
+    stream backing RAND.
+
+    node_values, when set, is the evaluation's memo, and twins names
+    the nodes it keeps: evaluate stores the value of each range,
+    operator and call node that twins maps, under the key it maps to
+    (the id of the node's first twin), and a node whose key holds a
+    value is not evaluated again.  evaluate_formula keeps a formula's
+    shareable twins (Formula.twins) this way; the tracer maps every
+    such node, so the memo holds each step's value."""
 
     sheet: Sheet
     array_entered: bool = False
     anchor: CellAddress = CellAddress(1, 1)
     rng: random.Random = field(default_factory=random.Random)
     node_values: Optional[dict[int, Value]] = None
+    twins: Optional[dict[int, int]] = None
 
 
 def _divide(x: float, y: float) -> Value:
@@ -214,7 +226,7 @@ def _broadcast(kernel: Callable[..., Value], values: list, arrays: list[int],
         return NUM_ERR  # checked before any array is expanded
     # each array argument's element types, raw and coerced (exact
     # types: CellError and ArrayValue have no subclasses)
-    raw_kinds = {i: set(map(type, values[i].cells)) for i in arrays}
+    raw_kinds = {i: values[i].kinds for i in arrays}
     kinds = dict(raw_kinds)
     # one row-major sequence per array argument, so zip yields each
     # element's argument tuple
@@ -334,9 +346,14 @@ def evaluate(expr: Expr, ctx: EvalContext) -> Value:
         return expr.value
     if isinstance(expr, Ref):
         return ctx.sheet.get(expr.addr)
+    memo = ctx.node_values
+    if memo is not None:
+        key = ctx.twins.get(id(expr))
+        if key in memo:
+            return memo[key]
     if isinstance(expr, RangeLit):
-        return read_range(ctx.sheet, expr.rng)
-    if isinstance(expr, Unary):
+        value = read_range(ctx.sheet, expr.rng)
+    elif isinstance(expr, Unary):
         value = evaluate(expr.operand, ctx)
         if expr.op != "+":  # unary plus is a sign-preserving no-op
             combine, lifted = _OPERATORS[expr.op, 1]
@@ -349,12 +366,16 @@ def evaluate(expr: Expr, ctx: EvalContext) -> Value:
         value = _eval_call(expr, ctx)
     else:
         raise TypeError(f"not an expression node: {expr!r}")
-    if ctx.node_values is not None:
-        ctx.node_values[id(expr)] = value
+    if memo is not None and key is not None:
+        memo[key] = value
     return value
 
 
 def evaluate_formula(formula: Formula, ctx: EvalContext) -> Value:
-    """Evaluate with the formula's own entry mode."""
-    return evaluate(formula.expr,
-                    replace(ctx, array_entered=formula.array_entered))
+    """Evaluate with the formula's own entry mode, each twin once."""
+    if formula.twins:
+        ctx = replace(ctx, array_entered=formula.array_entered,
+                      node_values={}, twins=formula.twins)
+    else:
+        ctx = replace(ctx, array_entered=formula.array_entered)
+    return evaluate(formula.expr, ctx)

@@ -241,6 +241,22 @@ class Sheet:
         for col, column in other._columns.items():
             self._columns.setdefault(col, {}).update(column)
 
+    def stored_runs(self) -> list[RangeRef]:
+        """The stored cells as runs of consecutive rows, one range per
+        run of each column."""
+        runs = []
+        for col, column in self._columns.items():
+            rows = sorted(column)
+            start = end = rows[0]
+            for row in rows[1:]:
+                if row != end + 1:
+                    runs.append(RangeRef(CellAddress(col, start),
+                                         CellAddress(col, end)))
+                    start = row
+                end = row
+            runs.append(RangeRef(CellAddress(col, start), CellAddress(col, end)))
+        return runs
+
     def used_cells(self) -> set[tuple[int, int]]:
         """The (row, col) position of every stored cell."""
         return {(row, col) for col, column in self._columns.items()

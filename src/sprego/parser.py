@@ -33,16 +33,22 @@ IF), and 3 in unparse(), so 128 levels take at most 512 frames and
 leave about 480 for the callers.
 
 Expression nodes are frozen dataclasses, so structurally equal
-subtrees compare equal.  The tracer does not hash them to find
-repeated subexpressions: it interns a key per subtree bottom-up, and
-reads each step's value by node identity.
+subtrees compare equal.  intern() finds a tree's twins, its
+structurally equal subtrees, by one bottom-up walk that gives each
+subtree a number, so no subtree is hashed twice.  A formula pasted
+together from helper steps repeats them, and a repeated subtree that
+matters holds a repeated range, so the parser notes when a range
+repeats and interns only those formulas: a tree with no repeated range
+pays one set lookup per range.  The evaluator computes each twin once
+per evaluation, and the tracer lists each distinct subtree as one
+step, both from intern().
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import NamedTuple, Union
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Union
 
 from .grid import CellAddress, GridError, RangeRef, parse_cell
 from .values import (BOOLEAN_BY_LABEL, ERROR_BY_LABEL, NUMBER_PATTERN,
@@ -149,10 +155,13 @@ Expr = Union[Literal, Ref, RangeLit, Unary, Binary, Call]
 
 @dataclass(frozen=True)
 class Formula:
-    """A parsed formula plus its entry mode."""
+    """A parsed formula plus its entry mode.  twins is intern()'s map of
+    the tree's shareable twins when a range repeats in it, else None."""
 
     expr: Expr
     array_entered: bool
+    twins: Optional[dict[int, int]] = field(default=None, compare=False,
+                                            repr=False)
 
 
 #: Binding strength of each binary operator, loosest first.  The parser
@@ -189,6 +198,8 @@ class _Parser:
         self.kinds, self.texts, self.offsets = zip(*tokens)
         self.pos = 0
         self.nesting = 0  # parentheses and argument lists now open
+        self.ranges: set[tuple[int, int, int, int]] = set()  # corners seen
+        self.repeated = False  # whether a range occurs twice
 
     def expect(self, kind: str) -> int:
         """Step past a token of this kind and return its position."""
@@ -283,7 +294,12 @@ class _Parser:
         if after == ":":
             self.pos = pos + 2
             second = self.cell_at(self.expect("ident"))
-            return RangeLit(RangeRef.make(first, second)), depth
+            rng = RangeRef.make(first, second)
+            corners = _corners(rng)
+            if corners in self.ranges:
+                self.repeated = True
+            self.ranges.add(corners)
+            return RangeLit(rng), depth
         return Ref(first), depth
 
     def cell_at(self, pos: int) -> CellAddress:
@@ -336,11 +352,95 @@ def parse_formula(text: str) -> Formula:
     if parser.kinds[parser.pos] != "end":
         raise FormulaError(parser.offsets[parser.pos],
                            "unexpected trailing input")
-    return Formula(expr, array_entered)
+    return Formula(expr, array_entered,
+                   intern(expr)[1] if parser.repeated else None)
 
 
 def parse_expression(text: str) -> Expr:
     return parse_formula(text).expr
+
+
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """A node's operands or arguments, in order; a leaf has none."""
+    if isinstance(expr, Unary):
+        return (expr.operand,)
+    if isinstance(expr, Binary):
+        return (expr.left, expr.right)
+    if isinstance(expr, Call):
+        return expr.args
+    return ()
+
+
+#: Calls whose value may differ between two calls with equal arguments;
+#: no subtree holding one is shared.
+VOLATILE = frozenset({"RAND"})
+
+#: Nodes that evaluate without evaluating others.
+LEAVES = (Literal, Ref, RangeLit)
+
+
+def intern(expr: Expr) -> tuple[dict[int, Expr], dict[int, int]]:
+    """Intern a tree's subtrees by structure, in one bottom-up walk.
+
+    Returns the interning, id(node) -> the node's first structural twin
+    for every node in post-order (children before parents), and the
+    twins worth sharing: id(node) -> id(first twin) for each range,
+    operator and call node that has a twin and holds no VOLATILE call.
+
+    A subtree's key is its node type, its label and its children's
+    numbers, so no subtree is hashed twice, and a literal's key holds
+    its type: LEN(1) and LEN(TRUE) are not twins, although 1.0 == True.
+    """
+    walk = _Interning()
+    walk.visit(expr)
+    firsts, counts, volatile = walk.firsts, walk.counts, walk.volatile
+    twins = {ident: id(firsts[number]) for ident, number in walk.shareable
+             if counts[number] > 1 and number not in volatile}
+    return walk.interned, twins
+
+
+class _Interning:
+    """intern()'s walk: each distinct subtree gets the next number."""
+
+    def __init__(self):
+        self.numbers: dict[tuple, int] = {}
+        self.firsts: list[Expr] = []  # by number
+        self.counts: list[int] = []  # shareable nodes, by number
+        self.volatile: set[int] = set()  # subtrees holding a volatile call
+        self.interned: dict[int, Expr] = {}
+        self.shareable: list[tuple[int, int]] = []  # (id(node), number)
+
+    def visit(self, node: Expr) -> int:
+        kind = type(node)
+        if kind is Literal:
+            key: tuple = (kind, type(node.value), node.value)
+        elif kind is Ref:
+            key = (kind, node.addr.col, node.addr.row)
+        elif kind is RangeLit:
+            key = (kind, *_corners(node.rng))
+        else:
+            label = node.name if kind is Call else node.op
+            key = (kind, label, *map(self.visit, children(node)))
+        firsts = self.firsts
+        number = self.numbers.get(key)
+        if number is None:
+            number = self.numbers[key] = len(firsts)
+            firsts.append(node)
+            self.counts.append(0)
+            volatile = self.volatile
+            if kind is Call and node.name in VOLATILE or volatile and \
+                    kind not in LEAVES and not volatile.isdisjoint(key[2:]):
+                volatile.add(number)
+        self.interned[id(node)] = firsts[number]
+        if kind is not Literal and kind is not Ref:
+            self.counts[number] += 1
+            self.shareable.append((id(node), number))
+        return number
+
+
+def _corners(rng: RangeRef) -> tuple[int, int, int, int]:
+    return (rng.top_left.col, rng.top_left.row,
+            rng.bottom_right.col, rng.bottom_right.row)
 
 
 def _level(expr: Expr) -> int:

@@ -33,6 +33,7 @@ from .grid import (
     CellAddress,
     GridError,
     IngestError,
+    RangeRef,
     Sheet,
     as_range,
     load_csv,
@@ -320,7 +321,7 @@ class _Runner:
                          else Path("."))
         self.sheet = Sheet()
         self.rng = random.Random(seed)
-        self.written: set[tuple[int, int]] = set()
+        self.written: list[RangeRef] = []  # the rectangles directives wrote
         self.steps: dict[str, Step] = {}
         self.report = RunReport(str(script.path or "<script>"))
 
@@ -346,22 +347,22 @@ class _Runner:
         loaded = load_csv(path, header=True,
                           force_text=directive.force_text,
                           column_offset=directive.column_offset)
-        used = loaded.used_cells()
+        runs = loaded.stored_runs()
         self.sheet.update(loaded)
-        self.written.update(used)
-        return self.note(directive.line,
-                         f"LOAD {directive.path}: {len(used)} cells")
+        self.written.extend(runs)
+        return self.note(directive.line, f"LOAD {directive.path}: "
+                         f"{sum(run.rows for run in runs)} cells")
 
     def do_set(self, directive: SetCell) -> bool:
         addr = parse_cell(directive.target)
         self.sheet.set(addr, directive.value)
-        self.written.add((addr.row, addr.col))
+        self.written.append(RangeRef.cell(addr))
         return self.note(directive.line,
                          f"SET {addr.a1} = {render(directive.value)}")
 
     def do_step(self, directive: Step) -> bool:
         target = as_range(parse_a1(directive.target))
-        target_keys = target.keys()  # refuses a range above the cap
+        target.check_size()
         formula = parse_formula(directive.formula)
         ctx = EvalContext(self.sheet, anchor=target.top_left, rng=self.rng)
         result = evaluate_formula(formula, ctx)
@@ -372,7 +373,7 @@ class _Runner:
                 None, f"STEP {directive.label} produced {result.rows}x"
                 f"{result.cols} but {target.a1} is {target.rows}x{target.cols}")
         self.sheet.spill(target.top_left, result)
-        self.written.update(target_keys)
+        self.written.append(target)
         self.steps[directive.label] = directive
         return self.note(directive.line,
                          f"STEP {directive.label} {target.a1}: "
@@ -389,14 +390,37 @@ class _Runner:
         return self.note(directive.line,
                          f"TRACE {directive.label}:\n{tsv.rstrip()}")
 
+    def first_unwritten(self, target: RangeRef) -> Optional[CellAddress]:
+        """The first cell of target in row-major order that no written
+        rectangle covers: the lowest row that some column's written
+        runs leave open, leftmost on a tie."""
+        top, bottom = target.top_left.row, target.bottom_right.row
+        left, right = target.top_left.col, target.bottom_right.col
+        spans: dict[int, list[tuple[int, int]]] = {}
+        for rect in self.written:
+            if rect.top_left.row <= bottom and rect.bottom_right.row >= top:
+                for col in range(max(left, rect.top_left.col),
+                                 min(right, rect.bottom_right.col) + 1):
+                    spans.setdefault(col, []).append(
+                        (rect.top_left.row, rect.bottom_right.row))
+        first = None
+        for col in range(left, right + 1):
+            row = top  # the first row of this column not yet covered
+            for start, end in sorted(spans.get(col, ())):
+                if start > row:
+                    break
+                row = max(row, end + 1)
+            if row <= bottom and (first is None or row < first.row):
+                first = CellAddress(col, row)
+        return first
+
     def do_expect(self, directive: Expect) -> bool:
         target = as_range(parse_a1(directive.target))
-        missing = next((key for key in target.keys()
-                        if key not in self.written), None)
+        target.check_size()
+        missing = self.first_unwritten(target)
         if missing is not None:
-            row, col = missing
             raise ScriptError(
-                None, f"EXPECT {target.a1} covers {CellAddress(col, row).a1}, "
+                None, f"EXPECT {target.a1} covers {missing.a1}, "
                 "which no directive has written")
         expected_rows = directive.rows
         if directive.source.startswith("@"):

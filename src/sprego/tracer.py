@@ -18,17 +18,8 @@ from typing import Optional, Union
 
 from .evaluator import EvalContext, evaluate
 from .grid import RangeRef, render_rows
-from .parser import (
-    Binary,
-    Call,
-    Expr,
-    Formula,
-    Literal,
-    RangeLit,
-    Ref,
-    Unary,
-    parse_formula,
-)
+from .parser import (LEAVES, Expr, Formula, RangeLit, children, intern,
+                     parse_formula)
 from .values import ArrayValue, BLANK, Scalar, Value, render
 
 
@@ -36,49 +27,23 @@ class TraceError(Exception):
     """Raised when a formula cannot be laid out as a row-per-input table."""
 
 
-def _children(expr: Expr) -> tuple[Expr, ...]:
-    if isinstance(expr, Unary):
-        return (expr.operand,)
-    if isinstance(expr, Binary):
-        return (expr.left, expr.right)
-    if isinstance(expr, Call):
-        return expr.args
-    return ()
-
-
 def decompose(expr: Expr) -> list[Expr]:
     """Distinct non-leaf sub-expressions, innermost first.
 
     Post-order guarantees every step only builds on earlier ones; the
-    last step is the whole expression.  Literals and bare references
-    are not steps, and a subtree that occurs twice (like the repeated
+    last step is the whole expression.  Literals and references are
+    not steps, and a subtree that occurs twice (like the repeated
     RIGHT(...) argument when trimming a trailing character) is listed
-    once, where it first appears.
-
-    Subtrees are compared by keys interned bottom-up, so no subtree is
-    hashed twice, and a literal's key holds its type: LEN(1) and
-    LEN(TRUE) are two steps, although 1.0 == True.
+    once, where it first appears: the steps are the first twins of
+    parser.intern, so LEN(1) and LEN(TRUE) are two steps, although
+    1.0 == True, and RAND()-RAND() has one RAND() step.
     """
-    steps: list[Expr] = []
-    interned: dict[tuple, int] = {}
+    return _steps(intern(expr)[0])
 
-    def visit(node: Expr) -> int:
-        if isinstance(node, Literal):
-            key: tuple = (type(node.value), node.value)
-        elif isinstance(node, (Ref, RangeLit)):
-            key = (node,)
-        else:
-            label = node.name if isinstance(node, Call) else node.op
-            key = (type(node), label, *map(visit, _children(node)))
-        ident = interned.get(key)
-        if ident is None:
-            ident = interned[key] = len(interned)
-            if not isinstance(node, (Literal, Ref, RangeLit)):
-                steps.append(node)
-        return ident
 
-    visit(expr)
-    return steps
+def _steps(interned: dict[int, Expr]) -> list[Expr]:
+    return [node for ident, node in interned.items()
+            if id(node) == ident and not isinstance(node, LEAVES)]
 
 
 @dataclass(frozen=True)
@@ -99,7 +64,7 @@ class TraceTable:
 def _first_range(expr: Expr) -> Optional[RangeRef]:
     if isinstance(expr, RangeLit):
         return expr.rng
-    for child in _children(expr):
+    for child in children(expr):
         found = _first_range(child)
         if found is not None:
             return found
@@ -125,13 +90,17 @@ def trace(
     """Evaluate a formula once, array-entered, and lay out its steps.
 
     The input column defaults to the first range mentioned in the
-    formula; a formula with no range traces as a single row.  A step
-    shows the value of its own node, not of a structural twin, so
-    =RAND()-RAND() is not 0; scalars repeat down the column.
+    formula; a formula with no range traces as a single row.  The
+    evaluation computes each shareable twin (parser.intern) once and
+    keeps every step's value, so a step shows the value its subtree
+    took wherever the evaluation reached it.  A subtree holding RAND
+    is never shared: its step shows its first occurrence, and
+    =RAND()-RAND() is not 0.  Scalars repeat down the column.
     """
     formula = parse_formula(source) if isinstance(source, str) else source
+    interned, twins = intern(formula.expr)
     # constants and bare refs still trace
-    step_exprs = decompose(formula.expr) or [formula.expr]
+    step_exprs = _steps(interned) or [formula.expr]
 
     if input_range is None:
         input_range = _first_range(formula.expr)
@@ -148,9 +117,13 @@ def trace(
             if above is not BLANK:
                 header = render(above)
 
+    # every step is kept, under its first twin's id if it is shared
+    keys = {ident: ident for ident, node in interned.items()
+            if not isinstance(node, LEAVES)}
+    keys.update(twins)
     values: dict[int, Value] = {}
-    values[id(formula.expr)] = evaluate(
-        formula.expr, replace(ctx, array_entered=True, node_values=values))
+    values[id(formula.expr)] = evaluate(formula.expr, replace(
+        ctx, array_entered=True, node_values=values, twins=keys))
     raw = [(expr, values.get(id(expr), BLANK)) for expr in step_exprs]
     if input_range is not None:
         rows = input_range.rows

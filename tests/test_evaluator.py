@@ -1,12 +1,13 @@
 """Operator semantics, element-wise lifting, broadcasting and IF."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from sprego import EvalContext, Sheet, display_value, evaluate_formula, parse_formula
-from sprego.evaluator import broadcast_shape, lift
-from sprego.functions import UNCHANGED_BY
+from sprego.evaluator import broadcast_shape, evaluate, lift
+from sprego.functions import REGISTRY, UNCHANGED_BY, lookup
 from sprego.grid import parse_cell
 from sprego.values import (
     ArrayValue,
@@ -24,6 +25,7 @@ from sprego.values import (
     is_truthy,
     render,
 )
+from test_properties import draw_expression
 
 
 def ev(text, sheet=None, anchor="A1", rng=None):
@@ -586,3 +588,113 @@ class TestHostileInputs:
         assert ev('=A1&"b"', sheet) == "a" * (MAX_TEXT - 1) + "b"
         assert ev('=A1&"bc"', sheet) is VALUE_ERR
         assert ev('=LEN(A1&"b"&"c")', sheet) is VALUE_ERR
+
+
+def typed_value(value):
+    """A value with its type (and an array with its shape), so 1.0 and
+    TRUE, or a 1x1 array and its element, do not compare equal."""
+    if isinstance(value, ArrayValue):
+        return value.shape, [(type(v), v) for v in value.cells]
+    return type(value), value
+
+
+def unshared(text, sheet, seed=0):
+    """The formula evaluated node by node, with no memo."""
+    formula = parse_formula(text)
+    ctx = EvalContext(sheet, array_entered=formula.array_entered,
+                      rng=random.Random(seed))
+    return evaluate(formula.expr, ctx)
+
+
+class TestSharedSubtrees:
+    """A formula's twins are evaluated once per evaluation."""
+
+    @pytest.fixture
+    def servers(self):
+        s = Sheet()
+        for i, text in enumerate(["ReisenII (EUW)", "Maximum Kawaii (EUNE)",
+                                  "DahakaGG (EUW)"], start=2):
+            s.set(parse_cell(f"C{i}"), text)
+        return s
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+        original = Sheet.get_range
+
+        def counting(sheet, rng):
+            calls.append(rng.a1)
+            return original(sheet, rng)
+
+        monkeypatch.setattr(Sheet, "get_range", counting)
+        return calls
+
+    def test_a_repeated_range_is_read_once(self, servers, reads):
+        result = ev('{=LEFT(C2:C4,FIND("(",C2:C4)-2)}', servers)
+        assert reads == ["C2:C4"]
+        assert result.cells == ("ReisenII", "Maximum Kawaii", "DahakaGG")
+
+    def test_a_repeated_subtree_is_evaluated_once(self, servers, reads,
+                                                  monkeypatch):
+        finds = []
+        descriptor = lookup("FIND")
+        monkeypatch.setitem(REGISTRY, "FIND", replace(
+            descriptor, impl=lambda *args: finds.append(args) or
+            descriptor.impl(*args)))
+        text = '{=IF(ISERROR(FIND("(",C2:C4)),0,FIND("(",C2:C4))}'
+        assert ev(text, servers).cells == (10.0, 16.0, 10.0)
+        assert reads == ["C2:C4"] and len(finds) == 3  # one per element
+
+    def test_formulas_without_a_repeated_range_keep_no_memo(self):
+        assert parse_formula("=LEN(A1)+LEN(A1)").twins is None
+        assert parse_formula("=SUM(A1:A2)+SUM(A1:A3)").twins is None
+        assert parse_formula("=SUM(A1:A2)+SUM($A$1:A2)").twins
+
+    @pytest.mark.parametrize("text", [
+        "=RAND()-RAND()", "{=RAND()-RAND()}",
+        "=RAND()-RAND()+0*SUM(A1:A2)+0*SUM(A1:A2)",
+        "{=(RAND()-RAND())+0*A1:A2+0*A1:A2}",
+        "{=RAND()*2-RAND()*2+0*A1:A2+0*A1:A2}",
+    ])
+    def test_random_draws_are_never_shared(self, sheet, text):
+        for seed in range(20):
+            result = ev(text, sheet, rng=random.Random(seed))
+            assert 0.0 not in (result.cells if isinstance(result, ArrayValue)
+                               else (result,))
+
+    def test_literals_keep_their_types(self, sheet):
+        text = "{=LEN(1)&LEN(TRUE)&SUM(A1:A2)&SUM(A1:A2)}"
+        assert parse_formula(text).twins
+        assert ev(text, sheet) == "1433"
+
+    def test_the_untaken_branch_stays_unevaluated(self, sheet, reads):
+        text = "=IF(C1=\"y\",SUM(B1:B3)*SUM(B1:B3),-1)"
+        assert parse_formula(text).twins
+        assert ev(text, sheet) == -1.0
+        assert reads == []
+        assert ev("=IF(C1=\"x\",SUM(B1:B3)*SUM(B1:B3),-1)", sheet) == 3600.0
+        assert reads == ["B1:B3"]
+
+    def test_equal_to_evaluating_node_by_node(self):
+        sheet = Sheet()
+        for a1, value in [("A1", 2.0), ("A2", "ab c"), ("A3", True),
+                          ("A5", -1.5), ("B2", "7"), ("B3", 0.0),
+                          ("C4", "x"), ("ZZ9", 3.0)]:
+            sheet.set(parse_cell(a1), value)
+        templates = ["({s})&({s})", "IF(ISERROR({s}),{t},{s})",
+                     "({s})+({t})*({s})", "IF({t},{s},({s})=({t}))",
+                     "({t})&SUM({s},{t})&LEN({s})"]
+        rng = random.Random(15)
+        compared = 0
+        for k in range(2500):
+            s = draw_expression(rng, rng.randint(1, 6))
+            t = draw_expression(rng, rng.randint(1, 4))
+            body = rng.choice(templates).format(s=s, t=t)
+            for text in (f"={body}", f"{{={body}}}"):
+                if not parse_formula(text).twins:
+                    continue
+                got = ev(text, sheet, rng=random.Random(k))
+                assert typed_value(got) == \
+                    typed_value(unshared(text, sheet, seed=k)), text
+                compared += 1
+        assert compared >= 1000

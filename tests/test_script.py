@@ -1,6 +1,9 @@
 """Task script parsing and execution, plus the command line."""
 
+import gc
+import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -14,7 +17,7 @@ from sprego import (
     run_script,
 )
 from sprego.cli import _build_sheet, build_parser, main
-from sprego.grid import IngestError, parse_cell
+from sprego.grid import CellAddress, IngestError, RangeRef, parse_cell
 from sprego.script import (
     EVAL_FAILED,
     EXPECT_FAILED,
@@ -26,7 +29,9 @@ from sprego.script import (
     ScriptError,
     SetCell,
     Step,
+    TaskScript,
     Trace,
+    _Runner,
     _split_fields,
     parse_scalar_field,
     scalars_match,
@@ -229,6 +234,56 @@ EXPECT C2:C3 = 30
 """)
         report = run_script(path)
         assert report.exit_code == EXPECT_FAILED
+
+    def test_expect_names_the_first_unwritten_cell(self, tmp_path):
+        # B2 is left by the rectangles above it and beside it, and the
+        # CSV's empty field at C3 is never stored, so never written
+        write(tmp_path, "data.csv", "h1,h2,h3\n1,2,3\n4,5,\n")
+        cases = {"SET B1 = 1\nSTEP S A1:A2 = {=A5:A6}\nEXPECT A1:B2 = 0,0;0,0\n":
+                 "EXPECT A1:B2 covers B2",
+                 "LOAD data.csv\nSTEP S D1:D3 = {=A1:A3}\nEXPECT B2:D3 = 1,1,1;1,1,1\n":
+                 "EXPECT B2:D3 covers C3",
+                 "STEP S A1:B3 = {=A5:B7}\nSET C2 = 1\nEXPECT A2:C3 = 0,0,1;0,0,0\n":
+                 "EXPECT A2:C3 covers C3"}
+        for script, message in cases.items():
+            report = run_script(write(tmp_path, "t.sprego", script))
+            assert report.exit_code == EVAL_FAILED
+            assert f"{message}, which no directive has written" \
+                in report.render()
+
+    def test_first_unwritten_agrees_with_a_set_of_cells(self):
+        rng = random.Random(8)
+        runner = _Runner(TaskScript(None, []), seed=None)
+        for _ in range(400):
+            runner.written = []
+            cells = set()
+            for _ in range(rng.randint(0, 6)):
+                top, left = rng.randint(1, 8), rng.randint(1, 6)
+                rect = RangeRef(CellAddress(left, top), CellAddress(
+                    left + rng.randint(0, 3), top + rng.randint(0, 4)))
+                runner.written.append(rect)
+                cells.update(rect.keys())
+            top, left = rng.randint(1, 8), rng.randint(1, 6)
+            target = RangeRef(CellAddress(left, top), CellAddress(
+                left + rng.randint(0, 4), top + rng.randint(0, 5)))
+            missing = next((CellAddress(col, row) for row, col in target.keys()
+                            if (row, col) not in cells), None)
+            assert runner.first_unwritten(target) == missing
+
+    def test_written_cells_cost_no_memory_per_cell(self):
+        step, = parse_task_script(
+            "t.sprego", text="STEP S A1:A100000 = {=ROW(A1:A100000)}\n"
+        ).directives
+        runner = _Runner(TaskScript(None, [step]), seed=None)
+        tracemalloc.start()
+        try:
+            assert runner.run_directive(step)
+            runner.sheet = Sheet()  # what remains is the runner's own
+            gc.collect()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 200_000  # a set of written cells kept 12.4 MB
 
     def test_expect_of_unwritten_cells(self, tmp_path):
         path = write(tmp_path, "t.sprego", "EXPECT A1 = 1\n")

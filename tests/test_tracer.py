@@ -232,6 +232,40 @@ class TestOneEvaluation:
         assert len(table.steps) == 2  # one RAND() step, by structure
         assert table.steps[-1].results.first() != 0.0
 
+    @pytest.mark.parametrize("text", [
+        "=RAND()-RAND()", "{=RAND()-RAND()}",
+        "=RAND()-RAND()+0*SUM(A1:A2)+0*SUM(A1:A2)",
+        "{=RAND()-RAND()+0*SUM(A1:A2)+0*SUM(A1:A2)}",
+    ])
+    def test_one_random_step_with_distinct_draws(self, text):
+        for seed in range(10):
+            table = trace(text, EvalContext(Sheet(), rng=random.Random(seed)))
+            labels = [unparse(step.expr) for step in table.steps]
+            assert labels.count("RAND()") == 1
+            assert table.steps[labels.index("RAND()-RAND()")] \
+                .results.first() != 0.0
+
+    def test_a_shared_step_reached_only_in_the_untaken_branch_is_empty(self):
+        sheet = Sheet()
+        for a1, value in [("B1", 1.0), ("B2", 2.0), ("B3", 3.0)]:
+            sheet.set(parse_cell(a1), value)
+        text = "=IF(FALSE,SUM(B1:B3)*SUM(B1:B3),0)"
+        assert parse_formula(text).twins
+        table = trace(text, EvalContext(sheet))
+        assert [unparse(step.expr) for step in table.steps] == \
+            ["SUM(B1:B3)", "SUM(B1:B3)*SUM(B1:B3)", text[1:]]
+        assert render_tsv(table).splitlines() == \
+            ["B1:B3\tS1\tS2\tS3", "1\t\t\t0", "2\t\t\t0", "3\t\t\t0"]
+
+    def test_a_shared_step_holds_the_value_of_its_twins(self, sheet):
+        table = trace(FULL, EvalContext(sheet))
+        values = {unparse(step.expr): step.results.cells
+                  for step in table.steps}
+        assert values['FIND("(",C2:C4)'] == (10.0, 16.0, 10.0)
+        assert values['RIGHT(C2:C4,LEN(C2:C4)-FIND("(",C2:C4))'] == \
+            ("EUW)", "EUNE)", "EUW)")
+        assert table.steps[-1].results.cells == ("EUW", "EUNE", "EUW")
+
     def test_unreached_steps_are_empty(self):
         table = trace('=IF(FALSE,LEN("abc"),1)', EvalContext(Sheet()))
         assert render_tsv(table).splitlines() == ["S1\tS2", "\t1"]
