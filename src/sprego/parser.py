@@ -353,7 +353,7 @@ def parse_formula(text: str) -> Formula:
         raise FormulaError(parser.offsets[parser.pos],
                            "unexpected trailing input")
     return Formula(expr, array_entered,
-                   intern(expr)[1] if parser.repeated else None)
+                   intern(expr).twins if parser.repeated else None)
 
 
 def parse_expression(text: str) -> Expr:
@@ -379,24 +379,36 @@ VOLATILE = frozenset({"RAND"})
 LEAVES = (Literal, Ref, RangeLit)
 
 
-def intern(expr: Expr) -> tuple[dict[int, Expr], dict[int, int]]:
-    """Intern a tree's subtrees by structure, in one bottom-up walk.
+class Interning(NamedTuple):
+    """What intern() finds in a tree."""
 
-    Returns the interning, id(node) -> the node's first structural twin
-    for every node in post-order (children before parents), and the
-    twins worth sharing: id(node) -> id(first twin) for each range,
-    operator and call node that has a twin and holds no VOLATILE call.
+    #: the first node of each distinct subtree, in post-order
+    firsts: list[Expr]
+    #: id(node) -> the id of its first twin, for each range, operator and
+    #: call node; a node holding a VOLATILE call maps to its own id
+    keys: dict[int, int]
+    #: the keys of the twins one evaluation may reach twice
+    twins: dict[int, int]
+
+
+def intern(expr: Expr) -> Interning:
+    """Intern a tree's subtrees by structure, in one bottom-up walk.
 
     A subtree's key is its node type, its label and its children's
     numbers, so no subtree is hashed twice, and a literal's key holds
     its type: LEN(1) and LEN(TRUE) are not twins, although 1.0 == True.
+
+    An evaluation that keeps each twin's value reads a repeated
+    operator or call from it, so the subtree below the repeat is never
+    reached; twins leaves out what is repeated only there, whose value
+    would be kept for nothing (the evaluator keeps only twins).
     """
     walk = _Interning()
     walk.visit(expr)
     firsts, counts, volatile = walk.firsts, walk.counts, walk.volatile
-    twins = {ident: id(firsts[number]) for ident, number in walk.shareable
+    twins = {ident: id(firsts[number]) for ident, number in walk.reached
              if counts[number] > 1 and number not in volatile}
-    return walk.interned, twins
+    return Interning(firsts, walk.keys, twins)
 
 
 class _Interning:
@@ -405,13 +417,16 @@ class _Interning:
     def __init__(self):
         self.numbers: dict[tuple, int] = {}
         self.firsts: list[Expr] = []  # by number
-        self.counts: list[int] = []  # shareable nodes, by number
         self.volatile: set[int] = set()  # subtrees holding a volatile call
-        self.interned: dict[int, Expr] = {}
-        self.shareable: list[tuple[int, int]] = []  # (id(node), number)
+        self.keys: dict[int, int] = {}
+        # (id(node), number) of each range, operator and call node that
+        # an evaluation reaches, and how many of them each number has
+        self.reached: list[tuple[int, int]] = []
+        self.counts: list[int] = []
 
     def visit(self, node: Expr) -> int:
         kind = type(node)
+        reached = self.reached
         if kind is Literal:
             key: tuple = (kind, type(node.value), node.value)
         elif kind is Ref:
@@ -419,22 +434,29 @@ class _Interning:
         elif kind is RangeLit:
             key = (kind, *_corners(node.rng))
         else:
+            mark = len(reached)
             label = node.name if kind is Call else node.op
             key = (kind, label, *map(self.visit, children(node)))
-        firsts = self.firsts
+        firsts, volatile = self.firsts, self.volatile
         number = self.numbers.get(key)
         if number is None:
             number = self.numbers[key] = len(firsts)
             firsts.append(node)
             self.counts.append(0)
-            volatile = self.volatile
             if kind is Call and node.name in VOLATILE or volatile and \
                     kind not in LEAVES and not volatile.isdisjoint(key[2:]):
                 volatile.add(number)
-        self.interned[id(node)] = firsts[number]
-        if kind is not Literal and kind is not Ref:
-            self.counts[number] += 1
-            self.shareable.append((id(node), number))
+        elif kind not in LEAVES and number not in volatile:
+            # a repeated operator or call: its subtree is not reached
+            for _, below in reached[mark:]:
+                self.counts[below] -= 1
+            del reached[mark:]
+        if kind is Literal or kind is Ref:
+            return number
+        self.keys[id(node)] = id(node if number in volatile
+                                 else firsts[number])
+        self.counts[number] += 1
+        reached.append((id(node), number))
         return number
 
 

@@ -18,8 +18,8 @@ from typing import Optional, Union
 
 from .evaluator import EvalContext, evaluate
 from .grid import RangeRef, render_rows
-from .parser import (LEAVES, Expr, Formula, RangeLit, children, intern,
-                     parse_formula)
+from .parser import (LEAVES, Expr, Formula, Interning, RangeLit, children,
+                     intern, parse_formula)
 from .values import ArrayValue, BLANK, Scalar, Value, render
 
 
@@ -38,12 +38,12 @@ def decompose(expr: Expr) -> list[Expr]:
     parser.intern, so LEN(1) and LEN(TRUE) are two steps, although
     1.0 == True, and RAND()-RAND() has one RAND() step.
     """
-    return _steps(intern(expr)[0])
+    return _steps(intern(expr))
 
 
-def _steps(interned: dict[int, Expr]) -> list[Expr]:
-    return [node for ident, node in interned.items()
-            if id(node) == ident and not isinstance(node, LEAVES)]
+def _steps(interning: Interning) -> list[Expr]:
+    return [node for node in interning.firsts
+            if not isinstance(node, LEAVES)]
 
 
 @dataclass(frozen=True)
@@ -91,16 +91,16 @@ def trace(
 
     The input column defaults to the first range mentioned in the
     formula; a formula with no range traces as a single row.  The
-    evaluation computes each shareable twin (parser.intern) once and
+    evaluation computes each set of twins (parser.intern) once and
     keeps every step's value, so a step shows the value its subtree
     took wherever the evaluation reached it.  A subtree holding RAND
     is never shared: its step shows its first occurrence, and
     =RAND()-RAND() is not 0.  Scalars repeat down the column.
     """
     formula = parse_formula(source) if isinstance(source, str) else source
-    interned, twins = intern(formula.expr)
+    interning = intern(formula.expr)
     # constants and bare refs still trace
-    step_exprs = _steps(interned) or [formula.expr]
+    step_exprs = _steps(interning) or [formula.expr]
 
     if input_range is None:
         input_range = _first_range(formula.expr)
@@ -117,13 +117,10 @@ def trace(
             if above is not BLANK:
                 header = render(above)
 
-    # every step is kept, under its first twin's id if it is shared
-    keys = {ident: ident for ident, node in interned.items()
-            if not isinstance(node, LEAVES)}
-    keys.update(twins)
+    # every step's value is kept, under its first twin's id
     values: dict[int, Value] = {}
     values[id(formula.expr)] = evaluate(formula.expr, replace(
-        ctx, array_entered=True, node_values=values, twins=keys))
+        ctx, array_entered=True, node_values=values, twins=interning.keys))
     raw = [(expr, values.get(id(expr), BLANK)) for expr in step_exprs]
     if input_range is not None:
         rows = input_range.rows

@@ -634,6 +634,12 @@ class TestSharedSubtrees:
         assert reads == ["C2:C4"]
         assert result.cells == ("ReisenII", "Maximum Kawaii", "DahakaGG")
 
+    def test_a_range_under_repeated_random_draws_is_read_once(self, sheet,
+                                                              reads):
+        # each RAND()+SUM(...) is evaluated, so SUM(B1:B3) is reached twice
+        result = ev("=(RAND()+SUM(B1:B3))-(RAND()+SUM(B1:B3))", sheet)
+        assert reads == ["B1:B3"] and -1.0 < result < 1.0 and result != 0
+
     def test_a_repeated_subtree_is_evaluated_once(self, servers, reads,
                                                   monkeypatch):
         finds = []
