@@ -247,14 +247,11 @@ class Sheet:
         runs = []
         for col, column in self._columns.items():
             rows = sorted(column)
-            start = end = rows[0]
-            for row in rows[1:]:
-                if row != end + 1:
-                    runs.append(RangeRef(CellAddress(col, start),
-                                         CellAddress(col, end)))
-                    start = row
-                end = row
-            runs.append(RangeRef(CellAddress(col, start), CellAddress(col, end)))
+            breaks = [i for i in range(1, len(rows))
+                      if rows[i] != rows[i - 1] + 1]
+            for start, end in zip([0, *breaks], [*breaks, len(rows)]):
+                runs.append(RangeRef(CellAddress(col, rows[start]),
+                                     CellAddress(col, rows[end - 1])))
         return runs
 
     def used_cells(self) -> set[tuple[int, int]]:

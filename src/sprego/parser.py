@@ -37,11 +37,11 @@ subtrees compare equal.  intern() finds a tree's twins, its
 structurally equal subtrees, by one bottom-up walk that gives each
 subtree a number, so no subtree is hashed twice.  A formula pasted
 together from helper steps repeats them, and a repeated subtree that
-matters holds a repeated range, so the parser notes when a range
-repeats and interns only those formulas: a tree with no repeated range
-pays one set lookup per range.  The evaluator computes each twin once
-per evaluation, and the tracer lists each distinct subtree as one
-step, both from intern().
+matters holds a repeated range, so the parser notes when a range of
+two or more cells repeats and interns only those formulas: a tree
+without one pays one set lookup per range.  The evaluator computes
+each twin once per evaluation, and the tracer lists each distinct
+subtree as one step, both from intern().
 """
 
 from __future__ import annotations
@@ -156,7 +156,8 @@ Expr = Union[Literal, Ref, RangeLit, Unary, Binary, Call]
 @dataclass(frozen=True)
 class Formula:
     """A parsed formula plus its entry mode.  twins is intern()'s map of
-    the tree's shareable twins when a range repeats in it, else None."""
+    the tree's twins when a range of two or more cells repeats in it,
+    else None."""
 
     expr: Expr
     array_entered: bool
@@ -199,7 +200,7 @@ class _Parser:
         self.pos = 0
         self.nesting = 0  # parentheses and argument lists now open
         self.ranges: set[tuple[int, int, int, int]] = set()  # corners seen
-        self.repeated = False  # whether a range occurs twice
+        self.repeated = False  # whether a range of 2+ cells occurs twice
 
     def expect(self, kind: str) -> int:
         """Step past a token of this kind and return its position."""
@@ -296,7 +297,9 @@ class _Parser:
             second = self.cell_at(self.expect("ident"))
             rng = RangeRef.make(first, second)
             corners = _corners(rng)
-            if corners in self.ranges:
+            # a one-cell range reads as cheaply as a reference, which
+            # does not make a formula worth interning either
+            if corners in self.ranges and rng.top_left != rng.bottom_right:
                 self.repeated = True
             self.ranges.add(corners)
             return RangeLit(rng), depth
@@ -360,29 +363,15 @@ def parse_expression(text: str) -> Expr:
     return parse_formula(text).expr
 
 
-def children(expr: Expr) -> tuple[Expr, ...]:
-    """A node's operands or arguments, in order; a leaf has none."""
-    if isinstance(expr, Unary):
-        return (expr.operand,)
-    if isinstance(expr, Binary):
-        return (expr.left, expr.right)
-    if isinstance(expr, Call):
-        return expr.args
-    return ()
-
-
 #: Calls whose value may differ between two calls with equal arguments;
 #: no subtree holding one is shared.
 VOLATILE = frozenset({"RAND"})
 
-#: Nodes that evaluate without evaluating others.
-LEAVES = (Literal, Ref, RangeLit)
-
-
 class Interning(NamedTuple):
     """What intern() finds in a tree."""
 
-    #: the first node of each distinct subtree, in post-order
+    #: the first node of each distinct range, operator and call subtree,
+    #: in post-order
     firsts: list[Expr]
     #: id(node) -> the id of its first twin, for each range, operator and
     #: call node; a node holding a VOLATILE call maps to its own id
@@ -394,70 +383,65 @@ class Interning(NamedTuple):
 def intern(expr: Expr) -> Interning:
     """Intern a tree's subtrees by structure, in one bottom-up walk.
 
-    A subtree's key is its node type, its label and its children's
-    numbers, so no subtree is hashed twice, and a literal's key holds
-    its type: LEN(1) and LEN(TRUE) are not twins, although 1.0 == True.
+    Each distinct range, operator and call subtree gets a number, and
+    its key is its node type, its label and its operands' numbers (a
+    literal or reference operand stands as its value), so no subtree
+    is hashed twice.  A literal's key holds its type: LEN(1) and
+    LEN(TRUE) are not twins, although 1.0 == True.
 
     An evaluation that keeps each twin's value reads a repeated
     operator or call from it, so the subtree below the repeat is never
     reached; twins leaves out what is repeated only there, whose value
     would be kept for nothing (the evaluator keeps only twins).
     """
-    walk = _Interning()
-    walk.visit(expr)
-    firsts, counts, volatile = walk.firsts, walk.counts, walk.volatile
-    twins = {ident: id(firsts[number]) for ident, number in walk.reached
-             if counts[number] > 1 and number not in volatile}
-    return Interning(firsts, walk.keys, twins)
+    numbers: dict[tuple, int] = {}
+    firsts: list[Expr] = []  # by number
+    volatile: set[int] = set()  # the numbers of subtrees holding one
+    keys: dict[int, int] = {}
+    # (id(node), number) of each node an evaluation reaches, and how
+    # many of them each number has
+    reached: list[tuple[int, int]] = []
+    counts: list[int] = []
 
-
-class _Interning:
-    """intern()'s walk: each distinct subtree gets the next number."""
-
-    def __init__(self):
-        self.numbers: dict[tuple, int] = {}
-        self.firsts: list[Expr] = []  # by number
-        self.volatile: set[int] = set()  # subtrees holding a volatile call
-        self.keys: dict[int, int] = {}
-        # (id(node), number) of each range, operator and call node that
-        # an evaluation reaches, and how many of them each number has
-        self.reached: list[tuple[int, int]] = []
-        self.counts: list[int] = []
-
-    def visit(self, node: Expr) -> int:
+    def visit(node: Expr) -> Union[int, tuple]:
         kind = type(node)
-        reached = self.reached
         if kind is Literal:
-            key: tuple = (kind, type(node.value), node.value)
-        elif kind is Ref:
-            key = (kind, node.addr.col, node.addr.row)
-        elif kind is RangeLit:
-            key = (kind, *_corners(node.rng))
+            return type(node.value), node.value
+        if kind is Ref:
+            return node.addr.col, node.addr.row
+        mark = len(reached)
+        if kind is Binary:
+            key: tuple = (kind, node.op, visit(node.left), visit(node.right))
+        elif kind is Call:
+            key = (kind, node.name, *map(visit, node.args))
+        elif kind is Unary:
+            key = (kind, node.op, visit(node.operand))
         else:
-            mark = len(reached)
-            label = node.name if kind is Call else node.op
-            key = (kind, label, *map(self.visit, children(node)))
-        firsts, volatile = self.firsts, self.volatile
-        number = self.numbers.get(key)
+            key = (kind, _corners(node.rng))
+        number = numbers.get(key)
         if number is None:
-            number = self.numbers[key] = len(firsts)
+            number = numbers[key] = len(firsts)
             firsts.append(node)
-            self.counts.append(0)
-            if kind is Call and node.name in VOLATILE or volatile and \
-                    kind not in LEAVES and not volatile.isdisjoint(key[2:]):
+            counts.append(0)
+            if kind is Call and node.name in VOLATILE or \
+                    volatile and not volatile.isdisjoint(key[2:]):
                 volatile.add(number)
-        elif kind not in LEAVES and number not in volatile:
+        elif number not in volatile:
             # a repeated operator or call: its subtree is not reached
             for _, below in reached[mark:]:
-                self.counts[below] -= 1
+                counts[below] -= 1
             del reached[mark:]
-        if kind is Literal or kind is Ref:
-            return number
-        self.keys[id(node)] = id(node if number in volatile
-                                 else firsts[number])
-        self.counts[number] += 1
-        reached.append((id(node), number))
+        ident = id(node)
+        keys[ident] = ident if number in volatile else id(firsts[number])
+        counts[number] += 1
+        reached.append((ident, number))
         return number
+
+    visit(expr)
+    del visit  # the closure refers to itself
+    twins = {ident: id(firsts[number]) for ident, number in reached
+             if counts[number] > 1 and number not in volatile}
+    return Interning(firsts, keys, twins)
 
 
 def _corners(rng: RangeRef) -> tuple[int, int, int, int]:

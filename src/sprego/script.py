@@ -397,22 +397,27 @@ class _Runner:
         top, bottom = target.top_left.row, target.bottom_right.row
         left, right = target.top_left.col, target.bottom_right.col
         spans: dict[int, list[tuple[int, int]]] = {}
-        for rect in self.written:
-            if rect.top_left.row <= bottom and rect.bottom_right.row >= top:
-                for col in range(max(left, rect.top_left.col),
-                                 min(right, rect.bottom_right.col) + 1):
-                    spans.setdefault(col, []).append(
-                        (rect.top_left.row, rect.bottom_right.row))
-        first = None
+        # latest first: an EXPECT mostly checks what a STEP just wrote
+        for rect in reversed(self.written):
+            start, end = rect.top_left.row, rect.bottom_right.row
+            if start <= bottom and end >= top:
+                first = max(left, rect.top_left.col)
+                last = min(right, rect.bottom_right.col)
+                if start <= top and end >= bottom and \
+                        (first, last) == (left, right):
+                    return None  # this one covers the target
+                for col in range(first, last + 1):
+                    spans.setdefault(col, []).append((start, end))
+        missing = None
         for col in range(left, right + 1):
             row = top  # the first row of this column not yet covered
             for start, end in sorted(spans.get(col, ())):
                 if start > row:
                     break
                 row = max(row, end + 1)
-            if row <= bottom and (first is None or row < first.row):
-                first = CellAddress(col, row)
-        return first
+            if row <= bottom and (missing is None or row < missing.row):
+                missing = CellAddress(col, row)
+        return missing
 
     def do_expect(self, directive: Expect) -> bool:
         target = as_range(parse_a1(directive.target))

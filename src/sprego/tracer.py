@@ -18,13 +18,32 @@ from typing import Optional, Union
 
 from .evaluator import EvalContext, evaluate
 from .grid import RangeRef, render_rows
-from .parser import (LEAVES, Expr, Formula, Interning, RangeLit, children,
-                     intern, parse_formula)
+from .parser import (
+    Binary,
+    Call,
+    Expr,
+    Formula,
+    Interning,
+    RangeLit,
+    Unary,
+    intern,
+    parse_formula,
+)
 from .values import ArrayValue, BLANK, Scalar, Value, render
 
 
 class TraceError(Exception):
     """Raised when a formula cannot be laid out as a row-per-input table."""
+
+
+def _children(expr: Expr) -> tuple[Expr, ...]:
+    if isinstance(expr, Unary):
+        return (expr.operand,)
+    if isinstance(expr, Binary):
+        return (expr.left, expr.right)
+    if isinstance(expr, Call):
+        return expr.args
+    return ()
 
 
 def decompose(expr: Expr) -> list[Expr]:
@@ -43,7 +62,7 @@ def decompose(expr: Expr) -> list[Expr]:
 
 def _steps(interning: Interning) -> list[Expr]:
     return [node for node in interning.firsts
-            if not isinstance(node, LEAVES)]
+            if not isinstance(node, RangeLit)]
 
 
 @dataclass(frozen=True)
@@ -64,7 +83,7 @@ class TraceTable:
 def _first_range(expr: Expr) -> Optional[RangeRef]:
     if isinstance(expr, RangeLit):
         return expr.rng
-    for child in children(expr):
+    for child in _children(expr):
         found = _first_range(child)
         if found is not None:
             return found

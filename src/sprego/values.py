@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from math import isfinite
 from typing import Callable, Union
 
@@ -276,11 +276,14 @@ class ArrayValue:
     def first(self) -> Scalar:
         return self.cells[0]
 
-    @cached_property
+    @property
     def kinds(self) -> frozenset[type]:
         """The exact types of the elements, found once per array (an
         array a formula repeats is read by each of its users)."""
-        return frozenset(map(type, self.cells))
+        kinds = self.__dict__.get("_kinds")
+        if kinds is None:
+            kinds = self.__dict__["_kinds"] = frozenset(map(type, self.cells))
+        return kinds
 
     def to_rows(self) -> list[list[Scalar]]:
         return [list(self.cells[r * self.cols:(r + 1) * self.cols])

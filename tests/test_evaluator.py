@@ -652,8 +652,10 @@ class TestSharedSubtrees:
         assert reads == ["C2:C4"] and len(finds) == 3  # one per element
 
     def test_formulas_without_a_repeated_range_keep_no_memo(self):
+        # nor with a repeated one-cell range, read as cheaply as a ref
         assert parse_formula("=LEN(A1)+LEN(A1)").twins is None
         assert parse_formula("=SUM(A1:A2)+SUM(A1:A3)").twins is None
+        assert parse_formula("=SUM(A1:A1)+SUM(A1:A1)").twins is None
         assert parse_formula("=SUM(A1:A2)+SUM($A$1:A2)").twins
 
     @pytest.mark.parametrize("text", [
