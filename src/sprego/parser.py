@@ -157,12 +157,14 @@ Expr = Union[Literal, Ref, RangeLit, Unary, Binary, Call]
 class Formula:
     """A parsed formula plus its entry mode.  twins is intern()'s map of
     the tree's twins when a range of two or more cells repeats in it,
-    else None."""
+    else None.  It is keyed by the ids of this tree's nodes, so only
+    parse_formula sets it: replace() and the constructor leave it None
+    rather than carry it to another tree."""
 
     expr: Expr
     array_entered: bool
-    twins: Optional[dict[int, int]] = field(default=None, compare=False,
-                                            repr=False)
+    twins: Optional[dict[int, int]] = field(default=None, init=False,
+                                            compare=False, repr=False)
 
 
 #: Binding strength of each binary operator, loosest first.  The parser
@@ -355,8 +357,10 @@ def parse_formula(text: str) -> Formula:
     if parser.kinds[parser.pos] != "end":
         raise FormulaError(parser.offsets[parser.pos],
                            "unexpected trailing input")
-    return Formula(expr, array_entered,
-                   intern(expr).twins if parser.repeated else None)
+    formula = Formula(expr, array_entered)
+    if parser.repeated:
+        object.__setattr__(formula, "twins", intern(expr).twins)
+    return formula
 
 
 def parse_expression(text: str) -> Expr:

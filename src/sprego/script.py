@@ -397,16 +397,11 @@ class _Runner:
         top, bottom = target.top_left.row, target.bottom_right.row
         left, right = target.top_left.col, target.bottom_right.col
         spans: dict[int, list[tuple[int, int]]] = {}
-        # latest first: an EXPECT mostly checks what a STEP just wrote
-        for rect in reversed(self.written):
+        for rect in self.written:
             start, end = rect.top_left.row, rect.bottom_right.row
             if start <= bottom and end >= top:
-                first = max(left, rect.top_left.col)
-                last = min(right, rect.bottom_right.col)
-                if start <= top and end >= bottom and \
-                        (first, last) == (left, right):
-                    return None  # this one covers the target
-                for col in range(first, last + 1):
+                for col in range(max(left, rect.top_left.col),
+                                 min(right, rect.bottom_right.col) + 1):
                     spans.setdefault(col, []).append((start, end))
         missing = None
         for col in range(left, right + 1):

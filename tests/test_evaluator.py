@@ -9,6 +9,7 @@ from sprego import EvalContext, Sheet, display_value, evaluate_formula, parse_fo
 from sprego.evaluator import broadcast_shape, evaluate, lift
 from sprego.functions import REGISTRY, UNCHANGED_BY, lookup
 from sprego.grid import parse_cell
+from sprego.parser import Formula
 from sprego.values import (
     ArrayValue,
     BLANK,
@@ -657,6 +658,15 @@ class TestSharedSubtrees:
         assert parse_formula("=SUM(A1:A2)+SUM(A1:A3)").twins is None
         assert parse_formula("=SUM(A1:A1)+SUM(A1:A1)").twins is None
         assert parse_formula("=SUM(A1:A2)+SUM($A$1:A2)").twins
+
+    def test_twins_stay_with_their_own_tree(self):
+        # keyed by node ids, so no other tree may inherit them
+        formula = parse_formula("=SUM(A1:A2)+SUM(A1:A2)")
+        other = parse_formula("=1").expr
+        assert replace(formula, expr=other).twins is None
+        assert replace(formula, array_entered=True).twins is None
+        with pytest.raises(TypeError):
+            Formula(other, False, formula.twins)
 
     @pytest.mark.parametrize("text", [
         "=RAND()-RAND()", "{=RAND()-RAND()}",
