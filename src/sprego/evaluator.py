@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, repeat
 from typing import Callable, Optional
@@ -374,8 +374,10 @@ def evaluate(expr: Expr, ctx: EvalContext) -> Value:
 def evaluate_formula(formula: Formula, ctx: EvalContext) -> Value:
     """Evaluate with the formula's own entry mode, each twin once."""
     if formula.twins:
-        ctx = replace(ctx, array_entered=formula.array_entered,
-                      node_values={}, twins=formula.twins)
+        memo, twins = {}, formula.twins
     else:
-        ctx = replace(ctx, array_entered=formula.array_entered)
-    return evaluate(formula.expr, ctx)
+        memo, twins = ctx.node_values, ctx.twins
+    # built field by field, in order: dataclasses.replace costs about
+    # three times as much, over 1% of a short formula's evaluation
+    return evaluate(formula.expr, EvalContext(
+        ctx.sheet, formula.array_entered, ctx.anchor, ctx.rng, memo, twins))
