@@ -9,6 +9,8 @@ implicit intersection.
 
 lift also coerces each lifted argument as its mode says (a function's
 descriptor, or _OPERATORS), so kernels see numbers or text already.
+Over arrays a kernel's column form (FIND, LEFT, RIGHT, LEN, binary
++ - *) makes all elements in one call, not one Python frame each.
 
 Errors are values, not exceptions: they flow out of individual
 elements and poison exactly the results that depend on them.
@@ -94,8 +96,8 @@ def _power(x: float, y: float) -> Value:
 
 
 #: (operator, operand count) -> (combine, the lifted operands' coercions).
-#: Combine functions take operands already coerced by their mode, and
-#: + - * and the comparisons run in one Python frame per element.
+#: Combine functions take operands already coerced by their mode; + - *
+#: carry a column form (values.finite).
 _OPERATORS = {
     (op, arity): (combine, dict.fromkeys(range(arity), COERCION[mode]))
     for (op, arity), (combine, mode) in {
@@ -216,7 +218,8 @@ def _broadcast(kernel: Callable[..., Value], values: list, arrays: list[int],
     It does only per-element work: a lifted scalar is coerced once per
     call and an array once per element, before the loop (unless its
     coercion returns its element types unchanged), and a stretched
-    array is expanded once.
+    array is expanded once.  Where no error decides an element, the
+    kernel's column form, if any, makes every element in one call.
     """
     shape = broadcast_shape([values[i].shape for i in arrays])
     if shape is None:
@@ -255,8 +258,10 @@ def _broadcast(kernel: Callable[..., Value], values: list, arrays: list[int],
             deciders.append(value)
     columns = [values[i] if i in arrays else repeat(value)
                for i, value in enumerate(values)]
+    # a swapped or wrapped impl has no form, so it sees every element
+    column = getattr(getattr(kernel, "func", kernel), "column", None)
     if not deciders:
-        cells = list(map(kernel, *columns))
+        cells = column(*columns) if column else list(map(kernel, *columns))
     else:
         cells = []
         for call_args, decided in zip(zip(*columns), zip(*deciders)):

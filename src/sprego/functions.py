@@ -9,6 +9,8 @@ argument:
 * NUMBER, TEXT and LOGICAL arguments are lifted element-wise over
   arrays and coerced (COERCION): kernels see floats, strs and bools,
   one element per call.  SCALAR arguments are lifted uncoerced.
+  FIND, LEFT, RIGHT and LEN also have a column form, kernel.column:
+  their rule over whole columns in one call (an iterable per argument).
 * ARRAY arguments arrive whole (scalars stay scalars; kernels that
   need a rectangle wrap them as 1x1, an empty slot as a blank cell).
 * REF arguments are never evaluated; the evaluator resolves the
@@ -44,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP, localcontext
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .grid import CellAddress, GridError, MAX_COLS, MAX_ROWS, RangeRef, Sheet
@@ -130,6 +133,11 @@ def fn_left(ctx: "EvalContext", text: str, count: float = 1.0) -> Value:
     return text[:n]
 
 
+fn_left.column = lambda texts, counts=repeat(1.0): [
+    text[:n] if n >= 0 else VALUE_ERR
+    for text, n in zip(texts, map(int, counts))]
+
+
 def fn_right(ctx: "EvalContext", text: str, count: float = 1.0) -> Value:
     """RIGHT(text, count=1): trailing characters of text."""
     n = int(count)
@@ -140,8 +148,16 @@ def fn_right(ctx: "EvalContext", text: str, count: float = 1.0) -> Value:
     return text[-n:]
 
 
+fn_right.column = lambda texts, counts=repeat(1.0): [
+    (text[-n:] if n else "") if n >= 0 else VALUE_ERR
+    for text, n in zip(texts, map(int, counts))]
+
+
 def fn_len(ctx: "EvalContext", text: str) -> Value:
     return float(len(text))
+
+
+fn_len.column = lambda texts: list(map(float, map(len, texts)))
 
 
 def fn_find(ctx: "EvalContext", needle: str, text: str,
@@ -157,6 +173,13 @@ def fn_find(ctx: "EvalContext", needle: str, text: str,
         return VALUE_ERR
     index = text.find(needle, at - 1)
     return VALUE_ERR if index < 0 else float(index + 1)
+
+
+fn_find.column = lambda needles, texts, starts=None: [
+    VALUE_ERR if index < 0 else float(index + 1) for index in (
+        map(str.find, texts, needles) if starts is None  # 1 is in range
+        else (text.find(needle, at - 1) if 0 < at <= len(text) + 1 else -1
+              for needle, text, at in zip(needles, texts, map(int, starts))))]
 
 
 def fn_search(ctx: "EvalContext", needle: str, text: str,

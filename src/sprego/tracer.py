@@ -80,9 +80,9 @@ class TraceTable:
     rows: int
 
 
-def _first_range(expr: Expr) -> Optional[RangeRef]:
+def _first_range(expr: Expr) -> Optional[RangeLit]:
     if isinstance(expr, RangeLit):
-        return expr.rng
+        return expr
     for child in _children(expr):
         found = _first_range(child)
         if found is not None:
@@ -108,12 +108,12 @@ def trace(
 ) -> TraceTable:
     """Evaluate a formula once, array-entered, and lay out its steps.
 
-    The input column defaults to the first range mentioned in the
-    formula; a formula with no range traces as a single row.  The
-    evaluation computes each set of twins (parser.intern) once and
-    keeps every step's value, so a step shows the value its subtree
-    took wherever the evaluation reached it.  A subtree holding RAND
-    is never shared: its step shows its first occurrence, and
+    The input column defaults to the first range in the formula, as
+    the evaluation read it; a formula with no range traces as a single
+    row.  The evaluation computes each set of twins (parser.intern)
+    once and keeps every step's value, so a step shows the value its
+    subtree took wherever the evaluation reached it.  A subtree holding
+    RAND is never shared: its step shows its first occurrence, and
     =RAND()-RAND() is not 0.  Scalars repeat down the column.
     """
     formula = parse_formula(source) if isinstance(source, str) else source
@@ -121,14 +121,14 @@ def trace(
     # constants and bare refs still trace
     step_exprs = _steps(interning) or [formula.expr]
 
-    if input_range is None:
-        input_range = _first_range(formula.expr)
+    first = _first_range(formula.expr) if input_range is None else None
+    if first is not None:
+        input_range = first.rng
     header: Optional[str] = None
     input_values: tuple[Scalar, ...] = ()
     if input_range is not None:
         if input_range.cols != 1:
             raise TraceError("the input range must be a single column")
-        input_values = ctx.sheet.get_range(input_range).cells
         header = input_range.a1
         top = input_range.top_left
         if top.row > 1:
@@ -143,6 +143,10 @@ def trace(
     raw = [(expr, values.get(id(expr), BLANK)) for expr in step_exprs]
     if input_range is not None:
         rows = input_range.rows
+        # the evaluation's read of a default input column, if it made one
+        column = first and values.get(interning.keys[id(first)])
+        input_values = (column if isinstance(column, ArrayValue)
+                        else ctx.sheet.get_range(input_range)).cells
     else:
         rows = max((v.rows for _, v in raw if isinstance(v, ArrayValue)),
                    default=1)

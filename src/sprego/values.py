@@ -108,10 +108,17 @@ def parse_number(text: str) -> float | None:
 def finite(op: Callable[[float, float], float]) -> Callable:
     """op over two numbers, giving #NUM! where its result overflowed to
     infinity or NaN (cells hold neither).  The check runs in the
-    returned function's own frame, so an element pays one call."""
+    returned function's own frame, so an element pays one call; its
+    column form (checked.column) applies op down two whole columns."""
     def checked(x: float, y: float) -> float | CellError:
         value = op(x, y)
         return value if isfinite(value) else NUM_ERR
+
+    def column(xs, ys) -> list:
+        values = list(map(op, xs, ys))  # a term inf or NaN makes the sum so
+        return values if isfinite(sum(values)) else [
+            value if isfinite(value) else NUM_ERR for value in values]
+    checked.column = column
     return checked
 
 

@@ -288,3 +288,46 @@ class TestOneEvaluation:
         assert len(values) == 12
         assert all(id(step.expr) in values for step in table.steps)
         assert [s.results.first() for s in table.steps] == [3.0] + [1.0] * 11
+
+
+class TestInputColumnReads:
+    """The default input column is the evaluation's own range read."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+        original = Sheet.get_range
+
+        def counting(sheet, rng):
+            calls.append(rng.a1)
+            return original(sheet, rng)
+
+        monkeypatch.setattr(Sheet, "get_range", counting)
+        return calls
+
+    def test_the_default_input_column_is_read_once(self, sheet, reads):
+        table = trace('{=LEFT(C2:C4,FIND("(",C2:C4)-2)}', EvalContext(sheet))
+        assert reads == ["C2:C4"]
+        assert table.input_values == (
+            "ReisenII (EUW)", "Maximum Kawaii (EUNE)", "DahakaGG (EUW)")
+        assert table.steps[-1].results.cells == (
+            "ReisenII", "Maximum Kawaii", "DahakaGG")
+
+    def test_a_range_the_evaluation_never_reached_is_read_for_the_input(
+            self, sheet, reads):
+        table = trace("=IF(FALSE,LEN(C2:C4),1)", EvalContext(sheet))
+        assert reads == ["C2:C4"] and len(table.input_values) == 3
+        assert render_tsv(table).splitlines()[1] == \
+            "ReisenII (EUW)\t\t1"
+
+    def test_a_reference_argument_is_read_for_the_input(self, sheet, reads):
+        table = trace("{=ROW(C2:C4)}", EvalContext(sheet))
+        assert reads == ["C2:C4"] and table.input_values[2] == \
+            "DahakaGG (EUW)"
+
+    def test_an_explicit_input_range_is_read_on_its_own(self, sheet, reads):
+        rng = as_range(parse_a1("C3:C4"))
+        table = trace("{=LEN(C3:C4)}", EvalContext(sheet), input_range=rng)
+        assert reads == ["C3:C4", "C3:C4"]
+        assert table.input_values == ("Maximum Kawaii (EUNE)",
+                                      "DahakaGG (EUW)")
