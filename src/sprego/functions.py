@@ -177,7 +177,7 @@ def fn_find(ctx: "EvalContext", needle: str, text: str,
 
 fn_find.column = lambda needles, texts, starts=None: [
     VALUE_ERR if index < 0 else float(index + 1) for index in (
-        map(str.find, texts, needles) if starts is None  # 1 is in range
+        map(str.find, texts, needles) if starts is None  # start 1 is valid
         else (text.find(needle, at - 1) if 0 < at <= len(text) + 1 else -1
               for needle, text, at in zip(needles, texts, map(int, starts))))]
 
