@@ -29,15 +29,12 @@ def texts(rng, n):
                  for _ in range(n))
 
 
-def numbers(rng, n, lengths=()):
-    """Counts and starts: 0, 1, len+1, len+2, negative, fractional and
-    too long, one length per element when lengths are given."""
-    out = []
-    for i in range(n):
-        size = lengths[i] if lengths else rng.randrange(6)
-        out.append(rng.choice([0.0, 1.0, size + 1.0, size + 2.0, -1.0, -2.5,
-                               0.5, 1.9, size - 0.5, 1e300, size * 3.0]))
-    return tuple(out)
+def numbers(rng, lengths):
+    """Counts and starts for texts of these lengths: 0, 1, len+1, len+2,
+    negative, fractional and too long."""
+    return tuple(rng.choice([0.0, 1.0, size + 1.0, size + 2.0, -1.0, -2.5,
+                             0.5, 1.9, size - 0.5, 1e300, size * 3.0])
+                 for size in lengths)
 
 
 def operands(rng, n):
@@ -76,7 +73,7 @@ def test_find_matches_its_kernel():
     kernel = partial(fn_find, None)
     for rng, n in draws():
         haystacks, needles = texts(rng, n), texts(rng, n)
-        starts = numbers(rng, n, [len(text) for text in haystacks])
+        starts = numbers(rng, map(len, haystacks))
         check(fn_find.column, kernel, rng, needles, haystacks)
         check(fn_find.column, kernel, rng, needles, haystacks, starts)
 
@@ -85,7 +82,7 @@ def test_find_matches_its_kernel():
 def test_left_and_right_match_their_kernels(fn):
     for rng, n in draws():
         strings = texts(rng, n)
-        counts = numbers(rng, n, [len(text) for text in strings])
+        counts = numbers(rng, map(len, strings))
         check(fn.column, partial(fn, None), rng, strings)
         check(fn.column, partial(fn, None), rng, strings, counts)
 
