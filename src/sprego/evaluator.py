@@ -64,7 +64,7 @@ class EvalContext:
     operator and call node that twins maps, under the key it maps to
     (the id of the node's first twin), and a node whose key holds a
     value is not evaluated again.  evaluate_formula keeps a formula's
-    shareable twins (Formula.twins) this way; the tracer maps every
+    twins (Formula.twins) this way; the tracer maps every
     such node, so the memo holds each step's value."""
 
     sheet: Sheet
@@ -377,12 +377,10 @@ def evaluate(expr: Expr, ctx: EvalContext) -> Value:
 
 
 def evaluate_formula(formula: Formula, ctx: EvalContext) -> Value:
-    """Evaluate with the formula's own entry mode, each twin once."""
-    if formula.twins:
-        memo, twins = {}, formula.twins
-    else:
-        memo, twins = ctx.node_values, ctx.twins
+    """Evaluate with the formula's own entry mode, each twin once: a
+    formula with twins gets a fresh memo, any other none."""
     # built field by field, in order: dataclasses.replace costs about
     # three times as much, over 1% of a short formula's evaluation
     return evaluate(formula.expr, EvalContext(
-        ctx.sheet, formula.array_entered, ctx.anchor, ctx.rng, memo, twins))
+        ctx.sheet, formula.array_entered, ctx.anchor, ctx.rng,
+        {} if formula.twins else None, formula.twins))

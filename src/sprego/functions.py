@@ -579,8 +579,6 @@ REGISTRY: dict[str, FunctionDescriptor] = {d.name: d for d in [
     FunctionDescriptor("RAND", 0, 0, (), fn_rand),
 ]}
 
-FUNCTION_NAMES = tuple(sorted(REGISTRY))
-
 
 def lookup(name: str) -> Optional[FunctionDescriptor]:
     return REGISTRY.get(name.upper())

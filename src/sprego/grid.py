@@ -241,19 +241,6 @@ class Sheet:
         for col, column in other._columns.items():
             self._columns.setdefault(col, {}).update(column)
 
-    def stored_runs(self) -> list[RangeRef]:
-        """The stored cells as runs of consecutive rows, one range per
-        run of each column."""
-        runs = []
-        for col, column in self._columns.items():
-            rows = sorted(column)
-            breaks = [i for i in range(1, len(rows))
-                      if rows[i] != rows[i - 1] + 1]
-            for start, end in zip([0, *breaks], [*breaks, len(rows)]):
-                runs.append(RangeRef(CellAddress(col, rows[start]),
-                                     CellAddress(col, rows[end - 1])))
-        return runs
-
     def used_cells(self) -> set[tuple[int, int]]:
         """The (row, col) position of every stored cell."""
         return {(row, col) for col, column in self._columns.items()

@@ -39,14 +39,16 @@ subtree a number, so no subtree is hashed twice.  A formula pasted
 together from helper steps repeats them, and a repeated subtree that
 matters holds a repeated range, so the parser notes when a range of
 two or more cells repeats and interns only those formulas: a tree
-without one pays one set lookup per range.  The evaluator computes
-each twin once per evaluation, and the tracer lists each distinct
-subtree as one step, both from intern().
+without one pays one set lookup per range.  Formula.twins is every
+node that has a twin, so the evaluator computes each set of twins
+once per evaluation; the tracer lists each distinct subtree as one
+step.  Both read intern().
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
@@ -371,6 +373,7 @@ def parse_expression(text: str) -> Expr:
 #: no subtree holding one is shared.
 VOLATILE = frozenset({"RAND"})
 
+
 class Interning(NamedTuple):
     """What intern() finds in a tree."""
 
@@ -380,7 +383,7 @@ class Interning(NamedTuple):
     #: id(node) -> the id of its first twin, for each range, operator and
     #: call node; a node holding a VOLATILE call maps to its own id
     keys: dict[int, int]
-    #: the keys of the twins one evaluation may reach twice
+    #: keys, less the nodes that have no twin
     twins: dict[int, int]
 
 
@@ -391,21 +394,13 @@ def intern(expr: Expr) -> Interning:
     its key is its node type, its label and its operands' numbers (a
     literal or reference operand stands as its value), so no subtree
     is hashed twice.  A literal's key holds its type: LEN(1) and
-    LEN(TRUE) are not twins, although 1.0 == True.
-
-    An evaluation that keeps each twin's value reads a repeated
-    operator or call from it, so the subtree below the repeat is never
-    reached; twins leaves out what is repeated only there, whose value
-    would be kept for nothing (the evaluator keeps only twins).
+    LEN(TRUE) are not twins, although 1.0 == True.  twins holds every
+    node whose first twin occurs at least twice.
     """
     numbers: dict[tuple, int] = {}
     firsts: list[Expr] = []  # by number
     volatile: set[int] = set()  # the numbers of subtrees holding one
     keys: dict[int, int] = {}
-    # (id(node), number) of each node an evaluation reaches, and how
-    # many of them each number has
-    reached: list[tuple[int, int]] = []
-    counts: list[int] = []
 
     def visit(node: Expr) -> Union[int, tuple]:
         kind = type(node)
@@ -413,7 +408,6 @@ def intern(expr: Expr) -> Interning:
             return type(node.value), node.value
         if kind is Ref:
             return node.addr.col, node.addr.row
-        mark = len(reached)
         if kind is Binary:
             key: tuple = (kind, node.op, visit(node.left), visit(node.right))
         elif kind is Call:
@@ -426,25 +420,18 @@ def intern(expr: Expr) -> Interning:
         if number is None:
             number = numbers[key] = len(firsts)
             firsts.append(node)
-            counts.append(0)
             if kind is Call and node.name in VOLATILE or \
                     volatile and not volatile.isdisjoint(key[2:]):
                 volatile.add(number)
-        elif number not in volatile:
-            # a repeated operator or call: its subtree is not reached
-            for _, below in reached[mark:]:
-                counts[below] -= 1
-            del reached[mark:]
         ident = id(node)
         keys[ident] = ident if number in volatile else id(firsts[number])
-        counts[number] += 1
-        reached.append((ident, number))
         return number
 
     visit(expr)
     del visit  # the closure refers to itself
-    twins = {ident: id(firsts[number]) for ident, number in reached
-             if counts[number] > 1 and number not in volatile}
+    # a volatile node is its own key, so it never counts twice
+    counts = Counter(keys.values())
+    twins = {ident: key for ident, key in keys.items() if counts[key] > 1}
     return Interning(firsts, keys, twins)
 
 

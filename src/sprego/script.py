@@ -17,6 +17,11 @@ errors must match exactly, numbers within 1e-9 relative or 1e-12
 absolute, whichever is looser.  In expectation data a quoted field is
 always text, so "14" is the text and 14 the number, and blanks around
 a quoted field are ignored; an empty unquoted field is a blank.
+
+EXPECT fails on a cell no directive has written.  A written cell is
+one the sheet stores or one inside a STEP or SET rectangle: every
+stored cell was written by some directive, and a loaded cell leaves
+the sheet only when a STEP or SET writes a blank over it.
 """
 
 from __future__ import annotations
@@ -321,7 +326,7 @@ class _Runner:
                          else Path("."))
         self.sheet = Sheet()
         self.rng = random.Random(seed)
-        self.written: list[RangeRef] = []  # the rectangles directives wrote
+        self.written: list[RangeRef] = []  # the STEP and SET rectangles
         self.steps: dict[str, Step] = {}
         self.report = RunReport(str(script.path or "<script>"))
 
@@ -347,11 +352,9 @@ class _Runner:
         loaded = load_csv(path, header=True,
                           force_text=directive.force_text,
                           column_offset=directive.column_offset)
-        runs = loaded.stored_runs()
         self.sheet.update(loaded)
-        self.written.extend(runs)
         return self.note(directive.line, f"LOAD {directive.path}: "
-                         f"{sum(run.rows for run in runs)} cells")
+                         f"{sum(map(len, loaded._columns.values()))} cells")
 
     def do_set(self, directive: SetCell) -> bool:
         addr = parse_cell(directive.target)
@@ -390,34 +393,39 @@ class _Runner:
         return self.note(directive.line,
                          f"TRACE {directive.label}:\n{tsv.rstrip()}")
 
-    def first_unwritten(self, target: RangeRef) -> Optional[CellAddress]:
-        """The first cell of target in row-major order that no written
-        rectangle covers: the lowest row that some column's written
-        runs leave open, leftmost on a tie."""
-        top, bottom = target.top_left.row, target.bottom_right.row
-        left, right = target.top_left.col, target.bottom_right.col
-        spans: dict[int, list[tuple[int, int]]] = {}
+    def first_unwritten(self, target: RangeRef,
+                        cells: tuple[Scalar, ...]) -> Optional[CellAddress]:
+        """The first cell of target in row-major order that no directive
+        has written: blank in cells, target's values in row-major order,
+        and covered by no STEP or SET rectangle."""
+        top, left = target.top_left.row, target.top_left.col
+        width = target.cols
+        # per column of target: the [start, end) rows, from top, rects cover
+        spans: list[list[tuple[int, int]]] = [[] for _ in range(width)]
         for rect in self.written:
-            start, end = rect.top_left.row, rect.bottom_right.row
-            if start <= bottom and end >= top:
-                for col in range(max(left, rect.top_left.col),
-                                 min(right, rect.bottom_right.col) + 1):
-                    spans.setdefault(col, []).append((start, end))
-        missing = None
-        for col in range(left, right + 1):
-            row = top  # the first row of this column not yet covered
-            for start, end in sorted(spans.get(col, ())):
-                if start > row:
+            start = max(rect.top_left.row - top, 0)
+            end = rect.bottom_right.row - top + 1
+            for offset in range(max(rect.top_left.col - left, 0),
+                                min(rect.bottom_right.col - left + 1, width)):
+                spans[offset].append((start, end))
+        missing, best = None, target.rows  # a later column needs a lower row
+        for offset, covered in enumerate(spans):
+            column = cells[offset::width]
+            row = 0  # the first row not yet covered or read
+            for start, end in sorted(covered) + [(best, best)]:
+                try:
+                    best = column.index(BLANK, row, min(start, best))
+                    missing = CellAddress(left + offset, top + best)
                     break
-                row = max(row, end + 1)
-            if row <= bottom and (missing is None or row < missing.row):
-                missing = CellAddress(col, row)
+                except ValueError:
+                    row = max(row, end)
         return missing
 
     def do_expect(self, directive: Expect) -> bool:
         target = as_range(parse_a1(directive.target))
         target.check_size()
-        missing = self.first_unwritten(target)
+        actual = self.sheet.get_range(target)
+        missing = self.first_unwritten(target, actual.cells)
         if missing is not None:
             raise ScriptError(
                 None, f"EXPECT {target.a1} covers {missing.a1}, "
@@ -435,7 +443,6 @@ class _Runner:
                 f"EXPECT {target.a1}: FAIL (expected data is "
                 f"{len(expected_rows)} rows, range is {target.rows}x{target.cols})",
                 exit_code=EXPECT_FAILED)
-        actual = self.sheet.get_range(target)
         for r, row in enumerate(expected_rows):
             for c, expected in enumerate(row):
                 got = actual.get(r, c)

@@ -18,32 +18,12 @@ from typing import Optional, Union
 
 from .evaluator import EvalContext, evaluate
 from .grid import RangeRef, render_rows
-from .parser import (
-    Binary,
-    Call,
-    Expr,
-    Formula,
-    Interning,
-    RangeLit,
-    Unary,
-    intern,
-    parse_formula,
-)
+from .parser import Expr, Formula, Interning, RangeLit, intern, parse_formula
 from .values import ArrayValue, BLANK, Scalar, Value, render
 
 
 class TraceError(Exception):
     """Raised when a formula cannot be laid out as a row-per-input table."""
-
-
-def _children(expr: Expr) -> tuple[Expr, ...]:
-    if isinstance(expr, Unary):
-        return (expr.operand,)
-    if isinstance(expr, Binary):
-        return (expr.left, expr.right)
-    if isinstance(expr, Call):
-        return expr.args
-    return ()
 
 
 def decompose(expr: Expr) -> list[Expr]:
@@ -80,16 +60,6 @@ class TraceTable:
     rows: int
 
 
-def _first_range(expr: Expr) -> Optional[RangeLit]:
-    if isinstance(expr, RangeLit):
-        return expr
-    for child in _children(expr):
-        found = _first_range(child)
-        if found is not None:
-            return found
-    return None
-
-
 def _normalize(value, rows: int) -> ArrayValue:
     if not isinstance(value, ArrayValue):
         return ArrayValue(rows, 1, (value,) * rows)
@@ -121,7 +91,10 @@ def trace(
     # constants and bare refs still trace
     step_exprs = _steps(interning) or [formula.expr]
 
-    first = _first_range(formula.expr) if input_range is None else None
+    # post-order lists leaves left to right: this is the leftmost range
+    first = None if input_range is not None else next(
+        (node for node in interning.firsts if isinstance(node, RangeLit)),
+        None)
     if first is not None:
         input_range = first.rng
     header: Optional[str] = None
@@ -144,7 +117,7 @@ def trace(
     if input_range is not None:
         rows = input_range.rows
         # the evaluation's read of a default input column, if it made one
-        column = first and values.get(interning.keys[id(first)])
+        column = first and values.get(id(first))
         input_values = (column if isinstance(column, ArrayValue)
                         else ctx.sheet.get_range(input_range)).cells
     else:

@@ -297,17 +297,6 @@ class ArrayValue:
                 for r in range(self.rows)]
 
     @classmethod
-    def from_rows(cls, rows: list[list[Scalar]]) -> "ArrayValue":
-        height = len(rows)
-        width = len(rows[0]) if rows else 0
-        flat: list[Scalar] = []
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(height, width, tuple(flat))
-
-    @classmethod
     def column(cls, values: list[Scalar]) -> "ArrayValue":
         return cls(len(values), 1, tuple(values))
 

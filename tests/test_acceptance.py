@@ -29,7 +29,7 @@ from sprego import (
     parse_formula,
     run_script,
 )
-from sprego.functions import FUNCTION_NAMES
+from sprego.functions import REGISTRY
 from sprego.grid import as_range, parse_a1
 from sprego.script import scalars_match
 from sprego.values import ArrayValue, VALUE_ERR, render
@@ -377,7 +377,7 @@ def test_check_8_coverage():
                           ("B1", "spread sheet"), ("B2", "12 new Comments"),
                           ("C1", True)]:
             sheet.set(parse_a1(a1), value)
-        assert set(EXAMPLES) == set(FUNCTION_NAMES)
+        assert set(EXAMPLES) == set(REGISTRY)
         for name, (text, want) in EXAMPLES.items():
             got = ev(text, sheet)
             if name == "RAND":

@@ -256,7 +256,7 @@ class TestLiftErrorOrder:
         def add(a, b):
             calls.append((a, b))
             return a + b
-        row = ArrayValue.from_rows([[1.0, 2.0, 3.0]])
+        row = ArrayValue(1, 3, (1.0, 2.0, 3.0))
         column = ArrayValue.column([10.0, 20.0])
         ctx = EvalContext(Sheet(), array_entered=True)
         result = lift(add, [row, column], ctx)
@@ -716,3 +716,12 @@ class TestSharedSubtrees:
                     typed_value(unshared(text, sheet, seed=k)), text
                 compared += 1
         assert compared >= 1000
+
+
+def test_a_formula_without_twins_reads_no_callers_memo():
+    # node ids are reused after collection, so a caller's memo may
+    # hold a value keyed by the id of a node of this tree
+    formula = parse_formula("=1+1")
+    key = id(formula.expr)
+    ctx = EvalContext(Sheet(), node_values={key: 99.0}, twins={key: key})
+    assert evaluate_formula(formula, ctx) == 2.0

@@ -154,7 +154,7 @@ class TestSheet:
     def test_spill_writes_rectangle(self):
         sheet = Sheet()
         rng = sheet.spill(parse_cell("B2"),
-                          ArrayValue.from_rows([[1.0, 2.0], [3.0, 4.0]]))
+                          ArrayValue(2, 2, (1.0, 2.0, 3.0, 4.0)))
         assert rng.a1 == "B2:C3"
         assert sheet.get(parse_cell("C3")) == 4.0
 

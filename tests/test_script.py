@@ -36,7 +36,7 @@ from sprego.script import (
     parse_scalar_field,
     scalars_match,
 )
-from sprego.values import BLANK, DIV0_ERR, NA_ERR, VALUE_ERR
+from sprego.values import ArrayValue, BLANK, DIV0_ERR, NA_ERR, VALUE_ERR
 
 
 def write(tmp_path, name, text):
@@ -251,16 +251,35 @@ EXPECT C2:C3 = 30
             assert f"{message}, which no directive has written" \
                 in report.render()
 
+    def test_written_cells_are_the_rectangles_and_the_stored_cells(self,
+                                                                  tmp_path):
+        # C2 and C3 are blank after the STEP, and C3 was an empty field
+        write(tmp_path, "data.csv", "h1,h2,h3\n1,2,3\n4,5,\n")
+        for script in ("LOAD data.csv\nSTEP S C2:C3 = {=E2:E3}\n"
+                       "EXPECT B2:C3 = 2,;5,\n",
+                       "LOAD data.csv\nSTEP S C3 = =A3\n"
+                       "EXPECT A2:C3 = 1,2,3;4,5,4\n"):
+            report = run_script(write(tmp_path, "t.sprego", script))
+            assert report.ok, report.render()
+
     def test_first_unwritten_agrees_with_a_set_of_cells(self):
+        # stored cells count as written, and so does every cell of a
+        # STEP or SET rectangle, blanks spilled over stored cells too
         rng = random.Random(8)
-        runner = _Runner(TaskScript(None, []), seed=None)
         for _ in range(400):
-            runner.written = []
+            runner = _Runner(TaskScript(None, []), seed=None)
             cells = set()
+            for _ in range(rng.randint(0, 8)):
+                addr = CellAddress(rng.randint(1, 10), rng.randint(1, 13))
+                runner.sheet.set(addr, 1.0)
+                cells.add((addr.row, addr.col))
             for _ in range(rng.randint(0, 6)):
                 top, left = rng.randint(1, 8), rng.randint(1, 6)
                 rect = RangeRef(CellAddress(left, top), CellAddress(
                     left + rng.randint(0, 3), top + rng.randint(0, 4)))
+                value = rng.choice((BLANK, 2.0))
+                runner.sheet.spill(rect.top_left, ArrayValue(
+                    rect.rows, rect.cols, (value,) * (rect.rows * rect.cols)))
                 runner.written.append(rect)
                 cells.update(rect.keys())
             top, left = rng.randint(1, 8), rng.randint(1, 6)
@@ -268,7 +287,8 @@ EXPECT C2:C3 = 30
                 left + rng.randint(0, 4), top + rng.randint(0, 5)))
             missing = next((CellAddress(col, row) for row, col in target.keys()
                             if (row, col) not in cells), None)
-            assert runner.first_unwritten(target) == missing
+            values = runner.sheet.get_range(target).cells
+            assert runner.first_unwritten(target, values) == missing
 
     def test_written_cells_cost_no_memory_per_cell(self):
         step, = parse_task_script(

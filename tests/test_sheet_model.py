@@ -81,12 +81,6 @@ def check(sheet, model):
     assert typed(sheet.get(CellAddress(col, row)) for row, col in probes) \
         == typed(model.get(key, BLANK) for key in probes)
     assert sheet.used_cells() == set(model)
-    runs = sheet.stored_runs()  # disjoint, maximal, covering exactly
-    assert sorted(key for run in runs for key in run.keys()) == sorted(model)
-    assert all(run.cols == 1 and
-               (run.top_left.row - 1, run.top_left.col) not in model and
-               (run.bottom_right.row + 1, run.top_left.col) not in model
-               for run in runs)
     for text in RANGES:
         rng = as_range(parse_a1(text))
         got = sheet.get_range(rng)

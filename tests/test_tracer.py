@@ -331,3 +331,28 @@ class TestInputColumnReads:
         assert reads == ["C3:C4", "C3:C4"]
         assert table.input_values == ("Maximum Kawaii (EUNE)",
                                       "DahakaGG (EUW)")
+
+    @pytest.fixture
+    def codes(self, sheet):
+        for a1, value in [("D1", "Code"), ("D2", "ab1"), ("D3", "cd22"),
+                          ("D4", "ef333")]:
+            sheet.set(parse_cell(a1), value)
+        return sheet
+
+    def test_the_leftmost_range_is_the_input_however_deep(self, codes,
+                                                          reads):
+        table = trace("{=LEN(LEFT(D2:D4,2))&C2:C4}", EvalContext(codes))
+        assert reads == ["D2:D4", "C2:C4"]
+        assert table.input_header == "Code"
+        assert table.input_values == ("ab1", "cd22", "ef333")
+        assert table.steps[-1].results.cells[0] == "2ReisenII (EUW)"
+
+    def test_a_repeated_first_range_is_the_input_read_once(self, codes,
+                                                           reads):
+        table = trace("{=LEN(C2:C4)&D2:D4&LEFT(C2:C4,1)}", EvalContext(codes))
+        assert reads == ["C2:C4", "D2:D4"]
+        assert table.input_header == "Account (server)"
+        assert table.input_values == (
+            "ReisenII (EUW)", "Maximum Kawaii (EUNE)", "DahakaGG (EUW)")
+        assert table.steps[-1].results.cells == (
+            "14ab1R", "21cd22M", "14ef333D")

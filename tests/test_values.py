@@ -234,9 +234,9 @@ class TestArrayValue:
         assert arr.shape == (2, 3)
         assert arr.first() == 1.0
 
-    def test_from_rows_round_trip(self):
-        rows = [[1.0, "x"], [True, BLANK]]
-        arr = ArrayValue.from_rows(rows)
+    def test_to_rows_round_trip(self):
+        rows = [[1.0, "x", BLANK], [True, 2.0, "y"]]
+        arr = ArrayValue(2, 3, (1.0, "x", BLANK, True, 2.0, "y"))
         assert arr.to_rows() == rows
 
     def test_column_constructor(self):
@@ -248,8 +248,6 @@ class TestArrayValue:
             ArrayValue(0, 1, ())
         with pytest.raises(ValueError):
             ArrayValue(2, 2, (1.0, 2.0, 3.0))
-        with pytest.raises(ValueError):
-            ArrayValue.from_rows([[1.0, 2.0], [3.0]])
 
     def test_immutable_and_hashable(self):
         arr = ArrayValue(1, 1, (1.0,))
