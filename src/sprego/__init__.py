@@ -32,7 +32,6 @@ from .values import (
     Scalar,
     coerce_to_number,
     coerce_to_text,
-    compare,
     render,
 )
 
@@ -48,7 +47,7 @@ __all__ = [
     "ArrayValue", "BLANK", "CellAddress", "CellError", "EvalContext",
     "Formula", "FormulaError", "GridError", "IngestError", "OMITTED",
     "RangeRef", "RunReport", "Scalar", "Sheet", "TaskScript", "TraceTable",
-    "coerce_to_number", "coerce_to_text", "compare", "data_path",
+    "coerce_to_number", "coerce_to_text", "data_path",
     "decompose", "display_value", "evaluate", "evaluate_formula", "lift",
     "load_csv", "parse_a1", "parse_formula", "parse_task_script",
     "range_to_csv", "render", "render_tsv", "run_script", "tokenize",

@@ -18,7 +18,8 @@ Evaluation never mutates the sheet.
 
 A formula's twins (parser.intern: structurally equal subtrees, such as
 a range a pasted helper step repeats) are computed once per evaluation:
-the first one evaluated keeps its value in a memo the others read.
+given intern()'s keys, evaluate keeps every range, operator and call
+value in the evaluation's own memo, under its first twin's id.
 """
 
 from __future__ import annotations
@@ -59,20 +60,18 @@ class EvalContext:
     mode, the formula's own cell (for ROW/COLUMN) and the random
     stream backing RAND.
 
-    node_values, when set, is the evaluation's memo, and twins names
-    the nodes it keeps: evaluate stores the value of each range,
-    operator and call node that twins maps, under the key it maps to
-    (the id of the node's first twin), and a node whose key holds a
-    value is not evaluated again.  evaluate_formula keeps a formula's
-    twins (Formula.twins) this way; the tracer maps every
-    such node, so the memo holds each step's value."""
+    twins, when set, is intern()'s keys of the tree being evaluated,
+    and node_values is the evaluation's own memo: evaluate stores the
+    value of each range, operator and call node under its key (the id
+    of the node's first twin), and a node whose key holds a value is
+    not evaluated again.  The memo then holds every step's value."""
 
     sheet: Sheet
     array_entered: bool = False
     anchor: CellAddress = CellAddress(1, 1)
     rng: random.Random = field(default_factory=random.Random)
-    node_values: Optional[dict[int, Value]] = None
     twins: Optional[dict[int, int]] = None
+    node_values: dict[int, Value] = field(default_factory=dict, init=False)
 
 
 def _divide(x: float, y: float) -> Value:
@@ -161,15 +160,14 @@ def lift(
     args: list[Value],
     ctx: EvalContext,
     *,
-    lifted: Optional[dict[int, Optional[Callable]]] = None,
+    lifted: dict[int, Optional[Callable]],
     captures_errors: bool = False,
 ) -> Value:
     """Apply a scalar kernel, repeating it element-wise over arrays.
 
     Only the positions that `lifted` maps (ascending, each to its
-    coercion or to None; all of them, uncoerced, by default)
-    participate; other arguments pass through whole on every element
-    call.  For each element the result is:
+    coercion or to None) participate; other arguments pass through
+    whole on every element call.  For each element the result is:
 
     1. the first error among the lifted arguments, in argument order
        (skipped when the kernel captures errors);
@@ -181,8 +179,6 @@ def lift(
     represented and yields #VALUE! there.  A broadcast result above
     MAX_RANGE_CELLS elements is #NUM!.
     """
-    if lifted is None:
-        lifted = dict.fromkeys(range(len(args)))
     values = list(args)
     arrays = []
     for i in lifted:
@@ -351,9 +347,9 @@ def evaluate(expr: Expr, ctx: EvalContext) -> Value:
         return expr.value
     if isinstance(expr, Ref):
         return ctx.sheet.get(expr.addr)
-    memo = ctx.node_values
-    if memo is not None:
-        key = ctx.twins.get(id(expr))
+    twins = ctx.twins
+    if twins is not None:
+        key, memo = twins[id(expr)], ctx.node_values
         if key in memo:
             return memo[key]
     if isinstance(expr, RangeLit):
@@ -371,16 +367,16 @@ def evaluate(expr: Expr, ctx: EvalContext) -> Value:
         value = _eval_call(expr, ctx)
     else:
         raise TypeError(f"not an expression node: {expr!r}")
-    if memo is not None and key is not None:
+    if twins is not None:
         memo[key] = value
     return value
 
 
 def evaluate_formula(formula: Formula, ctx: EvalContext) -> Value:
-    """Evaluate with the formula's own entry mode, each twin once: a
-    formula with twins gets a fresh memo, any other none."""
+    """Evaluate with the formula's own entry mode and a memo of its own,
+    computing each twin once if parse_formula interned the formula."""
     # built field by field, in order: dataclasses.replace costs about
     # three times as much, over 1% of a short formula's evaluation
     return evaluate(formula.expr, EvalContext(
         ctx.sheet, formula.array_entered, ctx.anchor, ctx.rng,
-        {} if formula.twins else None, formula.twins))
+        formula.interning and formula.interning.keys))

@@ -7,7 +7,7 @@ import io
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
@@ -111,16 +111,6 @@ class RangeRef:
             raise GridError(
                 f"range {self.a1} has {self.rows * self.cols} cells, "
                 f"more than the {MAX_RANGE_CELLS} one range may hold")
-
-    def keys(self) -> Iterator[tuple[int, int]]:
-        """Row-major (row, col) keys of every cell in the rectangle.
-
-        Raises GridError, before yielding anything, for a rectangle of
-        more than MAX_RANGE_CELLS cells.
-        """
-        self.check_size()
-        return product(range(self.top_left.row, self.bottom_right.row + 1),
-                       range(self.top_left.col, self.bottom_right.col + 1))
 
 
 #: One A1 cell such as C2 or $C$2, grouping its letters and its digits.

@@ -39,16 +39,14 @@ subtree a number, so no subtree is hashed twice.  A formula pasted
 together from helper steps repeats them, and a repeated subtree that
 matters holds a repeated range, so the parser notes when a range of
 two or more cells repeats and interns only those formulas: a tree
-without one pays one set lookup per range.  Formula.twins is every
-node that has a twin, so the evaluator computes each set of twins
-once per evaluation; the tracer lists each distinct subtree as one
-step.  Both read intern().
+without one pays one set lookup per range.  Formula.interning keeps
+what intern() found, so the evaluator computes each set of twins once
+per evaluation and the tracer lists each distinct subtree as one step.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
@@ -157,16 +155,16 @@ Expr = Union[Literal, Ref, RangeLit, Unary, Binary, Call]
 
 @dataclass(frozen=True)
 class Formula:
-    """A parsed formula plus its entry mode.  twins is intern()'s map of
-    the tree's twins when a range of two or more cells repeats in it,
-    else None.  It is keyed by the ids of this tree's nodes, so only
+    """A parsed formula plus its entry mode.  interning is intern() of
+    the tree when a range of two or more cells repeats in it, else
+    None.  It is keyed by the ids of this tree's nodes, so only
     parse_formula sets it: replace() and the constructor leave it None
     rather than carry it to another tree."""
 
     expr: Expr
     array_entered: bool
-    twins: Optional[dict[int, int]] = field(default=None, init=False,
-                                            compare=False, repr=False)
+    interning: Optional["Interning"] = field(default=None, init=False,
+                                             compare=False, repr=False)
 
 
 #: Binding strength of each binary operator, loosest first.  The parser
@@ -361,7 +359,7 @@ def parse_formula(text: str) -> Formula:
                            "unexpected trailing input")
     formula = Formula(expr, array_entered)
     if parser.repeated:
-        object.__setattr__(formula, "twins", intern(expr).twins)
+        object.__setattr__(formula, "interning", intern(expr))
     return formula
 
 
@@ -383,8 +381,6 @@ class Interning(NamedTuple):
     #: id(node) -> the id of its first twin, for each range, operator and
     #: call node; a node holding a VOLATILE call maps to its own id
     keys: dict[int, int]
-    #: keys, less the nodes that have no twin
-    twins: dict[int, int]
 
 
 def intern(expr: Expr) -> Interning:
@@ -394,8 +390,7 @@ def intern(expr: Expr) -> Interning:
     its key is its node type, its label and its operands' numbers (a
     literal or reference operand stands as its value), so no subtree
     is hashed twice.  A literal's key holds its type: LEN(1) and
-    LEN(TRUE) are not twins, although 1.0 == True.  twins holds every
-    node whose first twin occurs at least twice.
+    LEN(TRUE) are not twins, although 1.0 == True.
     """
     numbers: dict[tuple, int] = {}
     firsts: list[Expr] = []  # by number
@@ -429,10 +424,7 @@ def intern(expr: Expr) -> Interning:
 
     visit(expr)
     del visit  # the closure refers to itself
-    # a volatile node is its own key, so it never counts twice
-    counts = Counter(keys.values())
-    twins = {ident: key for ident, key in keys.items() if counts[key] > 1}
-    return Interning(firsts, keys, twins)
+    return Interning(firsts, keys)
 
 
 def _corners(rng: RangeRef) -> tuple[int, int, int, int]:

@@ -134,6 +134,14 @@ class TaskScript:
     directives: list[Directive]
 
 
+#: By row separator (";" in a script, NUL in an expectation file), one
+#: match per field: quoted text and its closing quote (empty if missing)
+#: or bare text up to a separator, then the next character or "" at the end.
+_FIELD_RES = {separator: re.compile(
+    r'[ \t]*(?:"(' + QUOTED_BODY + r')("?)[ \t]*|([^,' + separator
+    + r']*))(.?)', re.S) for separator in (";", "\x00")}
+
+
 def _split_fields(text: str, line: Optional[int], noun: str,
                   row_separator: str = ";"):
     """Split one line of fields, remembering which were quoted.
@@ -143,11 +151,7 @@ def _split_fields(text: str, line: Optional[int], noun: str,
     are ignored; unquoted fields are stripped.  noun names what is being
     split in error messages.
     """
-    # one match per field: a quoted field (its text, then its closing
-    # quote, empty if there is none) or the bare text up to a separator,
-    # then the character after it, empty at the end of the line
-    field_re = re.compile(r'[ \t]*(?:"(' + QUOTED_BODY + r')("?)[ \t]*|([^,'
-                          + re.escape(row_separator) + r']*))(.?)', re.S)
+    field_re = _FIELD_RES[row_separator]
     rows: list[list[tuple[str, bool]]] = [[]]
     pos = 0
     while True:

@@ -13,13 +13,13 @@ value where ROW, COLUMN or OFFSET takes a reference).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .evaluator import EvalContext, evaluate
 from .grid import RangeRef, render_rows
 from .parser import Expr, Formula, Interning, RangeLit, intern, parse_formula
-from .values import ArrayValue, BLANK, Scalar, Value, render
+from .values import ArrayValue, BLANK, Scalar, render
 
 
 class TraceError(Exception):
@@ -87,7 +87,7 @@ def trace(
     =RAND()-RAND() is not 0.  Scalars repeat down the column.
     """
     formula = parse_formula(source) if isinstance(source, str) else source
-    interning = intern(formula.expr)
+    interning = formula.interning or intern(formula.expr)
     # constants and bare refs still trace
     step_exprs = _steps(interning) or [formula.expr]
 
@@ -110,9 +110,9 @@ def trace(
                 header = render(above)
 
     # every step's value is kept, under its first twin's id
-    values: dict[int, Value] = {}
-    values[id(formula.expr)] = evaluate(formula.expr, replace(
-        ctx, array_entered=True, node_values=values, twins=interning.keys))
+    traced = EvalContext(ctx.sheet, True, ctx.anchor, ctx.rng, interning.keys)
+    values = traced.node_values
+    values[id(formula.expr)] = evaluate(formula.expr, traced)
     raw = [(expr, values.get(id(expr), BLANK)) for expr in step_exprs]
     if input_range is not None:
         rows = input_range.rows

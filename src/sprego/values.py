@@ -224,24 +224,12 @@ def _comparison(test: Callable) -> Callable:
     return compare_by
 
 
-#: Each comparison operator over two scalars, as compare applies it.
+#: Each comparison operator over two scalars: text folds case, FALSE sorts
+#: before TRUE, types order numbers < text < booleans, a Blank adapts to
+#: the other side's type, and errors propagate.
 COMPARISONS = {op: _comparison(test) for op, test in (
     ("=", operator.eq), ("<>", operator.ne), ("<", operator.lt),
     ("<=", operator.le), (">", operator.gt), (">=", operator.ge))}
-
-
-def compare(left: Scalar, right: Scalar, op: str) -> bool | CellError:
-    """Evaluate a comparison operator over two scalars.
-
-    Text compares case-insensitively, FALSE sorts before TRUE, values
-    of different types order by type (numbers < text < booleans) and a
-    Blank operand adapts to the other side's type before comparing.
-    Errors propagate.
-    """
-    comparison = COMPARISONS.get(op)
-    if comparison is None:
-        raise ValueError(f"unknown comparison operator {op!r}")
-    return comparison(left, right)
 
 
 def _adapt_blank(value: Scalar, other: Scalar) -> Scalar:
@@ -291,10 +279,6 @@ class ArrayValue:
         if kinds is None:
             kinds = self.__dict__["_kinds"] = frozenset(map(type, self.cells))
         return kinds
-
-    def to_rows(self) -> list[list[Scalar]]:
-        return [list(self.cells[r * self.cols:(r + 1) * self.cols])
-                for r in range(self.rows)]
 
     @classmethod
     def column(cls, values: list[Scalar]) -> "ArrayValue":

@@ -22,11 +22,14 @@ from sprego.values import (
     CellError,
     coerce_to_number,
     coerce_to_text,
-    compare,
+    COMPARISONS,
     is_truthy,
     render,
 )
 from test_properties import draw_expression
+
+#: A lift plan for two arguments, both lifted and left uncoerced.
+BOTH = {0: None, 1: None}
 
 
 def ev(text, sheet=None, anchor="A1", rng=None):
@@ -118,7 +121,7 @@ class TestErrorFlow:
     def test_element_local_poisoning(self, sheet):
         sheet.set(parse_cell("A2"), DIV0_ERR)
         result = ev("{=A1:A3+1}", sheet)
-        assert result.to_rows() == [[2.0], [DIV0_ERR], [4.0]]
+        assert result == ArrayValue.column([2.0, DIV0_ERR, 4.0])
 
 
 class TestIntersectionRules:
@@ -134,7 +137,7 @@ class TestIntersectionRules:
     def test_array_entry_lifts_instead(self, sheet):
         result = ev("{=A1:A3+1}", sheet)
         assert isinstance(result, ArrayValue)
-        assert result.to_rows() == [[2.0], [3.0], [4.0]]
+        assert result == ArrayValue.column([2.0, 3.0, 4.0])
 
     def test_bare_range_at_the_root_passes_through(self, sheet):
         result = ev("=A1:A3", sheet)
@@ -151,19 +154,20 @@ class TestBroadcasting:
 
     def test_column_times_scalar(self, sheet):
         result = ev("{=A1:A3*10}", sheet)
-        assert result.to_rows() == [[10.0], [20.0], [30.0]]
+        assert result == ArrayValue.column([10.0, 20.0, 30.0])
 
     def test_column_times_row_makes_a_table(self, sheet):
         result = ev("{=A1:A3*TRANSPOSE(A1:A3)}", sheet)
         assert result.shape == (3, 3)
-        assert result.to_rows()[2] == [3.0, 6.0, 9.0]
+        assert result.cells[6:] == (3.0, 6.0, 9.0)
 
     def test_equal_shapes_pair_off(self, sheet):
         result = ev("{=A1:A3+B1:B3}", sheet)
-        assert result.to_rows() == [[11.0], [22.0], [33.0]]
+        assert result == ArrayValue.column([11.0, 22.0, 33.0])
 
     def test_incompatible_shapes(self, sheet):
         assert ev("{=A1:A3+B1:B2}", sheet) is VALUE_ERR
+        assert ev("{=A1:B1+A1:C1}", sheet) is VALUE_ERR  # columns clash
 
     def test_lifting_skips_array_mode_arguments(self, sheet):
         # SUM's argument is consumed whole even under array entry
@@ -173,21 +177,22 @@ class TestBroadcasting:
         sheet.set(parse_cell("D1"), "ab")
         sheet.set(parse_cell("D2"), "cde")
         result = ev("{=LEN(D1:D2)}", sheet)
-        assert result.to_rows() == [[2.0], [3.0]]
+        assert result == ArrayValue.column([2.0, 3.0])
 
     def test_an_array_made_for_one_element_is_value_error(self, sheet):
         # INDEX's row 0 selects a whole column, which cannot nest in
         # the result; row 1 selects one cell
         sheet.set(parse_cell("A2"), 0.0)
         result = ev("{=INDEX(B1:C2,A1:A2)}", sheet)
-        assert result.to_rows() == [[10.0], [VALUE_ERR]]
+        assert result == ArrayValue.column([10.0, VALUE_ERR])
 
     def test_direct_lift_call(self):
         def add(a, b):
             return a + b
         ctx = EvalContext(Sheet(), array_entered=True)
-        result = lift(add, [ArrayValue.column([1.0, 2.0]), 10.0], ctx)
-        assert result.to_rows() == [[11.0], [12.0]]
+        result = lift(add, [ArrayValue.column([1.0, 2.0]), 10.0], ctx,
+                      lifted=BOTH)
+        assert result == ArrayValue.column([11.0, 12.0])
 
 
 class TestLiftErrorOrder:
@@ -204,15 +209,17 @@ class TestLiftErrorOrder:
         calls = []
         column = ArrayValue.column([1.0, NA_ERR, 3.0])
         ctx = EvalContext(Sheet(), array_entered=True)
-        result = lift(self.recording(calls), [column, DIV0_ERR], ctx)
-        assert result.to_rows() == [[DIV0_ERR], [NA_ERR], [DIV0_ERR]]
+        result = lift(self.recording(calls), [column, DIV0_ERR], ctx,
+                      lifted=BOTH)
+        assert result == ArrayValue.column([DIV0_ERR, NA_ERR, DIV0_ERR])
         assert calls == []
 
     def test_scalar_error_first_fills_every_element(self):
         calls = []
         column = ArrayValue.column([1.0, NA_ERR, 3.0])
         ctx = EvalContext(Sheet(), array_entered=True)
-        result = lift(self.recording(calls), [DIV0_ERR, column], ctx)
+        result = lift(self.recording(calls), [DIV0_ERR, column], ctx,
+                      lifted=BOTH)
         assert result.cells == (DIV0_ERR,) * 3
         assert calls == []
 
@@ -221,7 +228,7 @@ class TestLiftErrorOrder:
         column = ArrayValue.column([1.0, NA_ERR, 3.0])
         ctx = EvalContext(Sheet(), array_entered=True)
         result = lift(self.recording(calls), [column, DIV0_ERR], ctx,
-                      captures_errors=True)
+                      lifted=BOTH, captures_errors=True)
         assert result.cells == (0.0,) * 3
         assert calls == [(1.0, DIV0_ERR), (NA_ERR, DIV0_ERR),
                          (3.0, DIV0_ERR)]
@@ -259,8 +266,8 @@ class TestLiftErrorOrder:
         row = ArrayValue(1, 3, (1.0, 2.0, 3.0))
         column = ArrayValue.column([10.0, 20.0])
         ctx = EvalContext(Sheet(), array_entered=True)
-        result = lift(add, [row, column], ctx)
-        assert result.to_rows() == [[11.0, 12.0, 13.0], [21.0, 22.0, 23.0]]
+        result = lift(add, [row, column], ctx, lifted=BOTH)
+        assert result == ArrayValue(2, 3, (11.0, 12.0, 13.0, 21.0, 22.0, 23.0))
         assert len(calls) == 6
 
 
@@ -380,15 +387,15 @@ class TestIf:
     def test_scalar_condition_returns_a_multi_cell_branch_whole(self, sheet):
         result = ev("=IF(TRUE,A1:A3)", sheet)
         assert isinstance(result, ArrayValue)
-        assert result.to_rows() == [[1.0], [2.0], [3.0]]
+        assert result == ArrayValue.column([1.0, 2.0, 3.0])
 
     def test_array_condition_selects_element_wise(self, sheet):
         result = ev("{=IF(A1:A3>1.5,B1:B3,0)}", sheet)
-        assert result.to_rows() == [[0.0], [20.0], [30.0]]
+        assert result == ArrayValue.column([0.0, 20.0, 30.0])
 
     def test_array_condition_with_scalar_branches(self, sheet):
         result = ev('{=IF(A1:A3=2,"hit","miss")}', sheet)
-        assert result.to_rows() == [["miss"], ["hit"], ["miss"]]
+        assert result == ArrayValue.column(["miss", "hit", "miss"])
 
     def test_array_condition_without_array_entry(self, sheet):
         assert ev("=IF(A1:A3>0,1,2)", sheet) is VALUE_ERR
@@ -396,16 +403,16 @@ class TestIf:
 
     def test_array_condition_absent_else(self, sheet):
         result = ev("{=IF(A1:A3>1.5,1)}", sheet)
-        assert result.to_rows() == [[False], [1.0], [1.0]]
+        assert result == ArrayValue.column([False, 1.0, 1.0])
 
     def test_array_condition_empty_slots(self, sheet):
         result = ev("{=IF(A1:A3>1.5,,)}", sheet)
-        assert result.to_rows() == [[0.0], [0.0], [0.0]]
+        assert result == ArrayValue.column([0.0, 0.0, 0.0])
 
     def test_error_elements_pick_no_branch(self, sheet):
         sheet.set(parse_cell("A2"), NA_ERR)
         result = ev("{=IF(A1:A3>1.5,1,2)}", sheet)
-        assert result.to_rows() == [[2.0], [NA_ERR], [1.0]]
+        assert result == ArrayValue.column([2.0, NA_ERR, 1.0])
 
     def test_branch_shape_mismatch(self, sheet):
         assert ev("{=IF(A1:A3>0,B1:B2,0)}", sheet) is VALUE_ERR
@@ -539,7 +546,7 @@ COMPARED = [0.0, 1.5, -2.0, "abc", "ABC", "b", "", True, False, BLANK,
 
 
 class TestComparisonOperators:
-    """Each comparison operator, evaluated, agrees with values.compare."""
+    """Each comparison operator, evaluated, agrees with values.COMPARISONS."""
 
     @pytest.fixture
     def compared(self):
@@ -556,7 +563,7 @@ class TestComparisonOperators:
         for i, left in enumerate(COMPARED):
             for j, right in enumerate(COMPARED):
                 got = ev(f"=A{i + 2}{op}{chr(ord('B') + j)}1", compared)
-                want = compare(left, right, op)
+                want = COMPARISONS[op](left, right)
                 assert (type(got), got) == (type(want), want), (left, right)
 
     @pytest.mark.parametrize("op", ["=", "<>", "<", "<=", ">", ">="])
@@ -566,7 +573,7 @@ class TestComparisonOperators:
         assert got.shape == (n, n)
         for i, left in enumerate(COMPARED):
             for j, right in enumerate(COMPARED):
-                want = compare(left, right, op)
+                want = COMPARISONS[op](left, right)
                 cell = got.get(i, j)
                 assert (type(cell), cell) == (type(want), want), (left, right)
 
@@ -654,19 +661,19 @@ class TestSharedSubtrees:
 
     def test_formulas_without_a_repeated_range_keep_no_memo(self):
         # nor with a repeated one-cell range, read as cheaply as a ref
-        assert parse_formula("=LEN(A1)+LEN(A1)").twins is None
-        assert parse_formula("=SUM(A1:A2)+SUM(A1:A3)").twins is None
-        assert parse_formula("=SUM(A1:A1)+SUM(A1:A1)").twins is None
-        assert parse_formula("=SUM(A1:A2)+SUM($A$1:A2)").twins
+        assert parse_formula("=LEN(A1)+LEN(A1)").interning is None
+        assert parse_formula("=SUM(A1:A2)+SUM(A1:A3)").interning is None
+        assert parse_formula("=SUM(A1:A1)+SUM(A1:A1)").interning is None
+        assert parse_formula("=SUM(A1:A2)+SUM($A$1:A2)").interning
 
     def test_twins_stay_with_their_own_tree(self):
         # keyed by node ids, so no other tree may inherit them
         formula = parse_formula("=SUM(A1:A2)+SUM(A1:A2)")
         other = parse_formula("=1").expr
-        assert replace(formula, expr=other).twins is None
-        assert replace(formula, array_entered=True).twins is None
+        assert replace(formula, expr=other).interning is None
+        assert replace(formula, array_entered=True).interning is None
         with pytest.raises(TypeError):
-            Formula(other, False, formula.twins)
+            Formula(other, False, formula.interning)
 
     @pytest.mark.parametrize("text", [
         "=RAND()-RAND()", "{=RAND()-RAND()}",
@@ -682,12 +689,12 @@ class TestSharedSubtrees:
 
     def test_literals_keep_their_types(self, sheet):
         text = "{=LEN(1)&LEN(TRUE)&SUM(A1:A2)&SUM(A1:A2)}"
-        assert parse_formula(text).twins
+        assert parse_formula(text).interning
         assert ev(text, sheet) == "1433"
 
     def test_the_untaken_branch_stays_unevaluated(self, sheet, reads):
         text = "=IF(C1=\"y\",SUM(B1:B3)*SUM(B1:B3),-1)"
-        assert parse_formula(text).twins
+        assert parse_formula(text).interning
         assert ev(text, sheet) == -1.0
         assert reads == []
         assert ev("=IF(C1=\"x\",SUM(B1:B3)*SUM(B1:B3),-1)", sheet) == 3600.0
@@ -709,7 +716,7 @@ class TestSharedSubtrees:
             t = draw_expression(rng, rng.randint(1, 4))
             body = rng.choice(templates).format(s=s, t=t)
             for text in (f"={body}", f"{{={body}}}"):
-                if not parse_formula(text).twins:
+                if not parse_formula(text).interning:
                     continue
                 got = ev(text, sheet, rng=random.Random(k))
                 assert typed_value(got) == \
@@ -723,5 +730,6 @@ def test_a_formula_without_twins_reads_no_callers_memo():
     # hold a value keyed by the id of a node of this tree
     formula = parse_formula("=1+1")
     key = id(formula.expr)
-    ctx = EvalContext(Sheet(), node_values={key: 99.0}, twins={key: key})
+    ctx = EvalContext(Sheet(), twins={key: key})
+    ctx.node_values[key] = 99.0
     assert evaluate_formula(formula, ctx) == 2.0

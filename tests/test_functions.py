@@ -230,6 +230,9 @@ class TestSmallLarge:
         assert ev("=SMALL(A1:A3,0)", sheet) is NUM_ERR
         assert ev("=LARGE(A1:A3,4)", sheet) is NUM_ERR
 
+    def test_k_error_propagates(self, sheet):
+        assert ev("=SMALL(A1:A3,1/0)", sheet) is DIV0_ERR
+
     def test_duplicates_count_separately(self):
         s = Sheet()
         for i, v in enumerate([5.0, 5.0, 9.0], start=1):
@@ -303,6 +306,10 @@ class TestMatchIndex:
         assert ev("=MATCH(,A1:A3,0)", s) is NA_ERR
         assert ev("=MATCH(TRUE,A1:A3)", s) == 2.0
         assert ev("=MATCH(0,B1:B2)", s) is NA_ERR
+        s.set(parse_cell("A1"), 5.0)
+        s.set(parse_cell("A2"), "x")
+        s.set(parse_cell("A3"), 1.0)
+        assert ev("=MATCH(1,A1:A3,0)", s) == 3.0
 
     def test_match_needs_a_vector(self, sheet):
         assert ev("=MATCH(1,A1:B2,0)", sheet) is VALUE_ERR
@@ -316,6 +323,8 @@ class TestMatchIndex:
         assert isinstance(row, ArrayValue) and row.shape == (1, 2)
         col = ev("=INDEX(A1:B3,0,1)", sheet)
         assert col.shape == (3, 1) and col.get(2, 0) == 30.0
+        assert ev("{=INDEX(A1:B2,0,0)}", sheet) == \
+            ArrayValue(2, 2, (10.0, "note", 20.0, True))
 
     def test_index_bounds(self, sheet):
         assert ev("=INDEX(A1:A3,4)", sheet) is REF_ERR
@@ -341,11 +350,11 @@ class TestOffsetRowColumn:
     def test_offset_keeps_base_shape(self, sheet):
         value = ev("{=OFFSET(A1:A2,1,0)}", sheet)
         assert isinstance(value, ArrayValue)
-        assert value.to_rows() == [[20.0], [30.0]]
+        assert value == ArrayValue.column([20.0, 30.0])
 
     def test_offset_resizes(self, sheet):
         value = ev("{=OFFSET(A1,0,0,3,1)}", sheet)
-        assert value.to_rows() == [[10.0], [20.0], [30.0]]
+        assert value == ArrayValue.column([10.0, 20.0, 30.0])
 
     def test_offset_omitted_size_keeps_base(self, sheet):
         value = ev("{=OFFSET(A1:A2,1,0,,1)}", sheet)
@@ -354,6 +363,9 @@ class TestOffsetRowColumn:
     def test_offset_off_grid(self, sheet):
         assert ev("=OFFSET(A1,-1,0)", sheet) is REF_ERR
         assert ev("=OFFSET(A1,0,-1)", sheet) is REF_ERR
+        # a resized reference that runs past the last row or column
+        assert ev("=SUM(OFFSET(A1,1048575,0,2,1))", sheet) is REF_ERR
+        assert ev("=SUM(OFFSET(A1,0,16383,1,2))", sheet) is REF_ERR
 
     def test_offset_degenerate_size(self, sheet):
         assert ev("=OFFSET(A1,0,0,0,1)", sheet) is VALUE_ERR
@@ -369,12 +381,12 @@ class TestOffsetRowColumn:
     def test_row_over_range_needs_array_entry(self, sheet):
         assert ev("=ROW(A1:A3)", sheet) == 1.0
         vector = ev("{=ROW(A5:A7)}", sheet)
-        assert vector.to_rows() == [[5.0], [6.0], [7.0]]
+        assert vector == ArrayValue.column([5.0, 6.0, 7.0])
 
     def test_column_vector_is_horizontal(self, sheet):
         vector = ev("{=COLUMN(A1:C1)}", sheet)
         assert vector.shape == (1, 3)
-        assert vector.to_rows() == [[1.0, 2.0, 3.0]]
+        assert vector == ArrayValue(1, 3, (1.0, 2.0, 3.0))
 
     def test_offset_wants_a_reference(self, sheet):
         # a computed array is not an addressable reference
@@ -385,7 +397,7 @@ class TestTranspose:
     def test_flips_axes(self, sheet):
         value = ev("{=TRANSPOSE(A1:A3)}", sheet)
         assert value.shape == (1, 3)
-        assert value.to_rows() == [[10.0, 20.0, 30.0]]
+        assert value == ArrayValue(1, 3, (10.0, 20.0, 30.0))
 
     def test_double_transpose_is_identity(self, sheet):
         from sprego.grid import as_range, parse_a1
@@ -457,6 +469,12 @@ class TestCoercionErrorOrder:
         ('=SUBSTITUTE("abc","","x","zz")', "abc"),
         # empty height and width slots mean the reference's own size
         ("=OFFSET(B1,0,0,,)", 5.0),
+        # an error in a later argument, with the earlier ones fine
+        ("=MATCH(1,A1:A3,1/0)", DIV0_ERR),
+        ('=SUBSTITUTE("aa","a","b",1/0)', DIV0_ERR),
+        ("=OFFSET(A1,0,0,1/0)", DIV0_ERR),
+        # a scalar stands for a one-element vector
+        ("=MATCH(1,1)", 1.0),
     ])
     def test_scalar_result(self, mixed, formula, expected):
         result = ev(formula, mixed)

@@ -96,10 +96,6 @@ class TestAddressParsing:
         with pytest.raises(GridError):
             CellAddress(1, 1).offset(-1, 0)
 
-    def test_range_walk_is_row_major(self):
-        rng = parse_a1("B2:C3")
-        assert list(rng.keys()) == [(2, 2), (2, 3), (3, 2), (3, 3)]
-
 
 class TestSheet:
     def test_unset_cells_read_blank(self):
@@ -128,7 +124,7 @@ class TestSheet:
         sheet.set(parse_cell("B2"), 1.0)
         sheet.set(parse_cell("C3"), 2.0)
         arr = sheet.get_range(as_range(parse_a1("B2:C3")))
-        assert arr.to_rows() == [[1.0, BLANK], [BLANK, 2.0]]
+        assert arr == ArrayValue(2, 2, (1.0, BLANK, BLANK, 2.0))
 
     def test_get_range_matches_per_cell_reads_in_row_major_order(self):
         sheet = Sheet()
@@ -149,7 +145,7 @@ class TestSheet:
             sheet.get_range(as_range(parse_a1("A1:XFD1048576")))
         over = RangeRef(CellAddress(1, 1), CellAddress(2, MAX_RANGE_CELLS))
         with pytest.raises(GridError):
-            over.keys()
+            over.check_size()
 
     def test_spill_writes_rectangle(self):
         sheet = Sheet()

@@ -4,6 +4,7 @@ import gc
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,16 @@ from sprego.script import (
     scalars_match,
 )
 from sprego.values import ArrayValue, BLANK, DIV0_ERR, NA_ERR, VALUE_ERR
+
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+
+def row_major(rect):
+    """The (row, col) of every cell in the rectangle, row by row."""
+    return [(row, col)
+            for row in range(rect.top_left.row, rect.bottom_right.row + 1)
+            for col in range(rect.top_left.col, rect.bottom_right.col + 1)]
 
 
 def write(tmp_path, name, text):
@@ -281,11 +292,12 @@ EXPECT C2:C3 = 30
                 runner.sheet.spill(rect.top_left, ArrayValue(
                     rect.rows, rect.cols, (value,) * (rect.rows * rect.cols)))
                 runner.written.append(rect)
-                cells.update(rect.keys())
+                cells.update(row_major(rect))
             top, left = rng.randint(1, 8), rng.randint(1, 6)
             target = RangeRef(CellAddress(left, top), CellAddress(
                 left + rng.randint(0, 4), top + rng.randint(0, 5)))
-            missing = next((CellAddress(col, row) for row, col in target.keys()
+            missing = next((CellAddress(col, row)
+                            for row, col in row_major(target)
                             if (row, col) not in cells), None)
             values = runner.sheet.get_range(target).cells
             assert runner.first_unwritten(target, values) == missing
@@ -330,6 +342,13 @@ STEP S1 C2:C4 = {=B2:B3*10}
         path = write(tmp_path, "t.sprego", "LOAD nowhere.csv\n")
         report = run_script(path)
         assert report.exit_code == IO_FAILED
+
+    def test_missing_expectation_file(self, tmp_path):
+        path = write(tmp_path, "t.sprego",
+                     "SET A1 = 1\nEXPECT A1 = @missing.csv\n")
+        report = run_script(path)
+        assert report.exit_code == IO_FAILED
+        assert "missing.csv" in report.outcomes[-1].text
 
     def test_stops_at_first_failure(self, tmp_path):
         path = write(tmp_path, "t.sprego", """\
@@ -399,6 +418,14 @@ class TestPackagedScripts:
     def test_all_pass(self, name):
         report = run_script(data_path(name))
         assert report.ok, report.render()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_report_matches_its_golden(self, n):
+        # tests/goldens/task<n>.txt is the report less its path line,
+        # TRACE tables included, byte for byte
+        report = run_script(data_path(f"task{n}.sprego"))
+        got = "".join(outcome.text + "\n" for outcome in report.outcomes)
+        assert got.encode("utf-8") == (GOLDENS / f"task{n}.txt").read_bytes()
 
 
 class TestCli:
@@ -544,6 +571,20 @@ EXPECT C2:C3 = 30;99
     def test_set_flag_errors_name_the_flag(self, capsys, literal, message):
         assert main(["eval", "=A1", "--set", f"A1={literal}"]) == EVAL_FAILED
         assert capsys.readouterr().err == f"sprego: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "=1", "--set", "A1"], "malformed --set 'A1'"),
+        (["eval", "a", "b", "c"], "too many positional arguments"),
+    ])
+    def test_command_line_errors_exit_3(self, capsys, argv, message):
+        assert main(argv) == EVAL_FAILED
+        assert capsys.readouterr().err == f"sprego: {message}\n"
+
+    def test_oversized_csv_field_exits_4(self, capsys, tmp_path):
+        book = write(tmp_path, "b.csv", "a\n" + "x" * 131073 + "\n")
+        assert main(["eval", str(book), "=1"]) == IO_FAILED
+        assert capsys.readouterr().err == (
+            "sprego: malformed CSV: field larger than field limit (131072)\n")
 
 
 WHOLE_SHEET = "A1:XFD1048576"

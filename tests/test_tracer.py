@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from sprego import (EvalContext, Sheet, decompose, evaluate_formula,
-                    parse_formula, render_tsv, trace)
+from sprego import (ArrayValue, EvalContext, Sheet, decompose,
+                    evaluate_formula, parse_formula, render_tsv, trace)
 from sprego import evaluator, tracer
 from sprego.grid import parse_cell, parse_a1, as_range
 from sprego.parser import Call, parse_expression, unparse
@@ -102,7 +102,7 @@ class TestTrace:
         assert [s.label for s in table.steps] == [
             "S1", "S2", "S3", "S4", "S5", "S6", "S7"]
         final = table.steps[-1]
-        assert final.results.to_rows() == [["EUW"], ["EUNE"], ["EUW"]]
+        assert final.results == ArrayValue.column(["EUW", "EUNE", "EUW"])
 
     def test_first_row_of_each_step(self, sheet):
         # 'ReisenII (EUW)': positions and slices step by step
@@ -132,7 +132,7 @@ class TestTrace:
         table = trace("{=LEN(C2:C4)-LEN(C2)}", EvalContext(sheet))
         lens = table.steps[1]
         assert unparse(lens.expr) == "LEN(C2)"
-        assert lens.results.to_rows() == [[14.0], [14.0], [14.0]]
+        assert lens.results == ArrayValue.column([14.0, 14.0, 14.0])
 
     def test_rangeless_formula_traces_one_row(self):
         table = trace("=ROUND(2.5,0)+1", EvalContext(Sheet()))
@@ -250,7 +250,7 @@ class TestOneEvaluation:
         for a1, value in [("B1", 1.0), ("B2", 2.0), ("B3", 3.0)]:
             sheet.set(parse_cell(a1), value)
         text = "=IF(FALSE,SUM(B1:B3)*SUM(B1:B3),0)"
-        assert parse_formula(text).twins
+        assert parse_formula(text).interning
         table = trace(text, EvalContext(sheet))
         assert [unparse(step.expr) for step in table.steps] == \
             ["SUM(B1:B3)", "SUM(B1:B3)*SUM(B1:B3)", text[1:]]

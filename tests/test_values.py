@@ -19,8 +19,8 @@ from sprego.values import (
     NA_ERR,
     VALUE_ERR,
     coerce_to_number,
+    COMPARISONS,
     coerce_to_text,
-    compare,
     is_truthy,
     parse_number,
     render,
@@ -157,37 +157,33 @@ class TestCoercion:
 
 class TestCompare:
     def test_numbers(self):
-        assert compare(1.0, 2.0, "<") is True
-        assert compare(2.0, 2.0, "<=") is True
-        assert compare(2.0, 2.0, "<>") is False
+        assert COMPARISONS["<"](1.0, 2.0) is True
+        assert COMPARISONS["<="](2.0, 2.0) is True
+        assert COMPARISONS["<>"](2.0, 2.0) is False
 
     def test_text_folds_case(self):
-        assert compare("euw", "EUW", "=") is True
-        assert compare("Alpha", "beta", "<") is True
+        assert COMPARISONS["="]("euw", "EUW") is True
+        assert COMPARISONS["<"]("Alpha", "beta") is True
 
     def test_booleans_order_false_before_true(self):
-        assert compare(False, True, "<") is True
-        assert compare(True, True, "=") is True
+        assert COMPARISONS["<"](False, True) is True
+        assert COMPARISONS["="](True, True) is True
 
     def test_cross_type_rank(self):
         # numbers < text < booleans, regardless of magnitude
-        assert compare(1e9, "a", "<") is True
-        assert compare("zzz", False, "<") is True
-        assert compare(True, 0.0, ">") is True
+        assert COMPARISONS["<"](1e9, "a") is True
+        assert COMPARISONS["<"]("zzz", False) is True
+        assert COMPARISONS[">"](True, 0.0) is True
 
     def test_blank_adapts_to_other_side(self):
-        assert compare(BLANK, 0.0, "=") is True
-        assert compare(BLANK, "", "=") is True
-        assert compare(BLANK, False, "=") is True
-        assert compare(BLANK, "EUW", "=") is False
+        assert COMPARISONS["="](BLANK, 0.0) is True
+        assert COMPARISONS["="](BLANK, "") is True
+        assert COMPARISONS["="](BLANK, False) is True
+        assert COMPARISONS["="](BLANK, "EUW") is False
 
     def test_errors_win(self):
-        assert compare(NA_ERR, 1.0, "=") is NA_ERR
-        assert compare(1.0, DIV0_ERR, "<") is DIV0_ERR
-
-    def test_unknown_operator_is_a_bug(self):
-        with pytest.raises(ValueError):
-            compare(1.0, 2.0, "!=")
+        assert COMPARISONS["="](NA_ERR, 1.0) is NA_ERR
+        assert COMPARISONS["<"](1.0, DIV0_ERR) is DIV0_ERR
 
 
 class TestErrorValues:
@@ -234,10 +230,11 @@ class TestArrayValue:
         assert arr.shape == (2, 3)
         assert arr.first() == 1.0
 
-    def test_to_rows_round_trip(self):
+    def test_rows_read_back_row_major(self):
         rows = [[1.0, "x", BLANK], [True, 2.0, "y"]]
         arr = ArrayValue(2, 3, (1.0, "x", BLANK, True, 2.0, "y"))
-        assert arr.to_rows() == rows
+        assert arr.shape == (2, 3)
+        assert [[arr.get(r, c) for c in range(3)] for r in range(2)] == rows
 
     def test_column_constructor(self):
         arr = ArrayValue.column([1.0, 2.0, 3.0])
