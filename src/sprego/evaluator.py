@@ -9,8 +9,11 @@ implicit intersection.
 
 lift also coerces each lifted argument as its mode says (a function's
 descriptor, or _OPERATORS), so kernels see numbers or text already.
-Over arrays a kernel's column form (FIND, LEFT, RIGHT, LEN, binary
-+ - *) makes all elements in one call, not one Python frame each.
+Over arrays every step is a call per column, not a Python frame per
+element: a coercion's column form coerces an array, the elements an
+error decides are found column by column, and a kernel's column form
+(FIND, LEFT, RIGHT, LEN, IF, ISERROR, binary + - * and the
+comparisons) makes all the other elements in one call.
 
 Errors are values, not exceptions: they flow out of individual
 elements and poison exactly the results that depend on them.
@@ -28,7 +31,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from typing import Callable, Optional
 
 from .functions import (COERCION, NUMBER, SCALAR, TEXT, UNCHANGED_BY,
@@ -211,11 +214,13 @@ def _broadcast(kernel: Callable[..., Value], values: list, arrays: list[int],
                captures_errors: bool) -> Value:
     """lift's element loop, for lifted arrays under array entry.
 
-    It does only per-element work: a lifted scalar is coerced once per
-    call and an array once per element, before the loop (unless its
-    coercion returns its element types unchanged), and a stretched
-    array is expanded once.  Where no error decides an element, the
-    kernel's column form, if any, makes every element in one call.
+    Every step is a call per column, not per element: a lifted scalar
+    is coerced once, an array by its coercion's column form (unless
+    the coercion returns its element types unchanged), and a stretched
+    array is expanded once.  The elements an error decides are found
+    column by column; the rest go, compressed, through the kernel's
+    column form (or map over the kernel, which has none) in one call,
+    and the results are scattered back between the errors.
     """
     shape = broadcast_shape([values[i].shape for i in arrays])
     if shape is None:
@@ -236,7 +241,8 @@ def _broadcast(kernel: Callable[..., Value], values: list, arrays: list[int],
         if coerce and i not in arrays:
             values[i] = coerce(raw[i])
         elif coerce and not kinds[i].issubset(UNCHANGED_BY.get(coerce, ())):
-            values[i] = tuple(map(coerce, raw[i]))
+            form = getattr(coerce, "column", None)
+            values[i] = tuple(form(raw[i]) if form else map(coerce, raw[i]))
             kinds[i] = set(map(type, values[i]))
     # what can decide an element before the kernel does, in lift's
     # order; a scalar error decides every element it is reached on
@@ -256,17 +262,19 @@ def _broadcast(kernel: Callable[..., Value], values: list, arrays: list[int],
                for i, value in enumerate(values)]
     # a swapped or wrapped impl has no form, so it sees every element
     column = getattr(getattr(kernel, "func", kernel), "column", None)
-    if not deciders:
-        cells = column(*columns) if column else list(map(kernel, *columns))
-    else:
-        cells = []
-        for call_args, decided in zip(zip(*columns), zip(*deciders)):
-            for value in decided:
-                if isinstance(value, CellError):
-                    cells.append(value)
-                    break
-            else:
-                cells.append(kernel(*call_args))
+    if deciders:
+        # each element's first deciding error (errors are truthy), or None
+        errors = [None] * (rows * cols)
+        for decider in deciders:
+            errors = [error or (value if value.__class__ is CellError
+                                else None)
+                      for error, value in zip(errors, decider)]
+        keep = [error is None for error in errors]
+        columns = [compress(cells, keep) for cells in columns]
+    cells = column(*columns) if column else list(map(kernel, *columns))
+    if deciders:
+        made = iter(cells)
+        cells = [error or next(made) for error in errors]
     # a kernel fed only scalars returns a scalar: only one with an argument
     # passed whole (INDEX, OFFSET, ROW, COLUMN, TRANSPOSE) makes arrays
     if len(lifted) < len(values) and ArrayValue in set(map(type, cells)):

@@ -9,8 +9,9 @@ argument:
 * NUMBER, TEXT and LOGICAL arguments are lifted element-wise over
   arrays and coerced (COERCION): kernels see floats, strs and bools,
   one element per call.  SCALAR arguments are lifted uncoerced.
-  FIND, LEFT, RIGHT and LEN also have a column form, kernel.column:
-  their rule over whole columns in one call (an iterable per argument).
+  FIND, LEFT, RIGHT, LEN, IF and ISERROR also have a column form,
+  kernel.column: their rule over whole columns in one call (an iterable
+  per argument), as COERCION's two coercions and the comparisons do.
 * ARRAY arguments arrive whole (scalars stay scalars; kernels that
   need a rectangle wrap them as 1x1, an empty slot as a blank cell).
 * REF arguments are never evaluated; the evaluator resolves the
@@ -361,6 +362,11 @@ def fn_if(ctx: "EvalContext", truth: bool, then: Value,
     return 0.0 if chosen is OMITTED else chosen
 
 
+fn_if.column = lambda truths, thens, otherwises=repeat(False): [
+    0.0 if (chosen := then if truth else otherwise) is OMITTED else chosen
+    for truth, then, otherwise in zip(truths, thens, otherwises)]
+
+
 def fn_not(ctx: "EvalContext", truth: bool) -> Value:
     return not truth
 
@@ -368,6 +374,10 @@ def fn_not(ctx: "EvalContext", truth: bool) -> Value:
 def fn_iserror(ctx: "EvalContext", value: Scalar) -> Value:
     # the one consumer of error values
     return isinstance(value, CellError)
+
+
+fn_iserror.column = lambda values: [
+    value.__class__ is CellError for value in values]
 
 
 # ---------------------------------------------------------------- lookup

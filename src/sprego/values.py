@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from functools import partial
 from math import isfinite
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +155,8 @@ def coerce_to_number(value: Scalar) -> float | CellError:
     """Coerce a scalar to a number.
 
     Booleans become 1/0, Blank and Omitted become 0, text must parse
-    fully as a number and errors pass through unchanged.
+    fully as a number and errors pass through unchanged.  Its column
+    form (coerce_to_number.column) coerces a whole column in one call.
     """
     if isinstance(value, float):  # bool is not a float subclass
         return value
@@ -169,11 +170,38 @@ def coerce_to_number(value: Scalar) -> float | CellError:
     return 0.0
 
 
+def _number_column(values: Sequence[Scalar]) -> list:
+    """coerce_to_number over a column, parse_number's rule written out
+    for text.  Text that passes the alphabet test but that float()
+    refuses ("555-1234", "1.2.3") sends the whole column through
+    coerce_to_number, once each, instead."""
+    try:
+        return [value if value.__class__ is float
+                else 0.0 if value is BLANK
+                else coerce_to_number(value) if value.__class__ is not str
+                else VALUE_ERR if (text := value.strip()).strip(_NUMBER_CHARS)
+                or not text.strip("+-.eE")
+                else number if isfinite(number := float(text))
+                else VALUE_ERR
+                for value in values]
+    except ValueError:
+        return list(map(coerce_to_number, values))
+
+
+coerce_to_number.column = _number_column
+
+
 def coerce_to_text(value: Scalar) -> str | CellError:
-    """Coerce a scalar to text; errors pass through unchanged."""
+    """Coerce a scalar to text; errors pass through unchanged.  Its
+    column form coerces a whole column, a blank to "" without a call."""
     if isinstance(value, (str, CellError)):
         return value
     return render(value)
+
+
+coerce_to_text.column = lambda values: [
+    value if value.__class__ is str else "" if value is BLANK
+    else coerce_to_text(value) for value in values]
 
 
 def is_truthy(value: Scalar) -> bool | CellError:
@@ -204,7 +232,9 @@ def _rank_and_key(value: Scalar):
 
 def _comparison(test: Callable) -> Callable:
     """The comparison operator that orders two scalars by test, one of
-    operator's comparisons, bound once so an element pays one call."""
+    operator's comparisons, bound once so an element pays one call.
+    Its column form compares two number or two text columns without
+    a call per element."""
     def compare_by(left: Scalar, right: Scalar) -> bool | CellError:
         if left.__class__ is float and right.__class__ is float:
             return test(left, right)
@@ -221,6 +251,15 @@ def _comparison(test: Callable) -> Callable:
         if lrank != rrank:
             return test(lrank, rrank)
         return test(lkey, rkey)
+
+    def column(lefts, rights) -> list:
+        return [test(left, right)
+                if left.__class__ is float and right.__class__ is float
+                else test(left.lower(), right.lower())
+                if left.__class__ is str and right.__class__ is str
+                else compare_by(left, right)
+                for left, right in zip(lefts, rights)]
+    compare_by.column = column
     return compare_by
 
 
