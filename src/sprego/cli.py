@@ -6,8 +6,8 @@
     sprego export workbook.csv A1:F15
 
 Exit codes: 0 success, 1 failed expectation or (with --strict) an
-error value in the result, 2 formula parse error, 3 evaluation or
-addressing error, 4 I/O error.
+error value in the result, 2 formula parse error (or usage error), 3
+evaluation or addressing error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ def _add_workbook_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--set", action="append", default=[],
                         metavar="CELL=VALUE", dest="assignments",
                         help="set a cell before evaluating (repeatable)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for RAND()")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,17 +73,16 @@ def build_parser() -> argparse.ArgumentParser:
                               "the packaged examples)")
     run_cmd.add_argument("--keep-going", action="store_true",
                          help="continue past a failed directive")
-    run_cmd.add_argument("--seed", type=int, default=None,
-                         help="seed for RAND()")
 
     trace_cmd = commands.add_parser(
         "trace", help="print the step-by-step table of a formula")
     trace_cmd.add_argument("args", nargs="+",
                            metavar="[workbook.csv] formula [input-range]")
-    trace_cmd.add_argument("--range", dest="input_range", default=None,
-                           help="input column (defaults to the formula's "
-                                "first range)")
     _add_workbook_flags(trace_cmd)
+
+    for command in (eval_cmd, run_cmd, trace_cmd):
+        command.add_argument("--seed", type=int, default=None,
+                             help="seed for RAND()")
 
     export_cmd = commands.add_parser(
         "export", help="print a workbook range back as CSV")
@@ -161,8 +158,6 @@ def cmd_run(options) -> int:
 def cmd_trace(options) -> int:
     workbook, formula_text, range_text = _positional_workbook(
         options.args, most=3)
-    if range_text is None:
-        range_text = options.input_range
     sheet = _build_sheet(options, workbook)
     input_range = (as_range(parse_a1(range_text))
                    if range_text is not None else None)

@@ -52,7 +52,6 @@ from .values import (
     Value,
     _finite,
     finite,
-    is_truthy,
     unwrap,
 )
 
@@ -297,10 +296,6 @@ def _apply(descriptor: FunctionDescriptor, args: list[Value],
                 captures_errors=descriptor.captures_errors)
 
 
-#: IF's condition is lifted as any scalar slot, uncoerced.
-_CONDITION_PLAN: dict[int, Optional[Callable]] = {0: None}
-
-
 def eval_if(args: tuple[Expr, ...], ctx: EvalContext,
             descriptor: FunctionDescriptor) -> Value:
     """IF(condition, then, else?), by the descriptor's kernel.
@@ -314,7 +309,8 @@ def eval_if(args: tuple[Expr, ...], ctx: EvalContext,
     if ctx.array_entered and isinstance(condition, ArrayValue):
         return _apply(descriptor, [condition, *(evaluate(arg, ctx)
                                                 for arg in args[1:])], ctx)
-    truth = lift(is_truthy, [condition], ctx, lifted=_CONDITION_PLAN)
+    # the condition alone, coerced by IF's own mode for it
+    truth = lift(bool, [condition], ctx, lifted=descriptor.plans[1])
     if isinstance(truth, CellError):
         return truth
     taken = 1 if truth else 2

@@ -23,9 +23,14 @@ last mode is ARRAY, never lifted, so longer calls share the last plan.
 IF's kernel is ordinary too: being lazy only lets the evaluator choose
 which of its arguments to evaluate (evaluator.eval_if).
 
+Functions that share a rule share one kernel, made or bound per
+function: SUM, AVERAGE, MIN and MAX are _aggregate of each one's
+finish over the numbers _collect_numbers takes; SMALL and LARGE are
+_kth, AND and OR are _logical, and ROW and COLUMN are _position.
+
 Coercion is written once: evaluator.lift applies it before the kernel
 runs.  Five sites coerce for themselves, as each must look at another
-argument first: SMALL/LARGE's k and MATCH's mode (the ARRAY argument's
+argument first: _kth's k and MATCH's mode (the ARRAY argument's
 errors win), SUBSTITUTE's instance (an empty old string returns the
 text unread), OFFSET's height and width (an empty slot means the
 reference's own size) and _collect_numbers (the aggregate rule).
@@ -47,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP, localcontext
+from functools import partial
 from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -260,98 +266,63 @@ def _total(numbers: list[float]) -> Value:
         return NUM_ERR
 
 
-def fn_sum(ctx: "EvalContext", *args: Value) -> Value:
-    numbers = _collect_numbers(args)
-    if isinstance(numbers, CellError):
-        return numbers
-    return _total(numbers)
-
-
-def fn_average(ctx: "EvalContext", *args: Value) -> Value:
-    numbers = _collect_numbers(args)
-    if isinstance(numbers, CellError):
-        return numbers
+def _mean(numbers: list[float]) -> Value:
     if not numbers:
         return DIV0_ERR
     total = _total(numbers)
     return total if isinstance(total, CellError) else total / len(numbers)
 
 
-def fn_min(ctx: "EvalContext", *args: Value) -> Value:
-    numbers = _collect_numbers(args)
-    if isinstance(numbers, CellError):
-        return numbers
-    return min(numbers) if numbers else 0.0
+def _aggregate(finish: Callable[[list[float]], Value]) -> Callable:
+    """The kernel of an aggregate: finish over the numbers that
+    _collect_numbers takes from its arguments, or their first error."""
+    def kernel(ctx: "EvalContext", *args: Value) -> Value:
+        numbers = _collect_numbers(args)
+        return numbers if isinstance(numbers, CellError) else finish(numbers)
+    return kernel
 
 
-def fn_max(ctx: "EvalContext", *args: Value) -> Value:
-    numbers = _collect_numbers(args)
-    if isinstance(numbers, CellError):
-        return numbers
-    return max(numbers) if numbers else 0.0
-
-
-def _kth(values: Value, k: Scalar, smallest: bool) -> Value:
+def _kth(smallest: bool, ctx: "EvalContext", values: Value,
+         k: Scalar) -> Value:
+    """SMALL(values, k) and LARGE(values, k): the k-th smallest or
+    largest of the numbers an aggregate takes from values."""
     numbers = _collect_numbers((values,))
     if isinstance(numbers, CellError):
         return numbers
-    k_value = coerce_to_number(k)
-    if isinstance(k_value, CellError):
-        return k_value
-    k = int(k_value)
+    k = coerce_to_number(k)
+    if isinstance(k, CellError):
+        return k
+    k = int(k)
     if k < 1 or k > len(numbers):
         return NUM_ERR
     numbers.sort()
-    return numbers[k - 1] if smallest else numbers[len(numbers) - k]
-
-
-def fn_small(ctx: "EvalContext", values: Value, k: Scalar) -> Value:
-    """SMALL(values, k): k-th smallest of the numeric elements."""
-    return _kth(values, k, smallest=True)
-
-
-def fn_large(ctx: "EvalContext", values: Value, k: Scalar) -> Value:
-    """LARGE(values, k): k-th largest of the numeric elements."""
-    return _kth(values, k, smallest=False)
+    return numbers[k - 1] if smallest else numbers[-k]
 
 
 # ----------------------------------------------------------------- logic
 
-def _iter_conditions(args: Sequence):
-    """Yield the boolean reading of every usable element, or an error."""
-    for arg in args:
-        elements = arg.cells if isinstance(arg, ArrayValue) else (arg,)
-        for element in elements:
-            if isinstance(element, CellError):
-                yield element
-            elif isinstance(element, bool):
-                yield element
-            elif isinstance(element, float):
-                yield element != 0.0
-            # text and blanks contribute nothing, matching how the
-            # aggregates treat non-numeric array elements
-
-
-def fn_and(ctx: "EvalContext", *args: Value) -> Value:
-    found = False
-    for condition in _iter_conditions(args):
-        if isinstance(condition, CellError):
-            return condition
-        found = True
-        if not condition:
-            return False
-    return True if found else VALUE_ERR
-
-
-def fn_or(ctx: "EvalContext", *args: Value) -> Value:
-    found = False
-    for condition in _iter_conditions(args):
-        if isinstance(condition, CellError):
-            return condition
-        found = True
-        if condition:
-            return True
-    return False if found else VALUE_ERR
+def _logical(stop: bool) -> Callable:
+    """The kernel of AND (stop False) or OR (stop True): the first error
+    or the first condition that is stop, in argument order; otherwise
+    not stop, or #VALUE! when no element is a condition.  A number is
+    one (non-zero is TRUE); text and blanks are not, as the aggregates
+    skip what is not a number."""
+    def kernel(ctx: "EvalContext", *args: Value) -> Value:
+        found = False
+        for arg in args:
+            elements = arg.cells if isinstance(arg, ArrayValue) else (arg,)
+            for element in elements:
+                if element.__class__ is float:
+                    element = element != 0.0
+                elif element.__class__ is CellError:
+                    return element
+                elif element.__class__ is not bool:
+                    continue
+                if element is stop:
+                    return stop
+                found = True
+        return (not stop) if found else VALUE_ERR
+    return kernel
 
 
 def fn_if(ctx: "EvalContext", truth: bool, then: Value,
@@ -454,12 +425,11 @@ def fn_index(ctx: "EvalContext", array: Value, row: float,
         return REF_ERR
     if r == 0 and c == 0:
         return unwrap(array)
+    cells, cols = array.cells, array.cols
     if r == 0:
-        column = [array.get(i, c - 1) for i in range(array.rows)]
-        return unwrap(ArrayValue(array.rows, 1, tuple(column)))
+        return unwrap(ArrayValue(array.rows, 1, cells[c - 1::cols]))
     if c == 0:
-        row = [array.get(r - 1, j) for j in range(array.cols)]
-        return unwrap(ArrayValue(1, array.cols, tuple(row)))
+        return unwrap(ArrayValue(1, cols, cells[(r - 1) * cols:r * cols]))
     return array.get(r - 1, c - 1)
 
 
@@ -492,27 +462,22 @@ def fn_offset(ctx: "EvalContext", base: RangeRef, rows: float, cols: float,
     return unwrap(read_range(ctx.sheet, shifted))
 
 
-def fn_row(ctx: "EvalContext", rng: Optional[RangeRef] = None) -> Value:
-    """ROW(ref?): the row number; of the formula's own cell with no
-    argument, of a range's rows (as a column vector, when array
-    entered) with one."""
-    if rng is None:
-        return float(ctx.anchor.row)
-    if ctx.array_entered and rng.rows > 1:
-        rows = [float(r) for r in
-                range(rng.top_left.row, rng.bottom_right.row + 1)]
-        return ArrayValue.column(rows)
-    return float(rng.top_left.row)
-
-
-def fn_column(ctx: "EvalContext", rng: Optional[RangeRef] = None) -> Value:
-    if rng is None:
-        return float(ctx.anchor.col)
-    if ctx.array_entered and rng.cols > 1:
-        cols = tuple(float(c) for c in
-                     range(rng.top_left.col, rng.bottom_right.col + 1))
-        return ArrayValue(1, len(cols), cols)
-    return float(rng.top_left.col)
+def _position(axis: str) -> Callable:
+    """The kernel of ROW (axis "row") or COLUMN ("col"): the number of
+    the formula's own cell with no argument, of a range's first row or
+    column with one; array entered, of each of its rows (a column
+    vector) or columns (a row vector)."""
+    def kernel(ctx: "EvalContext", rng: Optional[RangeRef] = None) -> Value:
+        if rng is None:
+            return float(getattr(ctx.anchor, axis))
+        first = getattr(rng.top_left, axis)
+        last = getattr(rng.bottom_right, axis)
+        if not ctx.array_entered or first == last:
+            return float(first)
+        numbers = tuple(map(float, range(first, last + 1)))
+        return (ArrayValue(len(numbers), 1, numbers) if axis == "row"
+                else ArrayValue(1, len(numbers), numbers))
+    return kernel
 
 
 def fn_transpose(ctx: "EvalContext", value: Value) -> Value:
@@ -558,12 +523,14 @@ def fn_rand(ctx: "EvalContext") -> Value:
 # -------------------------------------------------------------- registry
 
 REGISTRY: dict[str, FunctionDescriptor] = {d.name: d for d in [
-    FunctionDescriptor("SUM", 1, None, (ARRAY,), fn_sum),
-    FunctionDescriptor("AVERAGE", 1, None, (ARRAY,), fn_average),
-    FunctionDescriptor("MIN", 1, None, (ARRAY,), fn_min),
-    FunctionDescriptor("MAX", 1, None, (ARRAY,), fn_max),
-    FunctionDescriptor("SMALL", 2, 2, (ARRAY, SCALAR), fn_small),
-    FunctionDescriptor("LARGE", 2, 2, (ARRAY, SCALAR), fn_large),
+    FunctionDescriptor("SUM", 1, None, (ARRAY,), _aggregate(_total)),
+    FunctionDescriptor("AVERAGE", 1, None, (ARRAY,), _aggregate(_mean)),
+    FunctionDescriptor("MIN", 1, None, (ARRAY,),
+                       _aggregate(partial(min, default=0.0))),
+    FunctionDescriptor("MAX", 1, None, (ARRAY,),
+                       _aggregate(partial(max, default=0.0))),
+    FunctionDescriptor("SMALL", 2, 2, (ARRAY, SCALAR), partial(_kth, True)),
+    FunctionDescriptor("LARGE", 2, 2, (ARRAY, SCALAR), partial(_kth, False)),
     FunctionDescriptor("LEFT", 1, 2, (TEXT, NUMBER), fn_left),
     FunctionDescriptor("RIGHT", 1, 2, (TEXT, NUMBER), fn_right),
     FunctionDescriptor("LEN", 1, 1, (TEXT,), fn_len),
@@ -576,11 +543,11 @@ REGISTRY: dict[str, FunctionDescriptor] = {d.name: d for d in [
     FunctionDescriptor("MATCH", 2, 3, (SCALAR, ARRAY, SCALAR), fn_match),
     FunctionDescriptor("INDEX", 2, 3, (ARRAY, NUMBER, NUMBER), fn_index),
     FunctionDescriptor("ISERROR", 1, 1, (SCALAR,), fn_iserror, captures_errors=True),
-    FunctionDescriptor("AND", 1, None, (ARRAY,), fn_and),
-    FunctionDescriptor("OR", 1, None, (ARRAY,), fn_or),
+    FunctionDescriptor("AND", 1, None, (ARRAY,), _logical(False)),
+    FunctionDescriptor("OR", 1, None, (ARRAY,), _logical(True)),
     FunctionDescriptor("NOT", 1, 1, (LOGICAL,), fn_not),
-    FunctionDescriptor("ROW", 0, 1, (REF,), fn_row),
-    FunctionDescriptor("COLUMN", 0, 1, (REF,), fn_column),
+    FunctionDescriptor("ROW", 0, 1, (REF,), _position("row")),
+    FunctionDescriptor("COLUMN", 0, 1, (REF,), _position("col")),
     FunctionDescriptor("OFFSET", 3, 5, (REF, NUMBER, NUMBER, SCALAR, SCALAR),
                        fn_offset),
     FunctionDescriptor("TRANSPOSE", 1, 1, (ARRAY,), fn_transpose),

@@ -221,8 +221,12 @@ def is_truthy(value: Scalar) -> bool | CellError:
     return False
 
 
-def _rank_and_key(value: Scalar):
-    # cross-type ordering: numbers < text < booleans
+def _rank_and_key(value: Scalar, other: Scalar):
+    """value's rank in the cross-type order, numbers < text < booleans,
+    and its key within its type.  A blank takes the type of other."""
+    if value is BLANK or value is OMITTED:
+        value = (False if isinstance(other, bool)
+                 else "" if isinstance(other, str) else 0.0)
     if isinstance(value, bool):
         return 2, value
     if isinstance(value, float):
@@ -244,10 +248,8 @@ def _comparison(test: Callable) -> Callable:
             return left
         if isinstance(right, CellError):
             return right
-        left = _adapt_blank(left, right)
-        right = _adapt_blank(right, left)
-        lrank, lkey = _rank_and_key(left)
-        rrank, rkey = _rank_and_key(right)
+        lrank, lkey = _rank_and_key(left, right)
+        rrank, rkey = _rank_and_key(right, left)
         if lrank != rrank:
             return test(lrank, rrank)
         return test(lkey, rkey)
@@ -269,16 +271,6 @@ def _comparison(test: Callable) -> Callable:
 COMPARISONS = {op: _comparison(test) for op, test in (
     ("=", operator.eq), ("<>", operator.ne), ("<", operator.lt),
     ("<=", operator.le), (">", operator.gt), (">=", operator.ge))}
-
-
-def _adapt_blank(value: Scalar, other: Scalar) -> Scalar:
-    if value is not BLANK and value is not OMITTED:
-        return value
-    if isinstance(other, bool):
-        return False
-    if isinstance(other, str):
-        return ""
-    return 0.0
 
 
 @dataclass(frozen=True)

@@ -247,6 +247,9 @@ class TestLogic:
         assert ev("=AND(TRUE,0)") is False
         assert ev("=OR(FALSE,0)") is False
         assert ev("=OR(0,2)") is True
+        # the deciding condition ends the scan before a later error
+        assert ev("=AND(FALSE,1/0)") is False
+        assert ev("=OR(TRUE,1/0)") is True
 
     def test_text_and_blanks_are_ignored(self, sheet):
         assert ev("=AND(B1:B3)", sheet) is True  # "note" skipped, TRUE and 2 count
@@ -258,6 +261,7 @@ class TestLogic:
 
     def test_errors_propagate(self):
         assert ev("=AND(TRUE,1/0)") is DIV0_ERR
+        assert ev("=OR(1/0,TRUE)") is DIV0_ERR
 
     def test_not(self):
         assert ev("=NOT(FALSE)") is True
@@ -382,11 +386,15 @@ class TestOffsetRowColumn:
         assert ev("=ROW(A1:A3)", sheet) == 1.0
         vector = ev("{=ROW(A5:A7)}", sheet)
         assert vector == ArrayValue.column([5.0, 6.0, 7.0])
+        assert ev("{=ROW(A1:C1)}", sheet) == 1.0  # one row: a number
+        assert ev("{=ROW(A1:B3)}", sheet) == ArrayValue.column([1.0, 2.0, 3.0])
 
     def test_column_vector_is_horizontal(self, sheet):
         vector = ev("{=COLUMN(A1:C1)}", sheet)
         assert vector.shape == (1, 3)
         assert vector == ArrayValue(1, 3, (1.0, 2.0, 3.0))
+        assert ev("{=COLUMN(A1:A3)}", sheet) == 1.0  # one column: a number
+        assert ev("{=COLUMN(A1:C2)}", sheet) == vector
 
     def test_offset_wants_a_reference(self, sheet):
         # a computed array is not an addressable reference

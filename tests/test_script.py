@@ -487,6 +487,20 @@ class TestCli:
         main(["eval", "=RAND()", "--seed", "5"])
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("command", ["eval", "run", "trace"])
+    def test_seed_is_an_option_of_each_command_that_evaluates(self, command):
+        options = build_parser().parse_args([command, "x", "--seed", "5"])
+        assert options.seed == 5
+
+    @pytest.mark.parametrize("argv", [
+        # the input range is the third positional; export draws nothing
+        ["trace", "b.csv", "{=LEN(A2:A3)}", "B2:B3", "--range", "A2:A3"],
+        ["export", "b.csv", "A1:B3", "--seed", "1"]])
+    def test_options_nothing_reads_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+
     def test_eval_parse_error_exit(self, capsys):
         assert main(["eval", "=LEFT("]) == PARSE_FAILED
         assert "formula error" in capsys.readouterr().err
