@@ -7,7 +7,7 @@ import io
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, islice, repeat, zip_longest
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
@@ -16,8 +16,8 @@ from .values import (
     BLANK,
     OMITTED,
     Scalar,
-    parse_number,
-    render,
+    read_numbers,
+    render_column,
 )
 
 MAX_COLS = 16384
@@ -26,6 +26,10 @@ MAX_ROWS = 1048576
 #: The most cells one range may materialize: one full column.  A
 #: whole-sheet range would be 1.7e10 cells.
 MAX_RANGE_CELLS = MAX_ROWS
+
+#: The CSV rows load_csv converts at once: beyond the sheet it builds,
+#: it holds one block's text.
+BLOCK_ROWS = 256
 
 
 class GridError(Exception):
@@ -248,12 +252,18 @@ def _open_text(source: CsvSource) -> IO[str]:
     return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
 
 
-def _check_row(fields: list[str], row: int, column_offset: int) -> None:
-    """Raise GridError for the first non-empty field of a CSV row that
-    lands off the sheet; empty fields are never stored."""
-    for col, text in enumerate(fields, start=column_offset + 1):
-        if text != "" and (row > MAX_ROWS or col > MAX_COLS):
-            raise GridError(f"address out of range: col={col} row={row}")
+def _check_block(block: list[list[str]], top: int,
+                 column_offset: int) -> None:
+    """Raise GridError for the first non-empty field, row by row, of a
+    block of CSV rows from row top that lands off the sheet; empty
+    fields are never stored."""
+    if (top + len(block) - 1 <= MAX_ROWS
+            and column_offset + max(map(len, block)) <= MAX_COLS):
+        return
+    for row, fields in enumerate(block, start=top):
+        for col, text in enumerate(fields, start=column_offset + 1):
+            if text != "" and (row > MAX_ROWS or col > MAX_COLS):
+                raise GridError(f"address out of range: col={col} row={row}")
 
 
 def load_csv(
@@ -271,13 +281,13 @@ def load_csv(
     column_offset shifts the whole table right, leaving the first
     columns free for derived series.  A file or byte stream is read as
     UTF-8, less the byte-order mark Excel's "CSV UTF-8" starts with.
-    Each field is converted by values.parse_number as its row streams
-    in, so the text of a number is never held past its row.
+    Rows are read in blocks of BLOCK_ROWS, and each column of a block
+    is converted by values.read_numbers in one call, so the text of a
+    number is held no longer than its block.
     """
     if column_offset < 0:
         raise IngestError("column offset must be non-negative")
     columns: defaultdict[int, dict[int, Scalar]] = defaultdict(dict)
-    first = 2 if header else 1  # the first row that may hold numbers
     try:
         stream = _open_text(source)
     except OSError as exc:
@@ -285,15 +295,17 @@ def load_csv(
     owns_stream = isinstance(source, (str, Path))
     try:
         reader = csv.reader(stream)
-        for row_idx, fields in enumerate(reader, start=1):
-            if row_idx > MAX_ROWS or len(fields) + column_offset > MAX_COLS:
-                _check_row(fields, row_idx, column_offset)
-            numeric = not force_text and row_idx >= first
-            for col_idx, text in enumerate(fields, start=column_offset + 1):
-                if not text:
-                    continue
-                number = parse_number(text) if numeric else None
-                columns[col_idx][row_idx] = text if number is None else number
+        # a header is a block of its own, kept as text
+        top, size = 1, 1 if header else BLOCK_ROWS
+        numeric = not (header or force_text)
+        while block := list(islice(reader, size)):
+            _check_block(block, top, column_offset)
+            rows = list(range(top, top + len(block)))  # keys all columns share
+            for col, texts in enumerate(zip_longest(*block, fillvalue=""),
+                                        start=column_offset + 1):
+                values = read_numbers(texts, True) if numeric else texts
+                columns[col].update(compress(zip(rows, values), texts))
+            top, size, numeric = top + len(block), BLOCK_ROWS, not force_text
     except UnicodeDecodeError as exc:
         raise IngestError(f"CSV source is not valid UTF-8: {exc}") from exc
     except csv.Error as exc:
@@ -304,12 +316,12 @@ def load_csv(
         elif stream is not source and isinstance(stream, io.TextIOWrapper):
             # keep the caller's byte stream open
             stream.detach()
-    return Sheet(dict(columns))
+    return Sheet({col: column for col, column in columns.items() if column})
 
 
 def render_rows(array: ArrayValue) -> Iterator[tuple[str, ...]]:
-    """The display text of every cell, one tuple per row, made lazily."""
-    return zip(*[iter(map(render, array.cells))] * array.cols)
+    """The display text of every cell, one tuple per row."""
+    return zip(*[iter(render_column(array.cells))] * array.cols)
 
 
 def range_to_csv(sheet: Sheet, rng: RangeRef) -> str:

@@ -19,7 +19,7 @@ from typing import Optional, Union
 from .evaluator import EvalContext, evaluate
 from .grid import RangeRef, render_rows
 from .parser import Expr, Formula, Interning, RangeLit, intern, parse_formula
-from .values import ArrayValue, BLANK, Scalar, render
+from .values import ArrayValue, BLANK, Scalar, render, render_column
 
 
 class TraceError(Exception):
@@ -136,10 +136,11 @@ def render_tsv(table: TraceTable) -> str:
     joined by ", ") and the columns are zipped into rows.
     """
     header = [step.label for step in table.steps]
-    columns = [map(", ".join, render_rows(step.results))
+    columns = [render_column(step.results.cells) if step.results.cols == 1
+               else map(", ".join, render_rows(step.results))
                for step in table.steps]
     if table.input_header is not None:
         header.insert(0, table.input_header)
-        columns.insert(0, map(render, table.input_values))
+        columns.insert(0, render_column(table.input_values))
     rows = map("\t".join, zip(*columns))
     return "\n".join(["\t".join(header), *rows]) + "\n"

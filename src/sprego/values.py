@@ -128,9 +128,8 @@ _finite = partial(finite(operator.mul), 1.0)
 
 def render_number(value: float) -> str:
     """Shortest decimal text that parses back to exactly this double."""
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
+    return (str(int(value)) if value.is_integer() and -1e16 < value < 1e16
+            else repr(value))
 
 
 def render(value: Scalar) -> str:
@@ -149,6 +148,34 @@ def render(value: Scalar) -> str:
     if isinstance(value, CellError):
         return value.label
     return ""  # BLANK and OMITTED display as empty
+
+
+class _NumberTexts(dict):
+    """render_number's text by float, each made at its first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: float) -> str:
+        self[value] = text = render_number(value)
+        return text
+
+
+def _text_column(values: Sequence[Scalar], other: Callable) -> list:
+    """Display text down a column: text as it is, a blank as "", a
+    boolean as TRUE or FALSE and each distinct float rendered once, all
+    without a call; any other value is other's.  The memo holds floats
+    only, since True == 1.0 and they hash alike."""
+    memo = _NumberTexts()
+    return [value if value.__class__ is str
+            else "" if value is BLANK
+            else memo[value] if value.__class__ is float
+            else ("TRUE" if value else "FALSE") if value.__class__ is bool
+            else other(value) for value in values]
+
+
+def render_column(values: Sequence[Scalar]) -> list:
+    """render over a column in one call, each distinct float once."""
+    return _text_column(values, render)
 
 
 def coerce_to_number(value: Scalar) -> float | CellError:
@@ -170,38 +197,38 @@ def coerce_to_number(value: Scalar) -> float | CellError:
     return 0.0
 
 
-def _number_column(values: Sequence[Scalar]) -> list:
-    """coerce_to_number over a column, parse_number's rule written out
-    for text.  Text that passes the alphabet test but that float()
-    refuses ("555-1234", "1.2.3") sends the whole column through
-    coerce_to_number, once each, instead."""
+def read_numbers(values: Sequence[Scalar], keep_text: bool) -> list:
+    """parse_number's rule down a column, written out so a text costs
+    no call: numeric text becomes its number, and any other text stays
+    itself with keep_text (CSV ingest) or is #VALUE! without it
+    (coerce_to_number.column).  Any other value is coerce_to_number's,
+    a float's or a blank's without a call."""
     try:
-        return [value if value.__class__ is float
+        return [(number if not (text := value.strip()).strip(_NUMBER_CHARS)
+                 and text.strip("+-.eE") and isfinite(number := float(text))
+                 else value if keep_text else VALUE_ERR)
+                if value.__class__ is str
+                else value if value.__class__ is float
                 else 0.0 if value is BLANK
-                else coerce_to_number(value) if value.__class__ is not str
-                else VALUE_ERR if (text := value.strip()).strip(_NUMBER_CHARS)
-                or not text.strip("+-.eE")
-                else number if isfinite(number := float(text))
-                else VALUE_ERR
-                for value in values]
-    except ValueError:
-        return list(map(coerce_to_number, values))
+                else coerce_to_number(value) for value in values]
+    except ValueError:  # float() refused text the alphabet admits: "1.2.3"
+        return [coerce_to_number(value) if value.__class__ is not str
+                else number if (number := parse_number(value)) is not None
+                else value if keep_text else VALUE_ERR for value in values]
 
 
-coerce_to_number.column = _number_column
+coerce_to_number.column = lambda values: read_numbers(values, False)
 
 
 def coerce_to_text(value: Scalar) -> str | CellError:
     """Coerce a scalar to text; errors pass through unchanged.  Its
-    column form coerces a whole column, a blank to "" without a call."""
+    column form coerces a whole column as render_column does."""
     if isinstance(value, (str, CellError)):
         return value
     return render(value)
 
 
-coerce_to_text.column = lambda values: [
-    value if value.__class__ is str else "" if value is BLANK
-    else coerce_to_text(value) for value in values]
+coerce_to_text.column = lambda values: _text_column(values, coerce_to_text)
 
 
 def is_truthy(value: Scalar) -> bool | CellError:
@@ -221,12 +248,16 @@ def is_truthy(value: Scalar) -> bool | CellError:
     return False
 
 
+#: What a blank stands for against a value of each type: it takes the
+#: other side's type.
+_BLANK_AS = {float: 0.0, str: "", bool: False}
+
+
 def _rank_and_key(value: Scalar, other: Scalar):
     """value's rank in the cross-type order, numbers < text < booleans,
     and its key within its type.  A blank takes the type of other."""
     if value is BLANK or value is OMITTED:
-        value = (False if isinstance(other, bool)
-                 else "" if isinstance(other, str) else 0.0)
+        value = _BLANK_AS.get(other.__class__, 0.0)
     if isinstance(value, bool):
         return 2, value
     if isinstance(value, float):
@@ -237,8 +268,8 @@ def _rank_and_key(value: Scalar, other: Scalar):
 def _comparison(test: Callable) -> Callable:
     """The comparison operator that orders two scalars by test, one of
     operator's comparisons, bound once so an element pays one call.
-    Its column form compares two number or two text columns without
-    a call per element."""
+    Its column form compares two numbers, two texts or a blank and a
+    number, a text or a boolean without a call."""
     def compare_by(left: Scalar, right: Scalar) -> bool | CellError:
         if left.__class__ is float and right.__class__ is float:
             return test(left, right)
@@ -255,10 +286,15 @@ def _comparison(test: Callable) -> Callable:
         return test(lkey, rkey)
 
     def column(lefts, rights) -> list:
+        # against "", only whether a text is empty counts, not its case
         return [test(left, right)
                 if left.__class__ is float and right.__class__ is float
                 else test(left.lower(), right.lower())
                 if left.__class__ is str and right.__class__ is str
+                else test(_BLANK_AS[right.__class__], right)
+                if left is BLANK and right.__class__ in _BLANK_AS
+                else test(left, _BLANK_AS[left.__class__])
+                if right is BLANK and left.__class__ in _BLANK_AS
                 else compare_by(left, right)
                 for left, right in zip(lefts, rights)]
     compare_by.column = column

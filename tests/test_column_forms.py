@@ -218,6 +218,28 @@ def test_comparisons_match_their_kernel(op):
     same(compare.column(*zip(*pairs)), [compare(x, y) for x, y in pairs])
 
 
+#: What a blank stands for against each type: it takes the other side's.
+BLANK_AS = {str: "", float: 0.0, bool: False}
+
+
+@pytest.mark.parametrize("op", list(COMPARISONS))
+def test_a_blank_compares_as_the_empty_value_of_the_other_side(op):
+    compare = COMPARISONS[op]
+    others = ["", "a", "B", "ß", "İ", 0.0, -0.0, 2.5, -3.0, 1e308, True,
+              False]
+    lefts = [BLANK] * len(others) + others
+    rights = others + [BLANK] * len(others)
+    expected = [compare(BLANK_AS[type(right)], right) if left is BLANK
+                else compare(left, BLANK_AS[type(left)])
+                for left, right in zip(lefts, rights)]
+    assert expected == [compare(x, y) for x, y in zip(lefts, rights)]
+    same(compare.column(lefts, rights), expected)
+    # a whole column of blanks against one value, as _broadcast passes it
+    for other in others:
+        same(compare.column([BLANK] * 3, repeat(other)),
+             [compare(BLANK, other)] * 3)
+
+
 def test_comparison_form_folds_case():
     assert COMPARISONS["="].column(("ABC", "ß"), ("abc", "SS")) == [
         True, False]

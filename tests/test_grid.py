@@ -10,6 +10,7 @@ import tracemalloc
 import pytest
 
 from sprego.grid import (
+    BLOCK_ROWS,
     MAX_COLS,
     MAX_RANGE_CELLS,
     MAX_ROWS,
@@ -301,6 +302,9 @@ def _model_load(data: bytes, header, force_text, column_offset):
         for col_idx, text in enumerate(fields, start=column_offset + 1):
             if text == "":
                 continue
+            if row_idx > MAX_ROWS or col_idx > MAX_COLS:
+                raise GridError(
+                    f"address out of range: col={col_idx} row={row_idx}")
             value = text
             if numeric:
                 number = _model_number(text)
@@ -364,6 +368,88 @@ class TestLoadCsvAgainstPerFieldModel:
         with pytest.raises(GridError) as caught:
             load_csv(io.StringIO("a\n"), column_offset=100000)
         assert str(caught.value) == "address out of range: col=100001 row=1"
+
+
+def _same_as_model(data: bytes, **options):
+    """load_csv gives what the per-field model gives, cell for cell and
+    type for type, or the same GridError message."""
+    try:
+        model = _model_load(data, options.get("header", True),
+                            options.get("force_text", False),
+                            options.get("column_offset", 0))
+    except GridError as expected:
+        with pytest.raises(GridError) as caught:
+            load_csv(io.BytesIO(data), **options)
+        assert str(caught.value) == str(expected)
+        return
+    sheet = load_csv(io.BytesIO(data), **options)
+    assert sheet.used_cells() == set(model)
+    for (row, col), value in model.items():
+        got = sheet.get(CellAddress(col, row))
+        assert (type(got), repr(got)) == (type(value), repr(value))
+
+
+#: Fields with no comma, quote or line break: numbers, padded numbers,
+#: text float() refuses although its alphabet admits it, and text
+_FIELDS = ["0", "12", "-3", "+4.5", ".5", "1e3", "007", "-0", " 12 ",
+           "1e999", "1.2.3", "e5", "x", "1.1k", "TRUE", "", ""]
+
+
+def _board(rows: int, rng: random.Random) -> bytes:
+    """A header, then rows of those fields, some short and some long."""
+    lines = ["a,b,c,d"] + [
+        ",".join(rng.choices(_FIELDS, k=rng.choice([0, 1, 3, 4, 4, 4, 6])))
+        for _ in range(rows)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestLoadCsvByBlock:
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                      BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    def test_every_row_count_around_a_block(self, rows):
+        data = _board(rows, random.Random(rows))
+        _same_as_model(data)
+        # without a header, the first block holds BLOCK_ROWS data rows
+        _same_as_model(data, header=False)
+
+    @pytest.mark.parametrize("options", [
+        {"header": False}, {"force_text": True}, {"column_offset": 2},
+        {"header": False, "force_text": True, "column_offset": 1}],
+        ids=str)
+    def test_options_across_blocks(self, options):
+        _same_as_model(_board(2 * BLOCK_ROWS + 1, random.Random(7)),
+                       **options)
+
+    def test_a_column_empty_in_every_row_is_not_stored(self):
+        data = ("a,,c\n" + "1,,x\n" * (BLOCK_ROWS + 2)).encode()
+        _same_as_model(data)
+        sheet = load_csv(io.BytesIO(data))
+        assert {col for _, col in sheet.used_cells()} == {1, 3}
+
+    def test_the_first_field_off_the_sheet_is_named(self):
+        edge = MAX_COLS - 2
+        data = ("a,b\n" + "1,2\n" * BLOCK_ROWS + "3,4,5\n6,7,8,9\n").encode()
+        _same_as_model(data, column_offset=edge)
+        with pytest.raises(GridError, match=f"col={MAX_COLS + 1} row="
+                           f"{BLOCK_ROWS + 2}$"):
+            load_csv(io.BytesIO(data), column_offset=edge)
+
+    # blank lines are rows that store nothing; as BLOCK_ROWS divides
+    # MAX_ROWS, row MAX_ROWS + 1 ends a block after a header's block of
+    # its own, and starts one without a header
+    @pytest.mark.parametrize("header,tail,row", [
+        (True, "x\n", MAX_ROWS + 1), (False, ",\nx,y\nz\n", MAX_ROWS + 2)])
+    def test_a_row_past_the_last_raises_at_that_row(self, header, tail, row):
+        with pytest.raises(GridError) as caught:
+            load_csv(io.BytesIO(("\n" * MAX_ROWS + tail).encode()),
+                     header=header)
+        assert str(caught.value) == f"address out of range: col=1 row={row}"
+
+    def test_the_last_row_loads(self):
+        last = ("\n" * (MAX_ROWS - 1) + "7\n,\n").encode()
+        sheet = load_csv(io.BytesIO(last), header=False)
+        assert sheet.used_cells() == {(MAX_ROWS, 1)}
+        assert sheet.get(CellAddress(1, MAX_ROWS)) == 7.0
 
 
 class TestExport:

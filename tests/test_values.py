@@ -1,7 +1,10 @@
 """Scalar taxonomy: parsing, rendering, coercion and comparison."""
 
 import ast
+import math
 import random
+import struct
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,7 @@ from sprego.values import (
     is_truthy,
     parse_number,
     render,
+    render_column,
     render_number,
 )
 
@@ -119,6 +123,69 @@ class TestRender:
         assert render(DIV0_ERR) == "#DIV/0!"
         assert render(BLANK) == ""
         assert render(OMITTED) == ""
+
+
+def _reference_render_number(value):
+    """render_number as first written, the reference for the cheaper one."""
+    if value == int(value) and abs(value) < 1e16:
+        return str(int(value))
+    return repr(value)
+
+
+def _edge_doubles():
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    edges = [0.0, -0.0, 0.1 + 0.2, 0.5, -0.5, 1.0, -1.0, 5e-324, -5e-324,
+             tiny, -tiny, tiny / 2, huge, -huge, 2.0 ** 53, 2.0 ** 53 + 2,
+             9999999999999998.0, 123456.789]
+    for limit in (1e16, -1e16, 1e15, -1e15):
+        edges += [limit, math.nextafter(limit, 0.0),
+                  math.nextafter(limit, math.copysign(math.inf, limit))]
+    return edges
+
+
+def _random_doubles(n):
+    """Seeded finite doubles from random bit patterns (every exponent),
+    from a uniform draw, and integral values near the cut at 1e16."""
+    rng = random.Random(21)
+    values = []
+    while len(values) < n:
+        bits = rng.getrandbits(64).to_bytes(8, "little")
+        value = struct.unpack("<d", bits)[0]
+        if math.isfinite(value):
+            values.append(value)
+        values.append(rng.uniform(-1e6, 1e6))
+        values.append(float(rng.randrange(-2 * 10**16, 2 * 10**16)))
+    return values
+
+
+class TestRenderNumberAgainstItsFirstDefinition:
+    @pytest.mark.parametrize("value", _edge_doubles(), ids=repr)
+    def test_edge_values(self, value):
+        assert render_number(value) == _reference_render_number(value)
+
+    def test_seeded_doubles(self):
+        for value in _random_doubles(30000):
+            assert render_number(value) == _reference_render_number(value)
+
+
+class TestRenderColumn:
+    def test_booleans_and_numbers_that_hash_alike_render_apart(self):
+        column = [True, 1.0, False, 0.0, -0.0, 1.0, True, 0.0, False,
+                  BLANK, OMITTED, *ERROR_BY_LABEL.values(), "", "a", "1"]
+        assert render_column(column) == list(map(render, column))
+        assert render_column(column)[:5] == ["TRUE", "1", "FALSE", "0", "0"]
+
+    def test_seeded_mixed_columns(self):
+        pool = [True, False, 0.0, -0.0, 1.0, 2.5, 1e16, 0.1 + 0.2, -7.0,
+                BLANK, OMITTED, *ERROR_BY_LABEL.values(), "", "x", "TRUE",
+                "1", "é"]
+        rng = random.Random(9)
+        for _ in range(300):
+            column = rng.choices(pool, k=rng.randrange(40))
+            assert render_column(column) == list(map(render, column))
+        # computed floats are equal values held by distinct objects
+        column = [float(n % 3) for n in range(100)] + [True, False]
+        assert render_column(column) == list(map(render, column))
 
 
 class TestCoercion:
