@@ -301,10 +301,13 @@ def load_csv(
         while block := list(islice(reader, size)):
             _check_block(block, top, column_offset)
             rows = list(range(top, top + len(block)))  # keys all columns share
-            for col, texts in enumerate(zip_longest(*block, fillvalue=""),
-                                        start=column_offset + 1):
-                values = read_numbers(texts, True) if numeric else texts
-                columns[col].update(compress(zip(rows, values), texts))
+            for col, fields in enumerate(zip_longest(*block, fillvalue=""),
+                                         start=column_offset + 1):
+                # empty fields, a short row's padding among them, are
+                # neither converted nor stored
+                if texts := tuple(filter(None, fields)):
+                    columns[col].update(zip(compress(rows, fields), (
+                        read_numbers(texts, True) if numeric else texts)))
             top, size, numeric = top + len(block), BLOCK_ROWS, not force_text
     except UnicodeDecodeError as exc:
         raise IngestError(f"CSV source is not valid UTF-8: {exc}") from exc
@@ -316,7 +319,7 @@ def load_csv(
         elif stream is not source and isinstance(stream, io.TextIOWrapper):
             # keep the caller's byte stream open
             stream.detach()
-    return Sheet({col: column for col, column in columns.items() if column})
+    return Sheet(dict(columns))
 
 
 def render_rows(array: ArrayValue) -> Iterator[tuple[str, ...]]:
