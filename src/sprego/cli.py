@@ -48,6 +48,8 @@ def _add_workbook_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--set", action="append", default=[],
                         metavar="CELL=VALUE", dest="assignments",
                         help="set a cell before evaluating (repeatable)")
+    # what these flags and the positionals get wrong exits 2, as usage
+    parser.set_defaults(usage_error=parser.error)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,6 +101,20 @@ _PARSER = build_parser()
 
 
 def _build_sheet(options, workbook: Optional[str]) -> Sheet:
+    """The workbook, if any, with each --set applied.  A negative --at
+    or a malformed --set is a usage error, found before any file is read."""
+    if options.at < 0:
+        options.usage_error(f"argument --at: {options.at} is negative")
+    assignments = []
+    for text in options.assignments:
+        target, eq, literal = text.partition("=")
+        if not eq:
+            options.usage_error(f"malformed --set {text!r}")
+        try:
+            assignments.append((target.strip(),
+                                _parse_set_literal(literal, None, "--set")))
+        except ScriptError as exc:
+            options.usage_error(str(exc))
     if workbook is None:
         sheet = Sheet()
     else:
@@ -106,28 +122,23 @@ def _build_sheet(options, workbook: Optional[str]) -> Sheet:
                          header=not options.no_header,
                          force_text=options.text,
                          column_offset=options.at)
-    for assignment in options.assignments:
-        target, eq, literal = assignment.partition("=")
-        if not eq:
-            raise ScriptError(None, f"malformed --set {assignment!r}")
-        sheet.set(parse_cell(target.strip()),
-                  _parse_set_literal(literal, None, "--set"))
+    for target, value in assignments:
+        sheet.set(parse_cell(target), value)
     return sheet
 
 
-def _positional_workbook(args: list[str], most: int):
+def _positional_workbook(options, most: int):
     """Disambiguate [workbook] formula [range] by argument count."""
+    args = options.args
+    if len(args) > most:
+        options.usage_error("too many positional arguments")
     if len(args) == 1:
         return None, args[0], None
-    if len(args) == 2:
-        return args[0], args[1], None
-    if len(args) == 3 and most == 3:
-        return args[0], args[1], args[2]
-    raise ScriptError(None, "too many positional arguments")
+    return args[0], args[1], args[2] if len(args) == 3 else None
 
 
 def cmd_eval(options) -> int:
-    workbook, formula_text, _ = _positional_workbook(options.args, most=2)
+    workbook, formula_text, _ = _positional_workbook(options, most=2)
     sheet = _build_sheet(options, workbook)
     formula = parse_formula(formula_text)
     ctx = EvalContext(sheet, rng=random.Random(options.seed))
@@ -156,8 +167,7 @@ def cmd_run(options) -> int:
 
 
 def cmd_trace(options) -> int:
-    workbook, formula_text, range_text = _positional_workbook(
-        options.args, most=3)
+    workbook, formula_text, range_text = _positional_workbook(options, most=3)
     sheet = _build_sheet(options, workbook)
     input_range = (as_range(parse_a1(range_text))
                    if range_text is not None else None)

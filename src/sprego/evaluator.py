@@ -34,7 +34,7 @@ from functools import partial
 from itertools import chain, compress, repeat
 from typing import Callable, Optional
 
-from .functions import (COERCION, NUMBER, SCALAR, TEXT, UNCHANGED_BY,
+from .functions import (NUMBER, SCALAR, TEXT, UNCHANGED_BY,
                         FunctionDescriptor, lookup, read_range)
 from .grid import MAX_RANGE_CELLS, CellAddress, RangeRef, Sheet
 from .parser import Binary, Call, Expr, Formula, Literal, RangeLit, Ref, Unary
@@ -97,10 +97,10 @@ def _power(x: float, y: float) -> Value:
 
 
 #: (operator, operand count) -> (combine, the lifted operands' coercions).
-#: Combine functions take operands already coerced by their mode; + - *
-#: carry a column form (values.finite).
+#: Combine functions take operands already coerced by their mode, which
+#: is the coercion itself; + - * carry a column form (values.finite).
 _OPERATORS = {
-    (op, arity): (combine, dict.fromkeys(range(arity), COERCION[mode]))
+    (op, arity): (combine, dict.fromkeys(range(arity), mode))
     for (op, arity), (combine, mode) in {
         ("-", 1): (operator.neg, NUMBER),
         ("%", 1): (lambda x: x / 100.0, NUMBER),
@@ -120,22 +120,11 @@ _OPERATORS = {
 def broadcast_shape(shapes: list[tuple[int, int]]) -> Optional[tuple[int, int]]:
     """Common shape of the given array shapes, or None if they clash.
 
-    An axis of length 1 stretches to match; two different lengths
-    above 1 on the same axis are incompatible.
+    An axis of length 1 stretches to match: on each axis, the lengths
+    other than 1 must agree.
     """
-    rows, cols = 1, 1
-    for r, c in shapes:
-        if r != 1:
-            if rows == 1:
-                rows = r
-            elif r != rows:
-                return None
-        if c != 1:
-            if cols == 1:
-                cols = c
-            elif c != cols:
-                return None
-    return rows, cols
+    rows, cols = (set(axis) - {1} or {1} for axis in zip((1, 1), *shapes))
+    return (*rows, *cols) if len(rows) == len(cols) == 1 else None
 
 
 def _spread(array: ArrayValue, rows: int, cols: int) -> tuple[Scalar, ...]:
@@ -214,12 +203,12 @@ def _broadcast(kernel: Callable[..., Value], values: list, arrays: list[int],
     """lift's element loop, for lifted arrays under array entry.
 
     Every step is a call per column, not per element: a lifted scalar
-    is coerced once, an array by its coercion's column form (unless
-    the coercion returns its element types unchanged), and a stretched
-    array is expanded once.  The elements an error decides are found
-    column by column; the rest go, compressed, through the kernel's
-    column form (or map over the kernel, which has none) in one call,
-    and the results are scattered back between the errors.
+    is coerced once, then repeated; an array is expanded once, row-major,
+    then coerced by its coercion's column form unless the coercion
+    returns its element types unchanged.  The elements an error decides
+    are found column by column; the rest go, compressed, through the
+    kernel's column form (or map over the kernel, which has none) in
+    one call, and the results are scattered back between the errors.
     """
     shape = broadcast_shape([values[i].shape for i in arrays])
     if shape is None:
@@ -227,36 +216,32 @@ def _broadcast(kernel: Callable[..., Value], values: list, arrays: list[int],
     rows, cols = shape
     if rows * cols > MAX_RANGE_CELLS:
         return NUM_ERR  # checked before any array is expanded
-    # each array argument's element types, raw and coerced (exact
-    # types: CellError and ArrayValue have no subclasses)
-    raw_kinds = {i: values[i].kinds for i in arrays}
-    kinds = dict(raw_kinds)
-    # one row-major sequence per array argument, so zip yields each
-    # element's argument tuple
-    for i in arrays:
-        values[i] = _spread(values[i], rows, cols)
-    raw = list(values)
+    # what decides an element before the kernel does, in lift's order:
+    # held, the columns with an error as they came; made, those with one
+    # after their coercion (exact types: CellError has no subclasses)
+    held, made = [], []
     for i, coerce in lifted.items():
-        if coerce and i not in arrays:
-            values[i] = coerce(raw[i])
-        elif coerce and not kinds[i].issubset(UNCHANGED_BY.get(coerce, ())):
+        value = values[i]
+        if i not in arrays:
+            if value.__class__ is CellError:
+                held.append(repeat(value))
+            if coerce:
+                value = values[i] = coerce(value)
+                if value.__class__ is CellError:
+                    made.append(repeat(value))
+            continue
+        kinds = value.kinds
+        value = values[i] = _spread(value, rows, cols)
+        if CellError in kinds:
+            held.append(value)
+        if coerce and not kinds.issubset(UNCHANGED_BY.get(coerce, ())):
             form = getattr(coerce, "column", None)
-            values[i] = tuple(form(raw[i]) if form else map(coerce, raw[i]))
-            kinds[i] = set(map(type, values[i]))
-    # what can decide an element before the kernel does, in lift's
-    # order; a scalar error decides every element it is reached on
-    deciders = []
-    order = chain(((raw, raw_kinds, i)
-                   for i in (() if captures_errors else lifted)),
-                  ((values, kinds, i)
-                   for i, coerce in lifted.items() if coerce))
-    for source, held, i in order:
-        value = source[i]
-        if isinstance(value, CellError):
-            deciders.append(repeat(value))
-            break
-        if CellError in held.get(i, ()):
-            deciders.append(value)
+            value = values[i] = tuple(form(value) if form
+                                      else map(coerce, value))
+            kinds = set(map(type, value))
+        if coerce and CellError in kinds:
+            made.append(value)
+    deciders = made if captures_errors else held + made
     columns = [values[i] if i in arrays else repeat(value)
                for i, value in enumerate(values)]
     # a swapped or wrapped impl has no form, so it sees every element

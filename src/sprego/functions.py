@@ -7,11 +7,12 @@ FunctionDescriptor that tells the evaluator how to prepare each
 argument:
 
 * NUMBER, TEXT and LOGICAL arguments are lifted element-wise over
-  arrays and coerced (COERCION): kernels see floats, strs and bools,
-  one element per call.  SCALAR arguments are lifted uncoerced.
+  arrays and coerced, each mode being its coercion (coerce_to_number,
+  coerce_to_text, is_truthy): kernels see floats, strs and bools, one
+  element per call.  SCALAR (None) arguments are lifted uncoerced.
   FIND, LEFT, RIGHT, LEN, IF and ISERROR also have a column form,
   kernel.column: their rule over whole columns in one call (an iterable
-  per argument), as COERCION's two coercions and the comparisons do.
+  per argument), as the two value coercions and the comparisons do.
 * ARRAY arguments arrive whole (scalars stay scalars; kernels that
   need a rectangle wrap them as 1x1, an empty slot as a blank cell).
 * REF arguments are never evaluated; the evaluator resolves the
@@ -81,20 +82,10 @@ from .values import (
 if TYPE_CHECKING:
     from .evaluator import EvalContext
 
-SCALAR = "scalar"
-NUMBER = "number"
-TEXT = "text"
-LOGICAL = "logical"
-ARRAY = "array"
-REF = "ref"
-
-#: The lifted modes and the coercion each applies (None: none).
-COERCION: dict[str, Optional[Callable]] = {
-    SCALAR: None,
-    NUMBER: coerce_to_number,
-    TEXT: coerce_to_text,
-    LOGICAL: is_truthy,
-}
+#: The lifted modes, each the coercion it applies (SCALAR: none), and
+#: the two markers of arguments that are not lifted.
+SCALAR, NUMBER, TEXT = None, coerce_to_number, coerce_to_text
+LOGICAL, ARRAY, REF = is_truthy, "array", "ref"
 
 #: The element types each coercion returns as they are (the same object).
 UNCHANGED_BY = {coerce_to_number: {float, CellError},
@@ -106,7 +97,7 @@ class FunctionDescriptor:
     name: str
     min_args: int
     max_args: Optional[int]  # None means unlimited
-    modes: tuple[str, ...]  # per position; unlimited repeats the last, ARRAY
+    modes: tuple  # per position; unlimited repeats the last, ARRAY
     impl: Callable
     captures_errors: bool = False
     lazy: bool = False  # the evaluator picks the arguments to evaluate
@@ -120,10 +111,10 @@ class FunctionDescriptor:
     def __post_init__(self) -> None:
         modes = self.modes
         object.__setattr__(self, "plans", tuple(
-            {i: COERCION[m] for i, m in enumerate(modes[:n]) if m in COERCION}
+            {i: m for i, m in enumerate(modes[:n]) if m not in (ARRAY, REF)}
             for n in range(len(modes) + 1)))
         object.__setattr__(self, "refs", frozenset(
-            i for i, m in enumerate(modes) if m == REF))
+            i for i, m in enumerate(modes) if m is REF))
 
 
 # ---------------------------------------------------------------- text

@@ -440,13 +440,14 @@ class _Runner:
             if not path.is_absolute():
                 path = self.base_dir / path
             expected_rows = _load_expect_file(path)
-        if (len(expected_rows), max((len(r) for r in expected_rows), default=0)) \
-                != (target.rows, target.cols):
+        widths = sorted({len(row) for row in expected_rows}) or [0]
+        if (len(expected_rows), widths) != (target.rows, [target.cols]):
             return self.note(
                 directive.line,
                 f"EXPECT {target.a1}: FAIL (expected data is "
-                f"{len(expected_rows)} rows, range is {target.rows}x{target.cols})",
-                exit_code=EXPECT_FAILED)
+                f"{len(expected_rows)} rows of width "
+                f"{'/'.join(map(str, widths))}, range is "
+                f"{target.rows}x{target.cols})", exit_code=EXPECT_FAILED)
         for r, row in enumerate(expected_rows):
             for c, expected in enumerate(row):
                 got = actual.get(r, c)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from math import isfinite
 from typing import Callable, Sequence, Union
 
@@ -338,14 +338,11 @@ class ArrayValue:
     def first(self) -> Scalar:
         return self.cells[0]
 
-    @property
+    @cached_property
     def kinds(self) -> frozenset[type]:
         """The exact types of the elements, found once per array (an
         array a formula repeats is read by each of its users)."""
-        kinds = self.__dict__.get("_kinds")
-        if kinds is None:
-            kinds = self.__dict__["_kinds"] = frozenset(map(type, self.cells))
-        return kinds
+        return frozenset(map(type, self.cells))
 
     @classmethod
     def column(cls, values: list[Scalar]) -> "ArrayValue":

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -48,6 +49,14 @@ def row_major(rect):
     return [(row, col)
             for row in range(rect.top_left.row, rect.bottom_right.row + 1)
             for col in range(rect.top_left.col, rect.bottom_right.col + 1)]
+
+
+def exit_code(argv):
+    """main's exit code, argparse's usage errors included."""
+    try:
+        return main(argv)
+    except SystemExit as exited:
+        return exited.code
 
 
 def write(tmp_path, name, text):
@@ -244,6 +253,25 @@ STEP S1 C2:C3 = {=B2:B3*10}
 EXPECT C2:C3 = 30
 """)
         report = run_script(path)
+        assert report.exit_code == EXPECT_FAILED
+
+    def test_ragged_expect_fails_with_the_widths_found(self, tmp_path):
+        # the short second row leaves B2 unchecked, so no row may differ
+        # from the range's width, however wide the widest row is
+        path = write(tmp_path, "t.sprego", """\
+SET A1 = 1
+SET B1 = 2
+SET A2 = 3
+SET B2 = 99
+EXPECT A1:B2 = 1,2;3
+""")
+        report = run_script(path)
+        assert report.exit_code == EXPECT_FAILED
+        assert ("EXPECT A1:B2: FAIL (expected data is 2 rows of width 1/2, "
+                "range is 2x2)") in report.render()
+        write(tmp_path, "golden.csv", "1,2\n3\n")
+        report = run_script(write(tmp_path, "t.sprego", path.read_text()
+                                  .replace("1,2;3", "@golden.csv")))
         assert report.exit_code == EXPECT_FAILED
 
     def test_expect_names_the_first_unwritten_cell(self, tmp_path):
@@ -583,16 +611,77 @@ EXPECT C2:C3 = 30;99
         ('"a","b"', "--set takes exactly one value"),
     ])
     def test_set_flag_errors_name_the_flag(self, capsys, literal, message):
-        assert main(["eval", "=A1", "--set", f"A1={literal}"]) == EVAL_FAILED
-        assert capsys.readouterr().err == f"sprego: {message}\n"
+        assert exit_code(["eval", "=A1", "--set", f"A1={literal}"]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"\nsprego eval: error: {message}\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["eval", "=1", "--set", "A1"], "malformed --set 'A1'"),
         (["eval", "a", "b", "c"], "too many positional arguments"),
     ])
-    def test_command_line_errors_exit_3(self, capsys, argv, message):
-        assert main(argv) == EVAL_FAILED
-        assert capsys.readouterr().err == f"sprego: {message}\n"
+    def test_command_line_errors_exit_2(self, capsys, argv, message):
+        # a malformed command line is a usage error, which exits 2
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"\nsprego eval: error: {message}\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        # every command: an unknown option, a missing positional, too
+        # many positionals, a removed option and a bad option value
+        (["run", "t.sprego", "--bogus"], 2),
+        (["run"], 2),
+        (["run", "t.sprego", "t.sprego"], 2),
+        (["run", "t.sprego", "--seed", "x"], 2),
+        (["eval", "=1", "--bogus"], 2),
+        (["eval"], 2),
+        (["eval", "b.csv", "=1", "A1"], 2),
+        (["eval", "=1", "--seed", "1.5"], 2),
+        (["eval", "b.csv", "=B2", "--at", "x"], 2),
+        (["eval", "b.csv", "=B2", "--at", "-1"], 2),
+        (["eval", "=1", "--set", "A1"], 2),
+        (["eval", "=1", "--set", 'A1="x'], 2),
+        (["eval", "=1", "--set", 'A1="a","b"'], 2),
+        (["eval", "missing.csv", "=1", "--set", "A1"], 2),
+        (["trace", "=1", "--bogus"], 2),
+        (["trace"], 2),
+        (["trace", "b.csv", "=1", "A1", "B1"], 2),
+        (["trace", "b.csv", "{=LEN(A2:A3)}", "B2:B3", "--range", "A2:A3"], 2),
+        (["trace", "=1", "--seed", "x"], 2),
+        (["trace", "b.csv", "=B2", "--at", "-1"], 2),
+        (["trace", "=1", "--set", "A1"], 2),
+        (["export", "b.csv", "A1", "--bogus"], 2),
+        (["export", "b.csv"], 2),
+        (["export", "b.csv", "A1", "B1"], 2),
+        (["export", "b.csv", "A1:B3", "--seed", "1"], 2),
+        (["export", "b.csv", "A1", "--at", "-1"], 2),
+        (["export", "b.csv", "A1", "--set", 'A1="x'], 2),
+        # a formula over the length or depth cap does not parse
+        (["eval", "=" + "1+" * 4096 + "1"], 2),
+        (["trace", "=" + "(" * 200 + "1" + ")" * 200], 2),
+        # an address that does not parse or lies off the sheet, and a
+        # range above the cap as export or trace input
+        (["eval", "=1", "--set", "ZZZZ1=1"], 3),
+        (["export", "b.csv", "A1:"], 3),
+        (["export", "b.csv", "A1:B1048576"], 3),
+        (["trace", "b.csv", "=1", "A1:B1048576"], 3),
+        # a file that cannot be read
+        (["run", "missing.sprego"], 4),
+        (["eval", "missing.csv", "=1"], 4),
+        (["export", ".", "A1"], 4),
+    ], ids=lambda v: " ".join(v)[:40] if isinstance(v, list) else str(v))
+    def test_exit_code_contract(self, capsys, monkeypatch, tmp_path, argv,
+                                code):
+        write(tmp_path, "b.csv", SMALL_CSV)
+        write(tmp_path, "t.sprego", "SET A1 = 1\n")
+        monkeypatch.chdir(tmp_path)
+        assert exit_code(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 2:  # argparse's usage and error lines, or a formula error
+            assert re.match(r"sprego( \w+)?: (error|formula error): ",
+                            err.splitlines()[-1])
+        else:
+            assert err.startswith("sprego: ") and err.count("\n") == 1
 
     def test_oversized_csv_field_exits_4(self, capsys, tmp_path):
         book = write(tmp_path, "b.csv", "a\n" + "x" * 131073 + "\n")

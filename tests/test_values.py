@@ -318,3 +318,13 @@ class TestArrayValue:
         assert hash(arr) == hash(ArrayValue(1, 1, (1.0,)))
         with pytest.raises(AttributeError):
             arr.rows = 2
+
+    def test_kinds_are_the_element_types_found_once(self):
+        cells = (1.0, "x", BLANK, True, NA_ERR, 2.0)
+        arr = ArrayValue(2, 3, cells)
+        assert arr.kinds == frozenset(map(type, cells))
+        assert arr.kinds is arr.kinds
+        # the cached kinds take no part in equality or hashing
+        fresh = ArrayValue(2, 3, cells)
+        assert arr == fresh and hash(arr) == hash(fresh)
+        assert fresh == arr
