@@ -33,7 +33,7 @@ from .script import (
     run_script,
 )
 from .tracer import render_tsv, trace
-from .values import ArrayValue, CellError, render
+from .values import ArrayValue, CellError, as_array, render
 
 PACKAGED_DATA = Path(__file__).parent / "data"
 
@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     eval_cmd = commands.add_parser(
-        "eval", help="evaluate one formula, optionally against a CSV workbook")
+        "eval", help="evaluate one formula, optionally against a CSV workbook",
+        usage="%(prog)s [options] [workbook.csv] formula")
     eval_cmd.add_argument("args", nargs="+",
                           metavar="[workbook.csv] formula")
     eval_cmd.add_argument("--cell", action="store_true",
@@ -77,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="continue past a failed directive")
 
     trace_cmd = commands.add_parser(
-        "trace", help="print the step-by-step table of a formula")
+        "trace", help="print the step-by-step table of a formula",
+        usage="%(prog)s [options] [workbook.csv] formula [input-range]")
     trace_cmd.add_argument("args", nargs="+",
                            metavar="[workbook.csv] formula [input-range]")
     _add_workbook_flags(trace_cmd)
@@ -148,8 +150,7 @@ def cmd_eval(options) -> int:
     else:
         print("\n".join(map("\t".join, render_rows(value))))
     if options.strict:
-        values = value.cells if isinstance(value, ArrayValue) else (value,)
-        if any(isinstance(v, CellError) for v in values):
+        if any(isinstance(v, CellError) for v in as_array(value).cells):
             return EXPECT_FAILED
     return OK
 

@@ -51,6 +51,7 @@ from .values import (
     VALUE_ERR,
     Value,
     _finite,
+    as_array,
     finite,
     unwrap,
 )
@@ -268,9 +269,7 @@ def _broadcast(kernel: Callable[..., Value], values: list, arrays: list[int],
 
 def display_value(value: Value) -> Scalar:
     """What a single cell shows: an array displays its first element."""
-    if isinstance(value, ArrayValue):
-        return value.first()
-    return value
+    return as_array(value).first()
 
 
 def _apply(descriptor: FunctionDescriptor, args: list[Value],

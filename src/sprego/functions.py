@@ -73,6 +73,7 @@ from .values import (
     VALUE_ERR,
     Value,
     _finite,
+    as_array,
     is_truthy,
     coerce_to_number,
     coerce_to_text,
@@ -344,14 +345,6 @@ fn_iserror.column = lambda values: [
 
 # ---------------------------------------------------------------- lookup
 
-def _vector_elements(value: Value) -> list | None:
-    if not isinstance(value, ArrayValue):
-        return [value]
-    if value.rows != 1 and value.cols != 1:
-        return None
-    return list(value.cells)
-
-
 def fn_match(ctx: "EvalContext", needle: Scalar, vector: Value,
              mode: Scalar = 1.0) -> Value:
     """MATCH(needle, vector, mode=1): 1-based position in a vector.
@@ -364,8 +357,8 @@ def fn_match(ctx: "EvalContext", needle: Scalar, vector: Value,
     """
     if isinstance(vector, CellError):
         return vector
-    elements = _vector_elements(vector)
-    if elements is None:
+    vector = as_array(vector)
+    if 1 not in vector.shape:
         return VALUE_ERR
     mode = coerce_to_number(mode)
     if isinstance(mode, CellError):
@@ -373,7 +366,7 @@ def fn_match(ctx: "EvalContext", needle: Scalar, vector: Value,
     exact = mode == 0
     matches = COMPARISONS["=" if exact else ("<=" if mode > 0 else ">=")]
     best: int | None = None
-    for position, element in enumerate(elements, start=1):
+    for position, element in enumerate(vector.cells, start=1):
         if isinstance(element, CellError) or element is BLANK:
             continue
         if type(element) is not type(needle):
@@ -383,12 +376,6 @@ def fn_match(ctx: "EvalContext", needle: Scalar, vector: Value,
                 return float(position)
             best = position
     return NA_ERR if best is None else float(best)
-
-
-def _as_array(value: Value) -> ArrayValue:
-    if isinstance(value, ArrayValue):
-        return value
-    return ArrayValue(1, 1, (BLANK if value is OMITTED else value,))
 
 
 def read_range(sheet: Sheet, rng: RangeRef) -> Value:
@@ -407,7 +394,7 @@ def fn_index(ctx: "EvalContext", array: Value, row: float,
     Row or column 0 selects the entire column/row; indexes past the
     edge are reference errors.
     """
-    array = _as_array(array)
+    array = as_array(BLANK if array is OMITTED else array)
     r = int(row)
     c = int(col)
     if r < 0 or c < 0:

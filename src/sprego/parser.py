@@ -463,13 +463,10 @@ def unparse(expr: Expr) -> str:
         return expr.op + _paren_if_looser(expr.operand, _LEVEL_UNARY)
     if isinstance(expr, Binary):
         level = _BINARY_LEVEL[expr.op]
-        left = _paren_if_looser(expr.left, level)
         # every binary operator associates left, so an equal-level
         # right child keeps its parentheses
-        right_text = unparse(expr.right)
-        if _level(expr.right) <= level:
-            right_text = f"({right_text})"
-        return f"{left}{expr.op}{right_text}"
+        return (_paren_if_looser(expr.left, level) + expr.op
+                + _paren_if_looser(expr.right, level + 1))
     if isinstance(expr, Call):
         return expr.name + "(" + ",".join(unparse(a) for a in expr.args) + ")"
     raise TypeError(f"not an expression node: {expr!r}")

@@ -11,12 +11,14 @@ A script is a plain-text file of directives, one per line:
 
 Lines starting with # are comments.  STEP evaluates its formula
 (braces request array entry) and spills the result over the declared
-range, which must match the result's shape exactly.  EXPECT compares a
-previously written range cell-by-cell: text, booleans, blanks and
-errors must match exactly, numbers within 1e-9 relative or 1e-12
-absolute, whichever is looser.  In expectation data a quoted field is
-always text, so "14" is the text and 14 the number, and blanks around
-a quoted field are ignored; an empty unquoted field is a blank.
+range, which must match the result's shape exactly.  TRACE prints a
+step's trace, made as the step ran: over the sheet it read, at its
+anchor, with its RAND draws.  EXPECT compares a previously written
+range cell-by-cell: text, booleans, blanks and errors must match
+exactly, numbers within 1e-9 relative or 1e-12 absolute, whichever is
+looser.  In expectation data a quoted field is always text, so "14" is
+the text and 14 the number, and blanks around a quoted field are
+ignored; an empty unquoted field is a blank.
 
 EXPECT fails on a cell no directive has written.  A written cell is
 one the sheet stores or one inside a STEP or SET rectangle: every
@@ -46,14 +48,14 @@ from .grid import (
     parse_cell,
 )
 from .parser import FormulaError, parse_formula
-from .tracer import TraceError, render_tsv, trace
+from .tracer import TraceError, TraceTable, render_tsv, trace
 from .values import (
-    ArrayValue,
     BLANK,
     BOOLEAN_BY_LABEL,
     ERROR_BY_LABEL,
     QUOTED_BODY,
     Scalar,
+    as_array,
     parse_number,
     render,
     unquote,
@@ -331,7 +333,10 @@ class _Runner:
         self.sheet = Sheet()
         self.rng = random.Random(seed)
         self.written: list[RangeRef] = []  # the STEP and SET rectangles
-        self.steps: dict[str, Step] = {}
+        self.traced = {d.label for d in script.directives
+                       if isinstance(d, Trace)}
+        # by step label: its trace (or why it has none), as the step ran
+        self.tables: dict[str, Union[TraceTable, TraceError, None]] = {}
         self.report = RunReport(str(script.path or "<script>"))
 
     def note(self, line: int, text: str, exit_code: int = OK) -> bool:
@@ -350,10 +355,7 @@ class _Runner:
                              f"line {directive.line}: {message}", code)
 
     def do_load(self, directive: Load) -> bool:
-        path = Path(directive.path)
-        if not path.is_absolute():
-            path = self.base_dir / path
-        loaded = load_csv(path, header=True,
+        loaded = load_csv(self.base_dir / directive.path, header=True,
                           force_text=directive.force_text,
                           column_offset=directive.column_offset)
         self.sheet.update(loaded)
@@ -371,28 +373,36 @@ class _Runner:
         target = as_range(parse_a1(directive.target))
         target.check_size()
         formula = parse_formula(directive.formula)
+        table = None
+        if directive.label in self.traced:
+            # the trace draws what the step draws, from a copy of the stream
+            rng = random.Random()
+            rng.setstate(self.rng.getstate())
+            try:
+                table = trace(formula, EvalContext(
+                    self.sheet, anchor=target.top_left, rng=rng))
+            except TraceError as exc:
+                table = exc
         ctx = EvalContext(self.sheet, anchor=target.top_left, rng=self.rng)
-        result = evaluate_formula(formula, ctx)
-        if not isinstance(result, ArrayValue):
-            result = ArrayValue(1, 1, (result,))
+        result = as_array(evaluate_formula(formula, ctx))
         if result.shape != (target.rows, target.cols):
             raise ScriptError(
                 None, f"STEP {directive.label} produced {result.rows}x"
                 f"{result.cols} but {target.a1} is {target.rows}x{target.cols}")
         self.sheet.spill(target.top_left, result)
         self.written.append(target)
-        self.steps[directive.label] = directive
+        self.tables[directive.label] = table
         return self.note(directive.line,
                          f"STEP {directive.label} {target.a1}: "
                          f"spilled {result.rows}x{result.cols}")
 
     def do_trace(self, directive: Trace) -> bool:
-        step = self.steps.get(directive.label)
-        if step is None:
+        if directive.label not in self.tables:
             raise ScriptError(None,
                               f"TRACE of unknown step {directive.label!r}")
-        ctx = EvalContext(self.sheet, rng=self.rng)
-        table = trace(step.formula, ctx)
+        table = self.tables[directive.label]
+        if isinstance(table, TraceError):
+            raise table
         tsv = render_tsv(table)
         return self.note(directive.line,
                          f"TRACE {directive.label}:\n{tsv.rstrip()}")
@@ -427,7 +437,6 @@ class _Runner:
 
     def do_expect(self, directive: Expect) -> bool:
         target = as_range(parse_a1(directive.target))
-        target.check_size()
         actual = self.sheet.get_range(target)
         missing = self.first_unwritten(target, actual.cells)
         if missing is not None:
@@ -436,10 +445,8 @@ class _Runner:
                 "which no directive has written")
         expected_rows = directive.rows
         if directive.source.startswith("@"):
-            path = Path(directive.source[1:])
-            if not path.is_absolute():
-                path = self.base_dir / path
-            expected_rows = _load_expect_file(path)
+            expected_rows = _load_expect_file(
+                self.base_dir / directive.source[1:])
         widths = sorted({len(row) for row in expected_rows}) or [0]
         if (len(expected_rows), widths) != (target.rows, [target.cols]):
             return self.note(

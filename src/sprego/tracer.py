@@ -19,7 +19,7 @@ from typing import Optional, Union
 from .evaluator import EvalContext, evaluate
 from .grid import RangeRef, render_rows
 from .parser import Expr, Formula, Interning, RangeLit, intern, parse_formula
-from .values import ArrayValue, BLANK, Scalar, render, render_column
+from .values import ArrayValue, BLANK, Scalar, as_array, render, render_column
 
 
 class TraceError(Exception):
@@ -61,8 +61,7 @@ class TraceTable:
 
 
 def _normalize(value, rows: int) -> ArrayValue:
-    if not isinstance(value, ArrayValue):
-        return ArrayValue(rows, 1, (value,) * rows)
+    value = as_array(value)
     if value.rows == rows:
         return value
     if value.rows == 1:

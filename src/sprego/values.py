@@ -358,3 +358,11 @@ def unwrap(value: Value) -> Value:
     if isinstance(value, ArrayValue) and value.rows == 1 and value.cols == 1:
         return value.cells[0]
     return value
+
+
+def as_array(value: Value) -> ArrayValue:
+    """The converse of unwrap: a scalar as a 1x1 array, an array as it
+    is.  OMITTED stays itself; INDEX reads an empty slot as BLANK."""
+    if isinstance(value, ArrayValue):
+        return value
+    return ArrayValue(1, 1, (value,))

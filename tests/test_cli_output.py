@@ -28,6 +28,8 @@ CASES = [
     (["eval", "BOOK", "{=B2:B5*2}", "--cell"], 0, "6\n"),
     (["eval", "BOOK", "{=12/B2:B5}", "--strict"], 1,
      "4\n#DIV/0!\n#VALUE!\n1\n"),
+    (["eval", "=12/4", "--strict"], 0, "3\n"),
+    (["eval", "BOOK", "=12/B3", "--strict"], 1, "#DIV/0!\n"),
     (["eval", "BOOK", "{=B2:D3}", "--text"], 0,
      '3\tsaid "hi"\t1.50\n0\t\t1e3\n'),
     # trace: a multi-column step, no range, a header from the cell

@@ -426,6 +426,7 @@ class TestDisplay:
     def test_scalars_display_as_themselves(self):
         assert display_value(1.5) == 1.5
         assert display_value(VALUE_ERR) is VALUE_ERR
+        assert display_value(BLANK) is BLANK
 
     def test_arrays_display_their_first_component(self, sheet):
         value = ev("{=A1:A3*10}", sheet)

@@ -427,6 +427,69 @@ TRACE S1
         assert "label\tS1" in text
         assert "first\t5" in text
 
+    def test_trace_draws_what_its_step_drew(self, tmp_path):
+        # the trace replays the step's RAND draws from a copy of the
+        # script's stream, so the next step draws as if it were absent
+        rng = random.Random(1)
+        first, second = rng.random(), rng.random()
+        path = write(tmp_path, "t.sprego", f"""\
+STEP S1 A1:A3 = {{=RAND()+ROW(A1:A3)*0}}
+TRACE S1
+STEP S2 B1 = =RAND()
+EXPECT A1:A3 = {first!r};{first!r};{first!r}
+EXPECT B1 = {second!r}
+""")
+        report = run_script(path, seed=1)
+        assert report.ok, report.render()
+        rows = [line.split("\t")
+                for line in report.outcomes[1].text.splitlines()[2:]]
+        assert [(row[0], row[-1]) for row in rows] == [("", repr(first))] * 3
+
+    def test_trace_reads_the_sheet_its_step_read(self, tmp_path):
+        # S2 overwrites what S1 read and made; S1's trace shows blanks in
+        # and 1 out, as S1 saw and spilled them
+        path = write(tmp_path, "t.sprego", """\
+STEP S1 A1:A2 = {=A1:A2+1}
+STEP S2 A1:A2 = {=A1:A2+1}
+TRACE S1
+EXPECT A1:A2 = 2;2
+""")
+        report = run_script(path)
+        assert report.ok, report.render()
+        assert report.outcomes[2].text == "TRACE S1:\nA1:A2\tS1\n\t1\n\t1"
+
+    def test_trace_is_anchored_at_its_step(self, tmp_path):
+        path = write(tmp_path, "t.sprego", """\
+STEP S1 B5:B6 = {=ROW()+0*A1:A2}
+TRACE S1
+EXPECT B5:B6 = 5;5
+""")
+        report = run_script(path)
+        assert report.ok, report.render()
+        assert report.outcomes[1].text.splitlines()[2:] == ["\t5\t0\t5"] * 2
+
+    def test_untraceable_step_spills_and_fails_at_its_trace(self, tmp_path):
+        path = write(tmp_path, "t.sprego", """\
+STEP S1 A1 = =SUM(B1:C2)
+TRACE S1
+EXPECT A1 = 0
+""")
+        report = run_script(path, keep_going=True)
+        assert report.exit_code == EVAL_FAILED
+        assert [o.text for o in report.outcomes] == [
+            "STEP S1 A1: spilled 1x1",
+            "line 2: the input range must be a single column",
+            "EXPECT A1: PASS (1 cell)"]
+
+    def test_trace_of_a_failed_step_names_an_unknown_step(self, tmp_path):
+        path = write(tmp_path, "t.sprego", """\
+STEP S1 A1:A2 = {=B1:C2}
+TRACE S1
+""")
+        report = run_script(path, keep_going=True)
+        assert report.outcomes[1].text == (
+            "line 2: TRACE of unknown step 'S1'")
+
     def test_later_steps_read_earlier_spills(self, tmp_path):
         write(tmp_path, "data.csv", SMALL_CSV)
         path = write(tmp_path, "t.sprego", """\
@@ -454,6 +517,24 @@ class TestPackagedScripts:
         report = run_script(data_path(f"task{n}.sprego"))
         got = "".join(outcome.text + "\n" for outcome in report.outcomes)
         assert got.encode("utf-8") == (GOLDENS / f"task{n}.txt").read_bytes()
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_a_trace_changes_nothing_else(self, n):
+        # without its TRACE lines, a walkthrough reports every other
+        # line as before and leaves every cell as before
+        script = parse_task_script(data_path(f"task{n}.sprego"))
+        untraced = TaskScript(script.path, [
+            d for d in script.directives if not isinstance(d, Trace)])
+        assert len(untraced.directives) < len(script.directives)
+        runners = []
+        for each in (script, untraced):
+            runner = _Runner(each, seed=1)
+            assert all(map(runner.run_directive, each.directives))
+            runners.append(runner)
+        traced, plain = runners
+        assert [o for o in traced.report.outcomes
+                if not o.text.startswith("TRACE ")] == plain.report.outcomes
+        assert repr(traced.sheet._columns) == repr(plain.sheet._columns)
 
 
 class TestCli:
@@ -624,6 +705,16 @@ EXPECT C2:C3 = 30;99
         assert exit_code(argv) == 2
         err = capsys.readouterr().err
         assert err.endswith(f"\nsprego eval: error: {message}\n")
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["eval", "a", "b", "c"],
+         "sprego eval [options] [workbook.csv] formula"),
+        (["trace", "a", "b", "c", "d"],
+         "sprego trace [options] [workbook.csv] formula [input-range]"),
+    ], ids=["eval", "trace"])
+    def test_usage_line_names_each_positional_once(self, capsys, argv, usage):
+        assert exit_code(argv) == 2
+        assert capsys.readouterr().err.splitlines()[0] == f"usage: {usage}"
 
     @pytest.mark.parametrize("argv, code", [
         # every command: an unknown option, a missing positional, too

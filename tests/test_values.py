@@ -21,6 +21,7 @@ from sprego.values import (
     DIV0_ERR,
     NA_ERR,
     VALUE_ERR,
+    as_array,
     coerce_to_number,
     COMPARISONS,
     coerce_to_text,
@@ -29,6 +30,7 @@ from sprego.values import (
     render,
     render_column,
     render_number,
+    unwrap,
 )
 
 SRC = Path(sprego.__file__).parent
@@ -318,6 +320,18 @@ class TestArrayValue:
         assert hash(arr) == hash(ArrayValue(1, 1, (1.0,)))
         with pytest.raises(AttributeError):
             arr.rows = 2
+
+    @pytest.mark.parametrize("value", [
+        1.5, "x", True, BLANK, OMITTED, *ERROR_BY_LABEL.values()])
+    def test_unwrap_undoes_as_array(self, value):
+        # OMITTED stays itself: only INDEX reads an empty slot as BLANK
+        assert as_array(value).shape == (1, 1)
+        assert unwrap(as_array(value)) is value
+
+    def test_as_array_keeps_an_array(self):
+        for array in (ArrayValue(1, 1, (1.0,)),
+                      ArrayValue(2, 1, ("a", BLANK))):
+            assert as_array(array) is array
 
     def test_kinds_are_the_element_types_found_once(self):
         cells = (1.0, "x", BLANK, True, NA_ERR, 2.0)
