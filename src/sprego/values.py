@@ -313,8 +313,8 @@ COMPARISONS = {op: _comparison(test) for op, test in (
 class ArrayValue:
     """A dense, immutable rows x cols rectangle of scalars.
 
-    Cells are stored row-major.  Elements are never Omitted; a cell
-    that was empty in the source range appears as BLANK.
+    Cells are stored row-major.  A cell that was empty in the source
+    range appears as BLANK; only as_array wraps an Omitted slot.
     """
 
     rows: int
