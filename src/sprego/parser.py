@@ -6,17 +6,22 @@ exponentiation (left-associative), the percent postfix, then unary
 sign, so -2^3 is (-2)^3 and -5% is (-5)%.  A leading = is accepted and
 braces around the whole formula mark array entry.
 
-Lexing is one pattern table, _TOKEN_RULES, read as one regular
-expression with a named group per token kind.  An error label such as
-#N/A is an "error" token, a literal like a number; a character that no
-rule takes is an error, and a ( ) , : { } token's kind is its text.
-A token is a tuple (kind, text, offset).
+Lexing is one pattern table, _TOKEN_RULES, and two regular expression
+calls built from it, so the work per token is done in C.  One match of
+the rules and whitespace repeated finds how far the text lexes: the
+first character no rule takes is an error there.  One findall then
+returns the lexemes.  A lexeme's first character gives its kind
+(_KIND): an error label such as #N/A is an "error", a literal like a
+number, and a ( ) , : { } lexeme's kind is its text.  tokenize() pairs
+each lexeme with its kind and offset as a tuple (kind, text, offset).
 
-The parser splits the token list once into parallel kinds and texts
-and reads them by index.  It climbs precedence: one loop reads an
-operand's signs and % postfixes and each binary operator's level from
-_BINARY_LEVEL, the table unparse() reads too, and recurses only into
-a right operand, a parenthesis or an argument list.
+The parser reads the lexemes alone: an operand by its kind, an
+operator or punctuation by its text, which a string keeps distinct by
+keeping its quotes.  Offsets are found only for an error.  The parser
+climbs precedence: one loop reads an operand's signs and % postfixes
+and each binary operator's level from _BINARY_LEVEL, the table
+unparse() reads too, and recurses only into a right operand, a
+parenthesis or an argument list.
 
 Formula text is bounded by MAX_FORMULA_CHARS (Excel's limit), checked
 before lexing, so the token list and the tree stay small whatever the
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from string import ascii_letters
 from typing import NamedTuple, Optional, Union
 
 from .grid import CellAddress, GridError, RangeRef, parse_cell
@@ -87,33 +93,47 @@ _TOKEN_RULES = (
     ("ident", r"\$?[A-Za-z_][A-Za-z0-9_.$]*"),
     ("mismatch", r"."),
 )
-_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})"
-                                for kind, pattern in _TOKEN_RULES), re.S)
+_SPACE = dict(_TOKEN_RULES)["space"]
+_LEXEME = "|".join(pattern for kind, pattern in _TOKEN_RULES
+                   if kind not in ("space", "mismatch"))
+#: Matches as far as the text lexes
+_LEXES = re.compile(f"(?:{_SPACE}|{_LEXEME})*")
+#: A lexeme and the space after it.  Space before it would be scanned
+#: again from each of its characters once the search is past the last
+#: lexeme, so trailing space would take quadratic time.
+_NEXT = re.compile(f"({_LEXEME})(?:{_SPACE})?")
+#: A token's kind by the first character of its text ("" for the end)
+_KIND = {"": "end", '"': "string", "#": "error",
+         **dict.fromkeys("0123456789.", "number"),
+         **dict.fromkeys(ascii_letters + "$_", "ident"),
+         **dict.fromkeys("=<>&+-*/^%", "op"),
+         **{char: char for char in "(),:{}"}}
+
+
+def _lex(text: str) -> list[str]:
+    """The formula's lexemes, then "" for the end."""
+    if len(text) > MAX_FORMULA_CHARS:
+        raise FormulaError(MAX_FORMULA_CHARS, f"formula longer than "
+                           f"{MAX_FORMULA_CHARS} characters")
+    end = _LEXES.match(text).end()
+    if end < len(text):
+        if text[end] == '"':
+            raise FormulaError(end, "unterminated string literal")
+        raise FormulaError(end, f"unexpected character {text[end]!r}")
+    lexemes = _NEXT.findall(text)
+    lexemes.append("")
+    return lexemes
+
+
+def _offsets(text: str) -> list[int]:
+    """Where each lexeme of a text that lexes starts."""
+    return [m.start() for m in _NEXT.finditer(text)]
 
 
 def tokenize(text: str) -> list[Token]:
     """Lex a formula into tokens, ending with a synthetic "end" token."""
-    if len(text) > MAX_FORMULA_CHARS:
-        raise FormulaError(MAX_FORMULA_CHARS, f"formula longer than "
-                           f"{MAX_FORMULA_CHARS} characters")
-    tokens: list[Token] = []
-    append = tokens.append
-    # tuple.__new__ builds the token without NamedTuple's Python-level
-    # __new__, which takes a fifth of the loop's time
-    new = tuple.__new__
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "space":
-            continue
-        lexeme = m.group()
-        if kind == "mismatch":
-            if lexeme == '"':
-                raise FormulaError(m.start(), "unterminated string literal")
-            raise FormulaError(m.start(), f"unexpected character {lexeme!r}")
-        append(new(Token, (lexeme if kind == "punct" else kind, lexeme,
-                           m.start())))
-    append(Token("end", "", len(text)))
-    return tokens
+    return [Token(_KIND[lexeme[:1]], lexeme, offset) for lexeme, offset
+            in zip(_lex(text), _offsets(text) + [len(text)])]
 
 
 @dataclass(frozen=True)
@@ -182,13 +202,14 @@ _LEVEL_ATOM = 8
 
 #: Deepest nesting accepted; the module docstring says why 128.
 MAX_DEPTH = 128
+_TOO_DEEP = "formula nested too deeply"
 
 
 class _Parser:
-    """Precedence climbing over the token list.
+    """Precedence climbing over the lexemes.
 
-    The token list is split once into parallel kinds and texts, which
-    the parse methods read at self.pos.  The parse methods take
+    The parse methods read the lexeme at self.pos: an operand by its
+    kind in _KIND, an operator or punctuation by its text.  They take
     `depth`, the number of nodes known to sit above the node they
     build, and return that node with `deepest`, the number of nodes
     above its deepest leaf.  A binary operator or % found after an
@@ -197,35 +218,16 @@ class _Parser:
     checked against MAX_DEPTH.
     """
 
-    def __init__(self, tokens: list[Token]):
-        self.kinds, self.texts, self.offsets = zip(*tokens)
-        self.pos = 0
+    def __init__(self, text: str, lexemes: list[str]):
+        self.text, self.lexemes, self.pos = text, lexemes, 0
         self.nesting = 0  # parentheses and argument lists now open
         self.ranges: set[tuple[int, int, int, int]] = set()  # corners seen
         self.repeated = False  # whether a range of 2+ cells occurs twice
 
-    def expect(self, kind: str) -> int:
-        """Step past a token of this kind and return its position."""
-        pos = self.pos
-        if self.kinds[pos] != kind:
-            raise FormulaError(self.offsets[pos], f"expected {kind!r}")
-        self.pos = pos + 1
-        return pos
-
-    def bounded(self, depth: int) -> int:
-        if depth > MAX_DEPTH:
-            raise FormulaError(self.offsets[self.pos],
-                               "formula nested too deeply")
-        return depth
-
-    def open(self) -> None:
-        """Step past a ( the caller has seen."""
-        self.pos += 1
-        self.nesting = self.bounded(self.nesting + 1)
-
-    def close(self) -> None:
-        self.expect(")")
-        self.nesting -= 1
+    def error(self, pos: int, message: str) -> FormulaError:
+        """The error at the lexeme at pos; only now is its offset found."""
+        return FormulaError(_offsets(self.text)[pos] if self.lexemes[pos]
+                            else len(self.text), message)
 
     def expression(self, depth: int, min_level: int = 1) -> tuple[Expr, int]:
         """Operands joined by binary operators of min_level or tighter.
@@ -233,102 +235,115 @@ class _Parser:
         An operand is prefix signs, an atom, then % postfixes.  Signs
         bind tightest and % next, so -2^3 is (-2)^3 and -5% is (-5)%.
         """
-        kinds, texts = self.kinds, self.texts
+        lexemes = self.lexemes
         first = pos = self.pos
-        while kinds[pos] == "op" and texts[pos] in ("+", "-"):
+        while lexemes[pos] in ("+", "-"):
             pos += 1
-        self.pos = pos
-        node, deepest = self.atom(self.bounded(depth + pos - first))
+        deepest = depth + pos - first
+        if deepest > MAX_DEPTH:
+            raise self.error(pos, _TOO_DEEP)
+        lexeme = lexemes[pos]
+        kind = _KIND[lexeme[:1]]
+        self.pos = pos + 1
+        if kind == "number":
+            # a literal too large for a double, like 1e999, is #NUM!
+            node: Expr = Literal(_finite(float(lexeme)))
+        elif kind == "ident":
+            if lexemes[pos + 1] == "(":
+                node, deepest = self.call(lexeme, deepest)
+            elif lexeme.upper() in BOOLEAN_BY_LABEL:
+                node = Literal(BOOLEAN_BY_LABEL[lexeme.upper()])
+            elif lexemes[pos + 1] == ":":
+                node = self.range_at(pos)
+            else:
+                node = Ref(self.cell_at(pos))
+        elif kind == "string":
+            node = Literal(unquote(lexeme[1:-1]))
+        elif kind == "error":
+            node = Literal(ERROR_BY_LABEL[lexeme])
+        elif kind == "(":
+            self.nesting += 1
+            if self.nesting > MAX_DEPTH:
+                raise self.error(pos + 1, _TOO_DEEP)
+            node, deepest = self.expression(deepest)
+            self.close()
+        else:
+            raise self.error(pos, "expected a value")
         while pos > first:
             pos -= 1
-            node = Unary(texts[pos], node)
+            node = Unary(lexemes[pos], node)
         pos = self.pos
-        while kinds[pos] == "op" and texts[pos] == "%":
+        while lexemes[pos] == "%":
             self.pos = pos = pos + 1
             node = Unary("%", node)
-            deepest = self.bounded(deepest + 1)
-        while kinds[pos] == "op":
-            op = texts[pos]
-            level = _BINARY_LEVEL.get(op)
-            if level is None or level < min_level:
-                break
-            self.pos = pos + 1
+            deepest += 1
+            if deepest > MAX_DEPTH:
+                raise self.error(pos, _TOO_DEEP)
+        while (level := _BINARY_LEVEL.get(lexemes[pos], 0)) >= min_level:
+            op = lexemes[pos]
+            self.pos = pos = pos + 1
+            if depth >= MAX_DEPTH:
+                raise self.error(pos, _TOO_DEEP)
             # only tighter operators reach into the right operand, so an
             # equal-level operator after it associates left
-            right, right_deepest = self.expression(self.bounded(depth + 1),
-                                                   level + 1)
+            right, right_deepest = self.expression(depth + 1, level + 1)
             node = Binary(op, node, right)
-            deepest = self.bounded(max(deepest + 1, right_deepest))
             pos = self.pos
+            deepest = max(deepest + 1, right_deepest)
+            if deepest > MAX_DEPTH:
+                raise self.error(pos, _TOO_DEEP)
         return node, deepest
 
-    def atom(self, depth: int) -> tuple[Expr, int]:
+    def close(self) -> None:
         pos = self.pos
-        kind, text = self.kinds[pos], self.texts[pos]
-        if kind == "number":
-            self.pos = pos + 1
-            # a literal too large for a double, like 1e999, is #NUM!
-            return Literal(_finite(float(text))), depth
-        if kind == "string":
-            self.pos = pos + 1
-            return Literal(unquote(text[1:-1])), depth
-        if kind == "error":
-            self.pos = pos + 1
-            return Literal(ERROR_BY_LABEL[text]), depth
-        if kind == "(":
-            self.open()
-            result = self.expression(depth)
-            self.close()
-            return result
-        if kind == "ident":
-            return self.name(depth)
-        raise FormulaError(self.offsets[pos], "expected a value")
-
-    def name(self, depth: int) -> tuple[Expr, int]:
-        pos = self.pos
+        if self.lexemes[pos] != ")":
+            raise self.error(pos, "expected ')'")
         self.pos = pos + 1
-        after = self.kinds[pos + 1]
-        if after == "(":
-            return self.call(self.texts[pos], depth)
-        upper = self.texts[pos].upper()
-        if upper in BOOLEAN_BY_LABEL:
-            return Literal(BOOLEAN_BY_LABEL[upper]), depth
+        self.nesting -= 1
+
+    def range_at(self, pos: int) -> RangeLit:
+        """The range whose first corner is the lexeme at pos."""
         first = self.cell_at(pos)
-        if after == ":":
-            self.pos = pos + 2
-            second = self.cell_at(self.expect("ident"))
-            rng = RangeRef.make(first, second)
-            corners = _corners(rng)
-            # a one-cell range reads as cheaply as a reference, which
-            # does not make a formula worth interning either
-            if corners in self.ranges and rng.top_left != rng.bottom_right:
-                self.repeated = True
-            self.ranges.add(corners)
-            return RangeLit(rng), depth
-        return Ref(first), depth
+        if _KIND[self.lexemes[pos + 2][:1]] != "ident":
+            raise self.error(pos + 2, "expected 'ident'")
+        self.pos = pos + 3
+        rng = RangeRef.make(first, self.cell_at(pos + 2))
+        corners = _corners(rng)
+        # a one-cell range reads as cheaply as a reference, which does
+        # not make a formula worth interning either
+        if corners in self.ranges and rng.top_left != rng.bottom_right:
+            self.repeated = True
+        self.ranges.add(corners)
+        return RangeLit(rng)
 
     def cell_at(self, pos: int) -> CellAddress:
         try:
-            return parse_cell(self.texts[pos])
+            return parse_cell(self.lexemes[pos])
         except GridError as exc:
-            raise FormulaError(self.offsets[pos], str(exc)) from None
+            raise self.error(pos, str(exc)) from None
 
     def call(self, name: str, depth: int) -> tuple[Expr, int]:
-        self.open()
-        kinds = self.kinds
+        """The call whose ( is at self.pos."""
+        lexemes = self.lexemes
+        self.pos = pos = self.pos + 1
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise self.error(pos, _TOO_DEEP)
         args: list[Expr] = []
         deepest = depth
-        if kinds[self.pos] != ")":
-            arg_depth = self.bounded(depth + 1)
+        if lexemes[pos] != ")":
+            deepest += 1  # an empty slot's; an argument may go deeper
+            if deepest > MAX_DEPTH:
+                raise self.error(pos, _TOO_DEEP)
             while True:
-                if kinds[self.pos] in (",", ")"):
+                if lexemes[self.pos] in (",", ")"):
                     args.append(Literal(OMITTED))  # empty slot
-                    deepest = max(deepest, arg_depth)
                 else:
-                    arg, arg_deepest = self.expression(arg_depth)
+                    arg, arg_deepest = self.expression(depth + 1)
                     args.append(arg)
-                    deepest = max(deepest, arg_deepest)
-                if kinds[self.pos] != ",":
+                    if arg_deepest > deepest:
+                        deepest = arg_deepest
+                if lexemes[self.pos] != ",":
                     break
                 self.pos += 1
         self.close()
@@ -341,22 +356,21 @@ def parse_formula(text: str) -> Formula:
     Braces must wrap the entire formula; they set the array-entered
     flag rather than appearing in the tree.
     """
-    tokens = tokenize(text)
-    array_entered = tokens[0].kind == "{"
+    lexemes = _lex(text)
+    parser = _Parser(text, lexemes)
+    array_entered = lexemes[0] == "{"
     if array_entered:
-        if len(tokens) < 3 or tokens[-2].kind != "}":
-            raise FormulaError(tokens[0].offset,
-                               "array braces must wrap the whole formula")
-        tokens = tokens[1:-2] + tokens[-1:]
-    if tokens[0].kind == "op" and tokens[0].text == "=":
-        tokens = tokens[1:]
-    if tokens[0].kind == "end":
-        raise FormulaError(tokens[0].offset, "empty formula")
-    parser = _Parser(tokens)
+        if len(lexemes) < 3 or lexemes[-2] != "}":
+            raise parser.error(0, "array braces must wrap the whole formula")
+        lexemes[-2] = ""  # the } ends the formula
+        parser.pos = 1
+    if lexemes[parser.pos] == "=":
+        parser.pos += 1
+    if not lexemes[parser.pos]:
+        raise parser.error(parser.pos, "empty formula")
     expr, _ = parser.expression(0)
-    if parser.kinds[parser.pos] != "end":
-        raise FormulaError(parser.offsets[parser.pos],
-                           "unexpected trailing input")
+    if lexemes[parser.pos]:
+        raise parser.error(parser.pos, "unexpected trailing input")
     formula = Formula(expr, array_entered)
     if parser.repeated:
         object.__setattr__(formula, "interning", intern(expr))

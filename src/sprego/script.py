@@ -373,7 +373,7 @@ class _Runner:
         target = as_range(parse_a1(directive.target))
         target.check_size()
         formula = parse_formula(directive.formula)
-        table = None
+        table = value = None
         if directive.label in self.traced:
             # the trace draws what the step draws, from a copy of the stream
             rng = random.Random()
@@ -383,8 +383,15 @@ class _Runner:
                     self.sheet, anchor=target.top_left, rng=rng))
             except TraceError as exc:
                 table = exc
-        ctx = EvalContext(self.sheet, anchor=target.top_left, rng=self.rng)
-        result = as_array(evaluate_formula(formula, ctx))
+            else:
+                if formula.array_entered:
+                    # the trace evaluated the step as entered: spill that
+                    value = table.value
+                    self.rng.setstate(rng.getstate())
+        if value is None:
+            value = evaluate_formula(formula, EvalContext(
+                self.sheet, anchor=target.top_left, rng=self.rng))
+        result = as_array(value)
         if result.shape != (target.rows, target.cols):
             raise ScriptError(
                 None, f"STEP {directive.label} produced {result.rows}x"

@@ -19,7 +19,8 @@ from typing import Optional, Union
 from .evaluator import EvalContext, evaluate
 from .grid import RangeRef, render_rows
 from .parser import Expr, Formula, Interning, RangeLit, intern, parse_formula
-from .values import ArrayValue, BLANK, Scalar, as_array, render, render_column
+from .values import (ArrayValue, BLANK, Scalar, Value, as_array, render,
+                     render_column)
 
 
 class TraceError(Exception):
@@ -58,6 +59,7 @@ class TraceTable:
     input_values: tuple[Scalar, ...]
     steps: tuple[TraceStep, ...]
     rows: int
+    value: Value  # the formula's, array-entered, from the same evaluation
 
 
 def _normalize(value, rows: int) -> ArrayValue:
@@ -125,7 +127,8 @@ def trace(
     steps = tuple(
         TraceStep(f"S{i}", expr, _normalize(value, rows))
         for i, (expr, value) in enumerate(raw, start=1))
-    return TraceTable(header, input_values, steps, rows)
+    return TraceTable(header, input_values, steps, rows,
+                      values[id(formula.expr)])
 
 
 def render_tsv(table: TraceTable) -> str:

@@ -1,6 +1,7 @@
 """Lexing, parsing, precedence and the unparse round trip."""
 
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,8 @@ from sprego.cli import main
 from sprego.evaluator import EvalContext, evaluate_formula
 from sprego.grid import CellAddress, Sheet, parse_a1
 from sprego.parser import (
+    _KIND,
+    _TOKEN_RULES,
     MAX_DEPTH,
     MAX_FORMULA_CHARS,
     Binary,
@@ -453,3 +456,101 @@ class TestAsciiDigits:
     def test_other_scripts_digits_are_not_number_literals(self, capsys):
         assert main(["eval", "=\u0663+1"]) == PARSE_FAILED
         assert "unexpected character '\u0663'" in capsys.readouterr().err
+
+
+#: The tokenizer the two-call lexer replaced: one finditer over every
+#: rule, a named group per kind, one Python step per token.  Kept as
+#: the oracle for tokenize() and for parse_formula's lexical errors.
+_REFERENCE_RE = re.compile("|".join(f"(?P<{kind}>{pattern})"
+                                    for kind, pattern in _TOKEN_RULES), re.S)
+
+
+def reference_tokenize(text):
+    if len(text) > MAX_FORMULA_CHARS:
+        raise FormulaError(MAX_FORMULA_CHARS, f"formula longer than "
+                           f"{MAX_FORMULA_CHARS} characters")
+    tokens = []
+    for m in _REFERENCE_RE.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "space":
+            continue
+        if kind == "mismatch":
+            if lexeme == '"':
+                raise FormulaError(m.start(), "unterminated string literal")
+            raise FormulaError(m.start(), f"unexpected character {lexeme!r}")
+        tokens.append((lexeme if kind == "punct" else kind, lexeme,
+                       m.start()))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def outcome(fn, text):
+    try:
+        return fn(text)
+    except FormulaError as exc:
+        return (exc.offset, exc.message)
+
+
+_MUTATION_CHARS = '"()#,:{}?=<>&+-*/^%. $_aZ19eE!\t\n\u00b2'
+
+
+def mutated_corpus(seed, count):
+    """Mutants of this file's formulas: each a few characters inserted,
+    deleted or replaced, or cut short."""
+    rng = random.Random(seed)
+    sources = ROUND_TRIP_CASES + [text for text, _, _ in MALFORMED] + [
+        ' = SUM( A1:B2 , -3% ) ', '{=LEFT(C2:C15,FIND("(",C2:C15)-2)}',
+        '="a""b"&#N/A&$A$1&.5e3', "=1" + " " * 40]
+    corpus = []
+    for _ in range(count):
+        text = rng.choice(sources)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randint(0, len(text))
+            way = rng.randrange(4)
+            if way == 0:
+                text = text[:at] + rng.choice(_MUTATION_CHARS) + text[at:]
+            elif way == 1:
+                text = text[:at] + text[at + 1:]
+            elif way == 2:
+                text = text[:at] + rng.choice(_MUTATION_CHARS) + text[at + 1:]
+            else:
+                text = text[:at]
+        corpus.append(text)
+    return corpus
+
+
+class TestLexerAgainstReference:
+    CORPUS = mutated_corpus(seed=24, count=3000)
+
+    def test_tokens_and_lexical_errors_match(self):
+        for text in self.CORPUS:
+            got = outcome(tokenize, text)
+            if isinstance(got, list):
+                got = [tuple(token) for token in got]
+            assert got == outcome(reference_tokenize, text), text
+
+    def test_parse_errors_match_and_sit_at_a_token(self):
+        lexical = 0
+        for text in self.CORPUS:
+            expected = outcome(reference_tokenize, text)
+            got = outcome(parse_formula, text)
+            if isinstance(expected, tuple):
+                lexical += 1
+                assert got == expected, text
+            elif isinstance(got, tuple):
+                assert got[0] in {offset for _, _, offset in expected}, text
+        assert 300 < lexical < 2700  # both paths are exercised
+
+    def test_kind_table_matches_the_rules(self):
+        # a token starting with each ASCII character is of the kind
+        # _KIND gives that character, or of none when it has no entry
+        for code in range(128):
+            char = chr(code)
+            kinds = set()
+            for tail in ("", "1", '"', "A", "N/A", "VALUE!"):
+                m = _REFERENCE_RE.match(char + tail)
+                if m.lastgroup not in ("space", "mismatch"):
+                    kinds.add(m.group() if m.lastgroup == "punct"
+                              else m.lastgroup)
+            assert kinds == ({_KIND[char]} if char in _KIND else set()), char
+        assert _KIND[""] == "end"

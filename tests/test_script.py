@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import sprego.evaluator
+import sprego.tracer
 from sprego import (
     EvalContext,
     Sheet,
@@ -481,6 +483,19 @@ EXPECT A1 = 0
             "line 2: the input range must be a single column",
             "EXPECT A1: PASS (1 cell)"]
 
+    def test_traced_plain_step_spills_its_own_value(self, tmp_path):
+        # only an array-entered step spills its trace's value: the trace
+        # evaluates array-entered, so =ROW(B1:B3) traces as 1, 2, 3
+        path = write(tmp_path, "t.sprego", """\
+STEP S1 A1 = =ROW(B1:B3)
+TRACE S1
+EXPECT A1 = 1
+""")
+        report = run_script(path)
+        assert report.ok, report.render()
+        assert report.outcomes[1].text.splitlines()[2:] == [
+            "\t1", "\t2", "\t3"]
+
     def test_trace_of_a_failed_step_names_an_unknown_step(self, tmp_path):
         path = write(tmp_path, "t.sprego", """\
 STEP S1 A1:A2 = {=B1:C2}
@@ -535,6 +550,31 @@ class TestPackagedScripts:
         assert [o for o in traced.report.outcomes
                 if not o.text.startswith("TRACE ")] == plain.report.outcomes
         assert repr(traced.sheet._columns) == repr(plain.sheet._columns)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_a_trace_adds_no_evaluation(self, n, monkeypatch):
+        # a traced array-entered step spills the value its trace's
+        # evaluation computed instead of evaluating again, so a
+        # walkthrough evaluates as many nodes with its TRACE lines as
+        # without them
+        calls, evaluate = [], sprego.evaluator.evaluate
+
+        def counted(expr, ctx):
+            calls.append(expr)
+            return evaluate(expr, ctx)
+
+        for module in (sprego.evaluator, sprego.tracer):
+            monkeypatch.setattr(module, "evaluate", counted)
+        script = parse_task_script(data_path(f"task{n}.sprego"))
+        untraced = TaskScript(script.path, [
+            d for d in script.directives if not isinstance(d, Trace)])
+        counts = []
+        for each in (script, untraced):
+            calls.clear()
+            runner = _Runner(each, seed=1)
+            assert all(map(runner.run_directive, each.directives))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestCli:
