@@ -239,9 +239,7 @@ class _Parser:
         first = pos = self.pos
         while lexemes[pos] in ("+", "-"):
             pos += 1
-        deepest = depth + pos - first
-        if deepest > MAX_DEPTH:
-            raise self.error(pos, _TOO_DEEP)
+        deepest = self.bounded(depth + pos - first, pos)
         lexeme = lexemes[pos]
         kind = _KIND[lexeme[:1]]
         self.pos = pos + 1
@@ -250,6 +248,7 @@ class _Parser:
             node: Expr = Literal(_finite(float(lexeme)))
         elif kind == "ident":
             if lexemes[pos + 1] == "(":
+                self.pos = pos + 2
                 node, deepest = self.call(lexeme, deepest)
             elif lexeme.upper() in BOOLEAN_BY_LABEL:
                 node = Literal(BOOLEAN_BY_LABEL[lexeme.upper()])
@@ -262,9 +261,7 @@ class _Parser:
         elif kind == "error":
             node = Literal(ERROR_BY_LABEL[lexeme])
         elif kind == "(":
-            self.nesting += 1
-            if self.nesting > MAX_DEPTH:
-                raise self.error(pos + 1, _TOO_DEEP)
+            self.open()
             node, deepest = self.expression(deepest)
             self.close()
         else:
@@ -276,23 +273,28 @@ class _Parser:
         while lexemes[pos] == "%":
             self.pos = pos = pos + 1
             node = Unary("%", node)
-            deepest += 1
-            if deepest > MAX_DEPTH:
-                raise self.error(pos, _TOO_DEEP)
+            deepest = self.bounded(deepest + 1, pos)
         while (level := _BINARY_LEVEL.get(lexemes[pos], 0)) >= min_level:
             op = lexemes[pos]
             self.pos = pos = pos + 1
-            if depth >= MAX_DEPTH:
-                raise self.error(pos, _TOO_DEEP)
             # only tighter operators reach into the right operand, so an
             # equal-level operator after it associates left
-            right, right_deepest = self.expression(depth + 1, level + 1)
+            right, right_deepest = self.expression(
+                self.bounded(depth + 1, pos), level + 1)
             node = Binary(op, node, right)
             pos = self.pos
-            deepest = max(deepest + 1, right_deepest)
-            if deepest > MAX_DEPTH:
-                raise self.error(pos, _TOO_DEEP)
+            deepest = self.bounded(max(deepest + 1, right_deepest), pos)
         return node, deepest
+
+    def bounded(self, depth: int, pos: int) -> int:
+        """depth, unless it passes MAX_DEPTH at the lexeme at pos."""
+        if depth > MAX_DEPTH:
+            raise self.error(pos, _TOO_DEEP)
+        return depth
+
+    def open(self) -> None:
+        """Count the ( just stepped past as open."""
+        self.nesting = self.bounded(self.nesting + 1, self.pos)
 
     def close(self) -> None:
         pos = self.pos
@@ -323,18 +325,14 @@ class _Parser:
             raise self.error(pos, str(exc)) from None
 
     def call(self, name: str, depth: int) -> tuple[Expr, int]:
-        """The call whose ( is at self.pos."""
+        """The call whose arguments start at self.pos, past its (."""
         lexemes = self.lexemes
-        self.pos = pos = self.pos + 1
-        self.nesting += 1
-        if self.nesting > MAX_DEPTH:
-            raise self.error(pos, _TOO_DEEP)
+        self.open()
         args: list[Expr] = []
         deepest = depth
-        if lexemes[pos] != ")":
-            deepest += 1  # an empty slot's; an argument may go deeper
-            if deepest > MAX_DEPTH:
-                raise self.error(pos, _TOO_DEEP)
+        if lexemes[self.pos] != ")":
+            # an empty slot's depth; an argument may go deeper
+            deepest = self.bounded(depth + 1, self.pos)
             while True:
                 if lexemes[self.pos] in (",", ")"):
                     args.append(Literal(OMITTED))  # empty slot

@@ -1,7 +1,9 @@
 """Lexing, parsing, precedence and the unparse round trip."""
 
+import importlib.util
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -491,13 +493,19 @@ def outcome(fn, text):
         return (exc.offset, exc.message)
 
 
-_MUTATION_CHARS = '"()#,:{}?=<>&+-*/^%. $_aZ19eE!\t\n\u00b2'
+def _load_difftest():
+    path = Path(__file__).resolve().parent.parent / "tools" / "difftest.py"
+    spec = importlib.util.spec_from_file_location("difftest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def mutated_corpus(seed, count):
-    """Mutants of this file's formulas: each a few characters inserted,
-    deleted or replaced, or cut short."""
+    """Mutants of this file's formulas, each changed one to three times
+    by tools/difftest.py's mutator."""
     rng = random.Random(seed)
+    mutate = _load_difftest().Generator(rng).mutate
     sources = ROUND_TRIP_CASES + [text for text, _, _ in MALFORMED] + [
         ' = SUM( A1:B2 , -3% ) ', '{=LEFT(C2:C15,FIND("(",C2:C15)-2)}',
         '="a""b"&#N/A&$A$1&.5e3', "=1" + " " * 40]
@@ -505,16 +513,7 @@ def mutated_corpus(seed, count):
     for _ in range(count):
         text = rng.choice(sources)
         for _ in range(rng.randint(1, 3)):
-            at = rng.randint(0, len(text))
-            way = rng.randrange(4)
-            if way == 0:
-                text = text[:at] + rng.choice(_MUTATION_CHARS) + text[at:]
-            elif way == 1:
-                text = text[:at] + text[at + 1:]
-            elif way == 2:
-                text = text[:at] + rng.choice(_MUTATION_CHARS) + text[at + 1:]
-            else:
-                text = text[:at]
+            text = mutate(text)
         corpus.append(text)
     return corpus
 

@@ -1,13 +1,14 @@
 """Differential test of the formula front end against another revision.
 
-    python tools/difftest.py --against HEAD~ [--seed 1] [--count 20000]
+    python tools/difftest.py --against HEAD~ [--seed 1]
 
-Generates a seeded corpus of formulas, lexes and parses each one with
-the working tree's sprego and with the one at the given git revision,
-and reports every formula on which they differ.  Compared per formula:
-the tokens (kind, text and offset) or tokenize's FormulaError, and
-repr() of the parsed Formula plus whether it was interned, or
-parse_formula's FormulaError (offset and message).
+Generates a seeded corpus of COUNT formulas, lexes and parses each
+one with the working tree's sprego and with the one at the given git
+revision, and reports how many formulas they differ on, the first
+SHOWN of them in full.  Compared per formula: the tokens (kind, text
+and offset) or tokenize's FormulaError, and repr() of the parsed
+Formula plus whether it was interned, or parse_formula's FormulaError
+(offset and message).
 
 The revision's src/ is extracted with `git archive` into a temporary
 directory.  Each tree runs in its own subprocess, so the two never
@@ -49,6 +50,8 @@ _CELLS = ["A1", "b2", "$C$3", "XFD1048576", "AA10", "$Z1", "H$14", "I15"]
 _NOT_CELLS = ["ZZZZ1", "A0", "foo", "TRUE", "false"]
 _SPACE = ["", "", "", "", " ", "  ", "\t", "\n", " \r\n"]
 _MUTATION_CHARS = '"()#,:{}?=<>&+-*/^%. $_aZ19eE!\t²٣'
+#: Formulas generated per run, and differences printed in full
+COUNT, SHOWN = 20_000, 10
 
 
 class Generator:
@@ -133,6 +136,8 @@ class Generator:
         return text
 
     def mutate(self, text: str) -> str:
+        """text with one character inserted, deleted or replaced, or cut
+        short, at a random place."""
         rng = self.rng
         at = rng.randint(0, len(text))
         way = rng.randrange(4)
@@ -194,9 +199,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", help="git revision to compare with")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--count", type=int, default=20_000)
-    parser.add_argument("--show", type=int, default=10,
-                        help="differences to print in full")
     parser.add_argument("--dump", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.dump:
@@ -205,13 +207,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if not args.against:
         parser.error("give --against <rev>")
-    formulas = corpus(args.seed, args.count)
+    formulas = corpus(args.seed, COUNT)
     ours = run_tree(REPO / "src", formulas)
     with tempfile.TemporaryDirectory() as tmp:
         theirs = run_tree(extract(args.against, Path(tmp)), formulas)
     differences = [i for i, pair in enumerate(zip(ours, theirs))
                    if pair[0] != pair[1]]
-    for i in differences[:args.show]:
+    for i in differences[:SHOWN]:
         print(f"formula {i}: {formulas[i]!r}")
         for what, mine, other in zip(("tokens", "parse"), ours[i], theirs[i]):
             if mine != other:
