@@ -23,6 +23,12 @@ and each binary operator's level from _BINARY_LEVEL, the table
 unparse() reads too, and recurses only into a right operand, a
 parenthesis or an argument list.
 
+Cells and ranges are decoded by grid.parse_cell and grid.parse_range,
+which memoise the frozen addresses by lexeme across formulas.  Each
+Ref and RangeLit node is still built per formula, so no node belongs
+to two trees and intern()'s id keys stay per tree.  On a bad range the
+parser finds the failing corner itself, to place the error at it.
+
 Formula text is bounded by MAX_FORMULA_CHARS (Excel's limit), checked
 before lexing, so the token list and the tree stay small whatever the
 input.
@@ -56,7 +62,7 @@ from dataclasses import dataclass, field
 from string import ascii_letters
 from typing import NamedTuple, Optional, Union
 
-from .grid import CellAddress, GridError, RangeRef, parse_cell
+from .grid import CellAddress, GridError, RangeRef, parse_cell, parse_range
 from .values import (BOOLEAN_BY_LABEL, ERROR_BY_LABEL, NUMBER_PATTERN,
                      OMITTED, QUOTED_BODY, CellError, _Sentinel, _finite,
                      render, unquote)
@@ -305,11 +311,17 @@ class _Parser:
 
     def range_at(self, pos: int) -> RangeLit:
         """The range whose first corner is the lexeme at pos."""
-        first = self.cell_at(pos)
-        if _KIND[self.lexemes[pos + 2][:1]] != "ident":
-            raise self.error(pos + 2, "expected 'ident'")
+        lexemes = self.lexemes
         self.pos = pos + 3
-        rng = RangeRef.make(first, self.cell_at(pos + 2))
+        try:
+            rng = parse_range(lexemes[pos], lexemes[pos + 2])
+        except GridError:
+            # the error sits at the first corner that fails
+            self.cell_at(pos)
+            if _KIND[lexemes[pos + 2][:1]] != "ident":
+                raise self.error(pos + 2, "expected 'ident'") from None
+            self.cell_at(pos + 2)
+            raise
         corners = _corners(rng)
         # a one-cell range reads as cheaply as a reference, which does
         # not make a formula worth interning either

@@ -9,7 +9,9 @@ import tracemalloc
 
 import pytest
 
+from sprego import grid
 from sprego.grid import (
+    ADDRESS_MEMO,
     BLOCK_ROWS,
     MAX_COLS,
     MAX_RANGE_CELLS,
@@ -25,6 +27,7 @@ from sprego.grid import (
     load_csv,
     parse_a1,
     parse_cell,
+    parse_range,
     range_to_csv,
 )
 from sprego.values import ArrayValue, BLANK, NUMBER_PATTERN, OMITTED
@@ -91,6 +94,44 @@ class TestAddressParsing:
     def test_rejects_out_of_range_or_malformed(self, token):
         with pytest.raises(GridError):
             parse_a1(token)
+
+    def test_memo_is_bounded_and_right_after_eviction(self):
+        cells = {f"{column_letters(7 * i + 1)}{3 * i + 7}":
+                 CellAddress(7 * i + 1, 3 * i + 7)
+                 for i in range(ADDRESS_MEMO + 100)}
+        corner = CellAddress(5, 100)
+        for _ in range(2):  # the second round reads what was evicted
+            for text, addr in cells.items():
+                assert parse_cell(text) == addr
+                assert parse_cell(text.lower()) == addr
+                assert parse_range(text, "$E$100") == RangeRef.make(
+                    addr, corner)
+                assert parse_a1(f"E100:{text}") == RangeRef.make(
+                    corner, addr)
+        for memo in (grid._cell_memo, grid._range_memo):
+            info = memo.cache_info()
+            assert info.maxsize == ADDRESS_MEMO
+            assert info.currsize <= info.maxsize
+
+    def test_spellings_of_one_cell_decode_equal(self):
+        assert parse_cell("$c$3") == parse_cell("C3") == CellAddress(3, 3)
+        assert parse_range("$c$3", "d4") == parse_range("D4", "C3")
+        # leading zeros make a long lexeme, decoded but not kept
+        long = "A" + "0" * 40 + "1"
+        before = grid._cell_memo.cache_info().currsize
+        assert parse_cell(long) == parse_cell("A1")
+        assert grid._cell_memo.cache_info().currsize == before
+
+    @pytest.mark.parametrize("first, second, bad", [
+        ("XFE1", "A1", "XFE1"), ("A1", "A1048577", "A1048577"),
+        ("A1", "B", "B"), ("C", "A0", "C"),
+    ])
+    def test_errors_are_never_kept(self, first, second, bad):
+        for _ in range(2):
+            with pytest.raises(GridError, match=repr(bad)):
+                parse_range(first, second)
+            with pytest.raises(GridError, match=repr(bad)):
+                parse_cell(bad)
 
     def test_offset(self):
         assert CellAddress(2, 2).offset(3, 1) == CellAddress(3, 5)

@@ -12,7 +12,9 @@ Formula plus whether it was interned, or parse_formula's FormulaError
 
 The revision's src/ is extracted with `git archive` into a temporary
 directory.  Each tree runs in its own subprocess, so the two never
-share a module.  Exits 1 when a formula differs, 0 otherwise.
+share a module.  Each subprocess parses the corpus twice, the second
+time with every memo the first pass filled, and fails when the passes
+differ.  Exits 1 when a formula differs, 0 otherwise.
 
 The generator writes binary operators without redundant parentheses,
 so precedence and associativity decide the tree, and mixes in number,
@@ -47,7 +49,7 @@ _ERRORS = ["#VALUE!", "#DIV/0!", "#NUM!", "#N/A", "#REF!", "#NAME?"]
 _NAMES = ["SUM", "IF", "LEN", "left", "Round", "MAX", "INDEX", "RAND",
           "ISERROR", "NOSUCH", "_X", "a.b"]
 _CELLS = ["A1", "b2", "$C$3", "XFD1048576", "AA10", "$Z1", "H$14", "I15"]
-_NOT_CELLS = ["ZZZZ1", "A0", "foo", "TRUE", "false"]
+_NOT_CELLS = ["ZZZZ1", "A0", "foo", "TRUE", "false", "XFE1", "A1048577"]
 _SPACE = ["", "", "", "", " ", "  ", "\t", "\n", " \r\n"]
 _MUTATION_CHARS = '"()#,:{}?=<>&+-*/^%. $_aZ19eE!\t²٣'
 #: Formulas generated per run, and differences printed in full
@@ -178,8 +180,9 @@ def run_tree(src: Path, formulas: list[str]) -> list[list]:
     """outcomes() computed in a subprocess that imports sprego from src."""
     done = subprocess.run(
         [sys.executable, "-B", __file__, "--dump", str(src)],
-        input=json.dumps(formulas), capture_output=True, text=True,
-        check=True)
+        input=json.dumps(formulas), capture_output=True, text=True)
+    if done.returncode:
+        sys.exit(f"{src}: {done.stderr.strip()}")
     return json.loads(done.stdout)
 
 
@@ -203,7 +206,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.dump:
         sys.path.insert(0, args.dump)
-        sys.stdout.write(json.dumps(outcomes(json.load(sys.stdin))))
+        formulas = json.load(sys.stdin)
+        first, second = outcomes(formulas), outcomes(formulas)
+        changed = [i for i, pair in enumerate(zip(first, second))
+                   if pair[0] != pair[1]]
+        if changed:
+            i = changed[0]
+            sys.exit(f"{len(changed)} formulas parse differently the "
+                     f"second time, the first {formulas[i]!r}: "
+                     f"{first[i]} then {second[i]}")
+        sys.stdout.write(json.dumps(first))
         return 0
     if not args.against:
         parser.error("give --against <rev>")
