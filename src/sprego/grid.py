@@ -1,5 +1,12 @@
 """Sparse sheet storage by column, A1 addressing, CSV and array spill.
 
+load_csv parses and bounds-checks every field but converts none: below
+a header, and unless force_text makes it text already, each column of
+each block of rows waits in the sheet as its row keys and texts, and
+the sheet converts a column the first time anything reads or writes it.
+A formula reads one or two columns of a table, so a call that loads a
+table pays only for the columns it touches.
+
 parse_cell and parse_range memoise what they decode by lexeme (a cell,
 or a pair of corners), so the parser, the script runner and the CLI
 share one rule and one cache, and the few cells and ranges that a
@@ -17,10 +24,9 @@ from __future__ import annotations
 import csv
 import io
 import re
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, compress, islice, repeat, zip_longest
+from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
@@ -40,8 +46,9 @@ MAX_ROWS = 1048576
 #: whole-sheet range would be 1.7e10 cells.
 MAX_RANGE_CELLS = MAX_ROWS
 
-#: The CSV rows load_csv converts at once: beyond the sheet it builds,
-#: it holds one block's text.
+#: The CSV rows load_csv reads at once, and so the most texts one
+#: values.read_numbers call converts: beyond the sheet it builds, a
+#: load holds one block's rows.
 BLOCK_ROWS = 256
 
 
@@ -192,8 +199,11 @@ def as_range(parsed: Union[CellAddress, RangeRef]) -> RangeRef:
 #: What an unwritten column reads as; never written to.
 _NO_CELLS: dict[int, Scalar] = {}
 
+#: A column's unconverted blocks, in load order: row keys and texts.
+Pending = list[tuple[tuple[int, ...], tuple[str, ...]]]
 
-@dataclass
+
+@dataclass(eq=False)
 class Sheet:
     """Sparse cell values, stored by column: column -> row -> value.
 
@@ -203,12 +213,37 @@ class Sheet:
     range is read column by column: a column with fewer stored cells
     than the range has rows is placed into a run of blanks, so its
     cost is set by the stored data; any other is read row by row.
+
+    A column can also hold pending blocks, each the row keys and
+    non-empty texts of one block of a CSV load, still unconverted.
+    Every read and write of a column goes through _column, which
+    converts its pending blocks in order over its stored cells the
+    first time anything touches it, so a later write still wins.  Two
+    sheets are equal when their converted columns are.
     """
 
     _columns: dict[int, dict[int, Scalar]] = field(default_factory=dict)
+    _pending: dict[int, Pending] = field(default_factory=dict)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sheet):
+            return NotImplemented
+        for sheet in (self, other):
+            for col in list(sheet._pending):
+                sheet._column(col)
+        return self._columns == other._columns
+
+    def _column(self, col: int) -> dict[int, Scalar]:
+        """One column's stored cells, its pending blocks converted first;
+        _NO_CELLS for a column that holds none."""
+        if col in self._pending:
+            column = self._columns.setdefault(col, {})
+            for rows, texts in self._pending.pop(col):
+                column.update(zip(rows, read_numbers(texts, True)))
+        return self._columns.get(col, _NO_CELLS)
 
     def get(self, addr: CellAddress) -> Scalar:
-        return self._columns.get(addr.col, _NO_CELLS).get(addr.row, BLANK)
+        return self._column(addr.col).get(addr.row, BLANK)
 
     def set(self, addr: CellAddress, value: Scalar) -> None:
         if value is OMITTED:
@@ -217,7 +252,8 @@ class Sheet:
 
     def _write(self, col: int, cells: Iterable[tuple[int, Scalar]]) -> None:
         """Store (row, value) pairs in one column; BLANK unsets."""
-        column = self._columns.setdefault(col, {})
+        # a stored column is never empty, so only _NO_CELLS is falsy
+        column = self._column(col) or self._columns.setdefault(col, {})
         for row, value in cells:
             if value is BLANK:
                 column.pop(row, None)
@@ -235,7 +271,7 @@ class Sheet:
         rows = bottom - top + 1
         series = []
         for col in range(rng.top_left.col, rng.bottom_right.col + 1):
-            column = self._columns.get(col, _NO_CELLS)
+            column = self._column(col)
             if len(column) < rows:
                 cells = [BLANK] * rows
                 for row, value in column.items():
@@ -271,14 +307,28 @@ class Sheet:
         return RangeRef.make(top_left, CellAddress(right, bottom))
 
     def update(self, other: "Sheet") -> None:
-        """Copy every stored cell of another sheet over this one."""
+        """Copy every cell of another sheet over this one.  Its pending
+        blocks come over unconverted, after every cell stored here."""
         for col, column in other._columns.items():
-            self._columns.setdefault(col, {}).update(column)
+            self._write(col, column.items())
+        for col, blocks in other._pending.items():
+            self._pending.setdefault(col, []).extend(blocks)
+
+    def _row_keys(self) -> dict[int, set[int]]:
+        """The rows of every column that holds a cell, pending or not."""
+        keys = {col: set(column) for col, column in self._columns.items()}
+        for col, blocks in self._pending.items():
+            keys.setdefault(col, set()).update(*(rows for rows, _ in blocks))
+        return keys
 
     def used_cells(self) -> set[tuple[int, int]]:
-        """The (row, col) position of every stored cell."""
-        return {(row, col) for col, column in self._columns.items()
-                for row in column}
+        """The (row, col) position of every cell, converting nothing."""
+        return {(row, col) for col, rows in self._row_keys().items()
+                for row in rows}
+
+    def cell_count(self) -> int:
+        """How many cells the sheet holds, converting nothing."""
+        return sum(map(len, self._row_keys().values()))
 
 
 CsvSource = Union[str, Path, IO[bytes], IO[str]]
@@ -306,6 +356,29 @@ def _check_block(block: list[list[str]], top: int,
                 raise GridError(f"address out of range: col={col} row={row}")
 
 
+def _block_columns(block: list[list[str]], rows: tuple[int, ...],
+                   first: int
+                   ) -> Iterator[tuple[int, tuple[int, ...], tuple[str, ...]]]:
+    """(column, row keys, fields) for each column of a block of CSV rows
+    whose first fields land in column first, the row keys those of the
+    rows that reach the column.  Columns come in bands, each the columns
+    that every row left holds, so a short row is never padded out to a
+    long one and a block costs its fields: the first band is the block
+    transposed, and each later one the rows longer than the band
+    before, sliced to it.
+    """
+    bands, start = [], 0
+    while True:
+        end = min(map(len, block))
+        band = [fields[start:end] for fields in block] if start else block
+        bands.append(zip(count(first + start), repeat(rows), zip(*band)))
+        if end == max(map(len, block)):
+            return chain.from_iterable(bands)
+        longer = list(map(end.__lt__, map(len, block)))
+        block = list(compress(block, longer))
+        rows, start = tuple(compress(rows, longer)), end
+
+
 def load_csv(
     source: CsvSource,
     *,
@@ -321,13 +394,19 @@ def load_csv(
     column_offset shifts the whole table right, leaving the first
     columns free for derived series.  A file or byte stream is read as
     UTF-8, less the byte-order mark Excel's "CSV UTF-8" starts with.
-    Rows are read in blocks of BLOCK_ROWS, and each column of a block
-    is converted by values.read_numbers in one call, so the text of a
-    number is held no longer than its block.
+
+    Rows are read in blocks of BLOCK_ROWS.  Every field is parsed and
+    checked against the sheet's bounds here, and malformed CSV or bad
+    UTF-8 raises IngestError here, but no field is converted: each
+    column of a block is kept pending as its row keys and non-empty
+    texts, and the sheet converts them with one values.read_numbers
+    call the first time anything touches the column.  The header row
+    and force_text columns are text already, so they are stored as is.
     """
     if column_offset < 0:
         raise IngestError("column offset must be non-negative")
-    columns: defaultdict[int, dict[int, Scalar]] = defaultdict(dict)
+    columns: dict[int, dict[int, Scalar]] = {}
+    pending: dict[int, Pending] = {}
     try:
         stream = _open_text(source)
     except OSError as exc:
@@ -340,14 +419,18 @@ def load_csv(
         numeric = not (header or force_text)
         while block := list(islice(reader, size)):
             _check_block(block, top, column_offset)
-            rows = list(range(top, top + len(block)))  # keys all columns share
-            for col, fields in enumerate(zip_longest(*block, fillvalue=""),
-                                         start=column_offset + 1):
-                # empty fields, a short row's padding among them, are
-                # neither converted nor stored
+            rows = tuple(range(top, top + len(block)))
+            for col, keys, fields in _block_columns(block, rows,
+                                                    column_offset + 1):
+                # empty fields are neither converted nor stored; the
+                # columns that have none share one tuple of row keys
                 if texts := tuple(filter(None, fields)):
-                    columns[col].update(zip(compress(rows, fields), (
-                        read_numbers(texts, True) if numeric else texts)))
+                    if len(texts) < len(keys):
+                        keys = tuple(compress(keys, fields))
+                    if numeric:
+                        pending.setdefault(col, []).append((keys, texts))
+                    else:
+                        columns.setdefault(col, {}).update(zip(keys, texts))
             top, size, numeric = top + len(block), BLOCK_ROWS, not force_text
     except UnicodeDecodeError as exc:
         raise IngestError(f"CSV source is not valid UTF-8: {exc}") from exc
@@ -359,7 +442,7 @@ def load_csv(
         elif stream is not source and isinstance(stream, io.TextIOWrapper):
             # keep the caller's byte stream open
             stream.detach()
-    return Sheet(dict(columns))
+    return Sheet(columns, pending)
 
 
 def render_rows(array: ArrayValue) -> Iterator[tuple[str, ...]]:

@@ -360,7 +360,7 @@ class _Runner:
                           column_offset=directive.column_offset)
         self.sheet.update(loaded)
         return self.note(directive.line, f"LOAD {directive.path}: "
-                         f"{sum(map(len, loaded._columns.values()))} cells")
+                         f"{loaded.cell_count()} cells")
 
     def do_set(self, directive: SetCell) -> bool:
         addr = parse_cell(directive.target)

@@ -211,8 +211,16 @@ def read_numbers(values: Sequence[Scalar], keep_text: bool) -> list:
                 else value if value.__class__ is float
                 else 0.0 if value is BLANK
                 else coerce_to_number(value) for value in values]
-    except ValueError:  # float() refused text the alphabet admits: "1.2.3"
+    except ValueError:  # float() refused text the alphabet admits
+        # text of digits, signs and points with a "-" past its first
+        # character has no exponent for that sign to belong to, so it
+        # is no number ("2024-01-05", "555-1234") and costs no call;
+        # other refused text ("1.2.3") and the rest of its block go
+        # through parse_number
         return [coerce_to_number(value) if value.__class__ is not str
+                else (value if keep_text else VALUE_ERR)
+                if "-" in (text := value.strip())[1:]
+                and not text.strip("0123456789+-.")
                 else number if (number := parse_number(value)) is not None
                 else value if keep_text else VALUE_ERR for value in values]
 

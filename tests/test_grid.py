@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from sprego import grid
+from sprego import cli, grid
 from sprego.grid import (
     ADDRESS_MEMO,
     BLOCK_ROWS,
@@ -30,7 +30,8 @@ from sprego.grid import (
     parse_range,
     range_to_csv,
 )
-from sprego.values import ArrayValue, BLANK, NUMBER_PATTERN, OMITTED
+from sprego.values import (ArrayValue, BLANK, NUMBER_PATTERN, OMITTED,
+                           VALUE_ERR, read_numbers)
 
 
 class TestColumnLetters:
@@ -491,6 +492,170 @@ class TestLoadCsvByBlock:
         sheet = load_csv(io.BytesIO(last), header=False)
         assert sheet.used_cells() == {(MAX_ROWS, 1)}
         assert sheet.get(CellAddress(1, MAX_ROWS)) == 7.0
+
+
+#: Text float() refuses although the number alphabet admits every
+#: character, beside signed numbers and other text
+_MIXED = ["2024-01-05", "-2024-01-05", " 1999-12-31 ", "555-1234",
+          "10-20", "5-", "--5", "+-1", "1.2.3", "192.168.0.1", "1e", "e5",
+          "1e5e5", "1e-5", "-1e+5", "-3", "+4.5", "12", ".5", "-", "x",
+          "TRUE", "1.1k", "2024-01-05T10:00"]
+
+
+class TestMixedNumericText:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_read_numbers_agrees_with_the_model(self, seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            texts = rng.choices(_MIXED, k=rng.randint(1, 40))
+            numbers = [_model_number(text) for text in texts]
+            for keep_text in (True, False):
+                expected = [text if number is None and keep_text
+                            else VALUE_ERR if number is None else number
+                            for text, number in zip(texts, numbers)]
+                got = read_numbers(texts, keep_text)
+                assert [(type(v), repr(v)) for v in got] == \
+                    [(type(v), repr(v)) for v in expected], texts
+
+    def test_columns_of_dates_and_numbers_load_as_the_model(self):
+        rng = random.Random(11)
+        data = ("a,b,c\n" + "".join(
+            ",".join(rng.choices(_MIXED, k=3)) + "\n"
+            for _ in range(2 * BLOCK_ROWS + 1))).encode()
+        _same_as_model(data)
+        _same_as_model(data, header=False, column_offset=2)
+
+
+def _ragged(rows: int, rng: random.Random) -> bytes:
+    """A header, then rows from empty to 300 fields wide, most of their
+    fields empty, so a block's widest row is far wider than the rest."""
+    lines = ["a,b,c"]
+    for _ in range(rows):
+        width = rng.choice([0, 1, 1, 2, 3, 9, 40, 300])
+        lines.append(",".join(rng.choice(_FIELDS) if rng.random() < 0.2
+                              else "" for _ in range(width)))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestRaggedBlocks:
+    @pytest.mark.parametrize("options", [
+        {}, {"header": False}, {"force_text": True}, {"column_offset": 2}],
+        ids=str)
+    def test_ragged_rows_load_as_the_model(self, options):
+        _same_as_model(_ragged(2 * BLOCK_ROWS + 1, random.Random(3)),
+                       **options)
+
+    def test_the_first_field_off_the_sheet_in_a_ragged_block_is_named(self):
+        data = "x\n" + "y\n" * BLOCK_ROWS + "," * 40 + "z\n" + "1,2\n"
+        _same_as_model(data.encode(), column_offset=MAX_COLS - 30)
+        with pytest.raises(GridError, match=f"col={MAX_COLS + 11} row="
+                           f"{BLOCK_ROWS + 2}$"):
+            load_csv(io.StringIO(data), column_offset=MAX_COLS - 30)
+
+    def test_a_block_is_transposed_without_padding(self):
+        block = [["a"] * width for width in (2, 5, 0, 300, 2, 7)]
+        rows = tuple(range(10, 16))
+        columns = list(grid._block_columns(block, rows, 4))
+        assert [col for col, _, _ in columns] == list(range(4, 304))
+        # every field is handed out once, and no padding with it
+        assert sum(len(fields) for _, _, fields in columns) == 316
+        for col, keys, fields in columns:
+            assert keys == tuple(row for row, fields in zip(rows, block)
+                                 if len(fields) > col - 4)
+            assert len(fields) == len(keys)
+
+
+def _eager(model: dict) -> Sheet:
+    """A sheet holding the model's cells, written one by one."""
+    sheet = Sheet()
+    for (row, col), value in model.items():
+        sheet.set(CellAddress(col, row), value)
+    return sheet
+
+
+class TestLazyColumns:
+    """load_csv converts no field: the sheet converts a column's blocks
+    the first time anything touches that column."""
+
+    @pytest.mark.parametrize("header", [True, False])
+    @pytest.mark.parametrize("force_text", [False, True])
+    def test_a_lazy_sheet_equals_the_models_eager_sheet(self, header,
+                                                        force_text):
+        rng = random.Random(f"lazy-{header}-{force_text}")
+        for data in [_random_csv(rng) for _ in range(20)] + [
+                _board(2 * BLOCK_ROWS + 1, rng), _ragged(BLOCK_ROWS, rng)]:
+            options = {"header": header, "force_text": force_text,
+                       "column_offset": rng.randint(0, 2)}
+            sheet = load_csv(io.BytesIO(data), **options)
+            # text is stored as it stands; only a numeric field waits
+            assert not (force_text and sheet._pending)
+            assert sheet == _eager(_model_load(data, **options))
+            assert not sheet._pending
+
+    def test_counting_cells_converts_nothing(self, monkeypatch):
+        data = _board(2 * BLOCK_ROWS + 1, random.Random(4))
+        sheet = load_csv(io.BytesIO(data))
+        sheet.set(parse_cell("B7"), 1.0)  # settles one column
+        pending = {col: list(blocks) for col, blocks
+                   in sheet._pending.items()}
+        assert pending and 2 not in pending
+
+        def refuse(texts, keep_text):
+            raise AssertionError("converted a column")
+        monkeypatch.setattr(grid, "read_numbers", refuse)
+        model = _model_load(data, True, False, 0)
+        model[7, 2] = 1.0
+        assert sheet.used_cells() == set(model)
+        assert sheet.cell_count() == len(model)
+        assert sheet._pending == pending
+
+    def test_get_range_over_pending_and_stored_columns(self):
+        sheet = load_csv(io.StringIO("a,b,c\n1,x,3\n4,,6\n"),
+                         column_offset=1)
+        sheet.set(parse_cell("E2"), True)  # a stored column beside them
+        assert sheet.get(parse_cell("C3")) is BLANK  # settles column C
+        assert set(sheet._pending) == {2, 4}
+        got = sheet.get_range(as_range(parse_a1("A1:F3")))
+        assert [(type(v), v) for v in got.cells] == [(type(v), v) for v in (
+            BLANK, "a", "b", "c", BLANK, BLANK,
+            BLANK, 1.0, "x", 3.0, True, BLANK,
+            BLANK, 4.0, BLANK, 6.0, BLANK, BLANK)]
+        assert not sheet._pending
+
+    @pytest.mark.parametrize("tail,error,message", [
+        (b"x," * MAX_COLS + b"x\n", GridError,
+         f"address out of range: col={MAX_COLS + 1} row={2 * BLOCK_ROWS + 2}"),
+        (b'"' + b"x" * (csv.field_size_limit() + 1) + b'"\n', IngestError,
+         "malformed CSV: field larger than field limit"),
+        (b"1,\xff\n", IngestError, "CSV source is not valid UTF-8"),
+    ], ids=["off-sheet", "malformed", "not-utf-8"])
+    def test_a_bad_row_after_good_blocks_raises_inside_load_csv(
+            self, tail, error, message):
+        data = b"a,b\n" + b"1,2\n" * (2 * BLOCK_ROWS) + tail
+        with pytest.raises(error) as caught:
+            load_csv(io.BytesIO(data))
+        assert str(caught.value).startswith(message)
+
+    def test_eval_converts_only_the_column_it_reads_each_block_once(
+            self, tmp_path, monkeypatch, capsys):
+        rows = 2 * BLOCK_ROWS + 5
+        path = tmp_path / "board.csv"
+        path.write_text("a,b,c,d,e\n" + "".join(
+            f"{i},x{i},{2 * i},{i}-1,{i}.5\n" for i in range(rows)))
+        converted = []
+
+        def counted(texts, keep_text):
+            converted.append(texts)
+            return read_numbers(texts, keep_text)
+        monkeypatch.setattr(grid, "read_numbers", counted)
+        assert cli.main(["eval", str(path), "=C2&C500"]) == 0
+        assert capsys.readouterr().out == "0996\n"
+        # the header is a block of its own; each later block is
+        # BLOCK_ROWS rows, and only column C's are converted, once each
+        assert converted == [
+            tuple(str(2 * i) for i in range(start, min(start + BLOCK_ROWS,
+                                                       rows)))
+            for start in range(0, rows, BLOCK_ROWS)]
 
 
 class TestExport:

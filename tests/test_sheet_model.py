@@ -4,7 +4,9 @@ A fixed-seed run of set (blanks included), spill, update and load_csv
 drives a Sheet and a dict model side by side.  After every operation
 get, used_cells, get_range and range_to_csv must agree with the model,
 and the sheet must equal one rebuilt from the model, so clearing a
-column's last cell leaves no column behind.
+column's last cell leaves no column behind.  Loads over a sheet leave
+their columns unconverted, so writes before and after them are checked
+only after a run of operations, against the same model.
 """
 
 import csv
@@ -21,6 +23,7 @@ from sprego.grid import (
     parse_a1,
     range_to_csv,
 )
+from sprego.script import run_script
 from sprego.values import ArrayValue, BLANK, NA_ERR, render
 
 #: Writes land in rows 10..40 of columns A..F; column G is never written.
@@ -166,6 +169,47 @@ def test_sheet_matches_dict_model(seed):
         else:
             sheet, model = do_load(rng)
         check(sheet, model)
+
+
+def do_load_over(rng, sheet, model):
+    """A CSV load copied over the sheet, as a script's LOAD does: its
+    columns stay unconverted until a later operation touches them."""
+    loaded, loaded_model = do_load(rng)
+    sheet.update(loaded)
+    model.update(loaded_model)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_the_last_write_wins_around_loads_over_a_sheet(seed):
+    rng = random.Random(seed)
+    sheet, model = Sheet(), {}
+    ops = {"set": do_set, "spill": do_spill, "update": do_update,
+           "load": do_load_over}
+    for _ in range(12):
+        for _ in range(rng.randint(1, 10)):
+            kind = rng.choices(list(ops), weights=[6, 4, 2, 3])[0]
+            ops[kind](rng, sheet, model)
+        # counted from row keys, before check converts every column
+        assert sheet.cell_count() == len(model)
+        check(sheet, model)
+
+
+def test_script_writes_before_and_after_a_load_keep_their_order(tmp_path):
+    (tmp_path / "data.csv").write_text("h1,h2,h3\n1,2,3\n4,5,6\n")
+    script = tmp_path / "t.sprego"
+    script.write_text(
+        "SET C2 = 100\n"          # loaded over
+        "LOAD data.csv\n"
+        "SET C3 = 7\n"            # written over the load
+        "STEP S B2 = =99\n"
+        "EXPECT A2:C3 = 1,99,3;4,5,7\n"
+        "SET A3 = 8\n"
+        "LOAD data.csv\n"         # loaded over every write above
+        "EXPECT A1:C3 = h1,h2,h3;1,2,3;4,5,6\n")
+    report = run_script(script)
+    assert report.ok, report.render()
+    assert [o.text for o in report.outcomes if o.text.startswith("LOAD")] \
+        == ["LOAD data.csv: 9 cells"] * 2
 
 
 def test_clearing_a_columns_last_cell_leaves_no_column():
