@@ -2,7 +2,7 @@
 
     sprego eval [workbook.csv] "{=SUM(IF(I2:I15>H1003,1))}" [--set H1003=500]
     sprego run task1.sprego
-    sprego trace workbook.csv "=LEFT(C2:C15,FIND(\"(\",C2:C15)-2)" [C2:C15]
+    sprego trace workbook.csv "{=LEFT(C2:C15,FIND(\"(\",C2:C15)-2)}" [C2:C15]
     sprego export workbook.csv A1:F15
 
 Exit codes: 0 success, 1 failed expectation or (with --strict) an

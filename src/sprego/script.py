@@ -9,10 +9,10 @@ A script is a plain-text file of directives, one per line:
     EXPECT <range> = @<file.csv>
     EXPECT <range> = <cell>[,<cell>...][;<row>...]
 
-Lines starting with # are comments.  STEP evaluates its formula
+Lines starting with # are comments.  STEP evaluates its formula once
 (braces request array entry) and spills the result over the declared
 range, which must match the result's shape exactly.  TRACE prints a
-step's trace, made as the step ran: over the sheet it read, at its
+step's trace, made from that evaluation: over the sheet it read, at its
 anchor, with its RAND draws.  EXPECT compares a previously written
 range cell-by-cell: text, booleans, blanks and errors must match
 exactly, numbers within 1e-9 relative or 1e-12 absolute, whichever is
@@ -373,24 +373,17 @@ class _Runner:
         target = as_range(parse_a1(directive.target))
         target.check_size()
         formula = parse_formula(directive.formula)
-        table = value = None
+        ctx = EvalContext(self.sheet, anchor=target.top_left, rng=self.rng)
+        table = None
         if directive.label in self.traced:
-            # the trace draws what the step draws, from a copy of the stream
-            rng = random.Random()
-            rng.setstate(self.rng.getstate())
+            # the trace's evaluation is the step's: it spills what it made
             try:
-                table = trace(formula, EvalContext(
-                    self.sheet, anchor=target.top_left, rng=rng))
+                table = trace(formula, ctx)
+                value = table.value
             except TraceError as exc:
-                table = exc
-            else:
-                if formula.array_entered:
-                    # the trace evaluated the step as entered: spill that
-                    value = table.value
-                    self.rng.setstate(rng.getstate())
-        if value is None:
-            value = evaluate_formula(formula, EvalContext(
-                self.sheet, anchor=target.top_left, rng=self.rng))
+                table, value = exc, exc.value
+        else:
+            value = evaluate_formula(formula, ctx)
         result = as_array(value)
         if result.shape != (target.rows, target.cols):
             raise ScriptError(

@@ -24,7 +24,9 @@ from .values import (ArrayValue, BLANK, Scalar, Value, as_array, render,
 
 
 class TraceError(Exception):
-    """Raised when a formula cannot be laid out as a row-per-input table."""
+    """Raised when a formula cannot be laid out as a row-per-input table;
+    value is the formula's, from the evaluation made before the layout."""
+    value: Value = None
 
 
 def decompose(expr: Expr) -> list[Expr]:
@@ -59,7 +61,7 @@ class TraceTable:
     input_values: tuple[Scalar, ...]
     steps: tuple[TraceStep, ...]
     rows: int
-    value: Value  # the formula's, array-entered, from the same evaluation
+    value: Value  # the formula's, as evaluate_formula returns it
 
 
 def _normalize(value, rows: int) -> ArrayValue:
@@ -77,7 +79,7 @@ def trace(
     ctx: EvalContext,
     input_range: Optional[RangeRef] = None,
 ) -> TraceTable:
-    """Evaluate a formula once, array-entered, and lay out its steps.
+    """Evaluate a formula once, as entered, and lay out its steps.
 
     The input column defaults to the first range in the formula, as
     the evaluation read it; a formula with no range traces as a single
@@ -85,13 +87,19 @@ def trace(
     once and keeps every step's value, so a step shows the value its
     subtree took wherever the evaluation reached it.  A subtree holding
     RAND is never shared: its step shows its first occurrence, and
-    =RAND()-RAND() is not 0.  Scalars repeat down the column.
+    =RAND()-RAND() is not 0.  Scalars repeat down the column.  The
+    table's value, and a TraceError's, is what evaluate_formula returns.
     """
     formula = parse_formula(source) if isinstance(source, str) else source
     interning = formula.interning or intern(formula.expr)
+    # every step's value is kept, under its first twin's id
+    traced = EvalContext(ctx.sheet, formula.array_entered, ctx.anchor,
+                         ctx.rng, interning.keys)
+    values = traced.node_values
+    value = values[id(formula.expr)] = evaluate(formula.expr, traced)
     # constants and bare refs still trace
-    step_exprs = _steps(interning) or [formula.expr]
-
+    raw = [(expr, values.get(id(expr), BLANK))
+           for expr in _steps(interning) or [formula.expr]]
     # post-order lists leaves left to right: this is the leftmost range
     first = None if input_range is not None else next(
         (node for node in interning.firsts if isinstance(node, RangeLit)),
@@ -100,35 +108,31 @@ def trace(
         input_range = first.rng
     header: Optional[str] = None
     input_values: tuple[Scalar, ...] = ()
-    if input_range is not None:
-        if input_range.cols != 1:
-            raise TraceError("the input range must be a single column")
-        header = input_range.a1
-        top = input_range.top_left
-        if top.row > 1:
-            above = ctx.sheet.get(top.offset(-1, 0))
-            if above is not BLANK:
-                header = render(above)
-
-    # every step's value is kept, under its first twin's id
-    traced = EvalContext(ctx.sheet, True, ctx.anchor, ctx.rng, interning.keys)
-    values = traced.node_values
-    values[id(formula.expr)] = evaluate(formula.expr, traced)
-    raw = [(expr, values.get(id(expr), BLANK)) for expr in step_exprs]
-    if input_range is not None:
-        rows = input_range.rows
-        # the evaluation's read of a default input column, if it made one
-        column = first and values.get(id(first))
-        input_values = (column if isinstance(column, ArrayValue)
-                        else ctx.sheet.get_range(input_range)).cells
-    else:
-        rows = max((v.rows for _, v in raw if isinstance(v, ArrayValue)),
-                   default=1)
-    steps = tuple(
-        TraceStep(f"S{i}", expr, _normalize(value, rows))
-        for i, (expr, value) in enumerate(raw, start=1))
-    return TraceTable(header, input_values, steps, rows,
-                      values[id(formula.expr)])
+    try:
+        if input_range is not None:
+            if input_range.cols != 1:
+                raise TraceError("the input range must be a single column")
+            header = input_range.a1
+            top = input_range.top_left
+            if top.row > 1:
+                above = ctx.sheet.get(top.offset(-1, 0))
+                if above is not BLANK:
+                    header = render(above)
+            rows = input_range.rows
+            # the evaluation's read of a default input column, if it made one
+            column = first and values.get(id(first))
+            input_values = (column if isinstance(column, ArrayValue)
+                            else ctx.sheet.get_range(input_range)).cells
+        else:
+            rows = max((v.rows for _, v in raw if isinstance(v, ArrayValue)),
+                       default=1)
+        steps = tuple(
+            TraceStep(f"S{i}", expr, _normalize(step_value, rows))
+            for i, (expr, step_value) in enumerate(raw, start=1))
+    except TraceError as exc:
+        exc.value = value
+        raise
+    return TraceTable(header, input_values, steps, rows, value)
 
 
 def render_tsv(table: TraceTable) -> str:

@@ -305,9 +305,10 @@ class TestLoadCsv:
         sheet = load_csv(path)
         assert sheet.get(parse_cell("B4")) == 0.5
 
-    def test_numbers_are_converted_as_rows_stream_in(self):
-        # a numeric field's text is dropped with its row, so loading
-        # peaks at about the size of the sheet it returns
+    def test_a_load_peaks_at_about_the_pending_sheet_it_returns(self):
+        # load_csv keeps each column's texts pending, unconverted: its
+        # tracemalloc peak is bounded by the size of the pending sheet
+        # it returns, measured before any read converts a column
         rng = random.Random(5)
         source = io.StringIO("a,b,c,d,e\n" + "".join(
             ",".join(str(rng.randint(0, 10**6)) if rng.random() < 0.5

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import sprego.evaluator
+import sprego.script
 import sprego.tracer
 from sprego import (
     EvalContext,
@@ -21,7 +22,8 @@ from sprego import (
     run_script,
 )
 from sprego.cli import _build_sheet, build_parser, main
-from sprego.grid import CellAddress, IngestError, RangeRef, parse_cell
+from sprego.grid import (CellAddress, IngestError, RangeRef, as_range,
+                         parse_a1, parse_cell)
 from sprego.script import (
     EVAL_FAILED,
     EXPECT_FAILED,
@@ -68,6 +70,31 @@ def write(tmp_path, name, text):
 
 
 SMALL_CSV = "label,n\nfirst,3\nsecond,4\n"
+
+
+@pytest.fixture
+def root_evaluations(monkeypatch):
+    """A call that lists how often each parsed STEP formula's root node
+    was evaluated, in the order the steps ran (every formula is kept
+    alive, so no node's id is reused)."""
+    formulas, counts = [], {}
+    parse, evaluate = sprego.script.parse_formula, sprego.evaluator.evaluate
+
+    def parsed(text):
+        formula = parse(text)
+        formulas.append(formula)
+        counts[id(formula.expr)] = 0
+        return formula
+
+    def counted(expr, ctx):
+        if id(expr) in counts:
+            counts[id(expr)] += 1
+        return evaluate(expr, ctx)
+
+    monkeypatch.setattr(sprego.script, "parse_formula", parsed)
+    for module in (sprego.evaluator, sprego.tracer):
+        monkeypatch.setattr(module, "evaluate", counted)
+    return lambda: [counts[id(f.expr)] for f in formulas]
 
 
 class TestParseDirectives:
@@ -430,8 +457,8 @@ TRACE S1
         assert "first\t5" in text
 
     def test_trace_draws_what_its_step_drew(self, tmp_path):
-        # the trace replays the step's RAND draws from a copy of the
-        # script's stream, so the next step draws as if it were absent
+        # the trace's evaluation is the step's, on the script's stream,
+        # so the next step draws as if the trace were absent
         rng = random.Random(1)
         first, second = rng.random(), rng.random()
         path = write(tmp_path, "t.sprego", f"""\
@@ -446,6 +473,28 @@ EXPECT B1 = {second!r}
         rows = [line.split("\t")
                 for line in report.outcomes[1].text.splitlines()[2:]]
         assert [(row[0], row[-1]) for row in rows] == [("", repr(first))] * 3
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_a_failed_trace_spills_and_draws_as_no_trace(self, tmp_path,
+                                                         traced):
+        # ROW(C1:C2) is two rows under a three-row input column: the
+        # trace fails after its evaluation, whose value S1 spills
+        text = ("STEP S1 A1:A2 = {=RAND()+SUM(B1:B3)*0+ROW(C1:C2)*0}\n"
+                + "TRACE S1\n" * traced + "STEP S2 D1 = =RAND()\n")
+        script = parse_task_script(write(tmp_path, "t.sprego", text))
+        runner = _Runner(script, seed=5)
+        for directive in script.directives:
+            runner.run_directive(directive)
+        rng = random.Random(5)
+        first, second = rng.random(), rng.random()
+        spilled = runner.sheet.get_range(as_range(parse_a1("A1:A2")))
+        assert spilled.cells == (first, first)
+        assert runner.sheet.get(parse_cell("D1")) == second
+        assert runner.rng.getstate() == rng.getstate()
+        assert [o.text for o in runner.report.outcomes][:2] == [
+            "STEP S1 A1:A2: spilled 2x1",
+            "line 2: step produced 2 rows where the trace has 3"
+            if traced else "STEP S2 D1: spilled 1x1"]
 
     def test_trace_reads_the_sheet_its_step_read(self, tmp_path):
         # S2 overwrites what S1 read and made; S1's trace shows blanks in
@@ -483,9 +532,10 @@ EXPECT A1 = 0
             "line 2: the input range must be a single column",
             "EXPECT A1: PASS (1 cell)"]
 
-    def test_traced_plain_step_spills_its_own_value(self, tmp_path):
-        # only an array-entered step spills its trace's value; this one
-        # spills the plain-entered 1, whatever its trace shows
+    def test_traced_plain_step_spills_its_own_value(self, tmp_path,
+                                                    root_evaluations):
+        # a plain-entered step is traced as entered: its one evaluation
+        # spills 1 and its trace shows 1 in every row
         path = write(tmp_path, "t.sprego", """\
 STEP S1 A1 = =ROW(B1:B3)
 TRACE S1
@@ -493,6 +543,9 @@ EXPECT A1 = 1
 """)
         report = run_script(path)
         assert report.ok, report.render()
+        assert report.outcomes[1].text == \
+            "TRACE S1:\nB1:B3\tS1\n\t1\n\t1\n\t1"
+        assert root_evaluations() == [1]
 
     def test_trace_of_a_failed_step_names_an_unknown_step(self, tmp_path):
         path = write(tmp_path, "t.sprego", """\
@@ -573,6 +626,16 @@ class TestPackagedScripts:
             assert all(map(runner.run_directive, each.directives))
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_each_step_is_evaluated_once(self, n, root_evaluations):
+        # traced or not, a STEP's root is evaluated once: by its trace
+        # if a TRACE names the step, else by evaluate_formula
+        script = parse_task_script(data_path(f"task{n}.sprego"))
+        steps = sum(isinstance(d, Step) for d in script.directives)
+        runner = _Runner(script, seed=1)
+        assert all(map(runner.run_directive, script.directives))
+        assert root_evaluations() == [1] * steps
 
 
 class TestCli:
@@ -681,10 +744,19 @@ EXPECT C2:C3 = 30;99
     def test_trace_explicit_range(self, capsys, tmp_path):
         # row labels come from column A even though the steps read B
         book = write(tmp_path, "b.csv", SMALL_CSV)
-        assert main(["trace", str(book), "=LEN(B2:B3)", "A2:A3"]) == OK
+        assert main(["trace", str(book), "{=LEN(B2:B3)}", "A2:A3"]) == OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "label\tS1"
         assert lines[1] == "first\t1"
+
+    def test_trace_refuses_a_wide_input_range_before_reading_it(
+            self, capsys, monkeypatch, tmp_path):
+        # A1:B1048576 is above the range cap too, which a read would name
+        write(tmp_path, "b.csv", SMALL_CSV)
+        monkeypatch.chdir(tmp_path)
+        assert main(["trace", "b.csv", "=1", "A1:B1048576"]) == EVAL_FAILED
+        assert capsys.readouterr().err == \
+            "sprego: the input range must be a single column\n"
 
     def test_export_round_trip(self, capsys, tmp_path):
         book = write(tmp_path, "b.csv", SMALL_CSV)

@@ -199,27 +199,34 @@ class TestOneEvaluation:
     """A trace is a view of the formula's one evaluation."""
 
     def test_last_step_equals_the_evaluation(self):
+        # in either entry, the trace's value is evaluate_formula's,
+        # compared by repr so that -0.0 is not 0.0 and 1.0 is not TRUE
         sheet = Sheet()
         for a1, value in [("A1", 2.0), ("A2", "ab c"), ("A3", True),
                           ("A5", -1.5), ("B2", "7"), ("B3", 0.0),
                           ("C4", "x"), ("ZZ9", 3.0)]:
             sheet.set(parse_cell(a1), value)
-        rng = random.Random(11)
-        compared = 0
-        for k in range(1000):
-            formula = parse_formula("{=" + draw_expression(rng) + "}")
-            try:
-                table = trace(formula,
-                              EvalContext(sheet, rng=random.Random(k)))
-            except TraceError:
-                continue  # a two-column input range, or mismatched heights
-            result = evaluate_formula(
-                formula, EvalContext(sheet, rng=random.Random(k)))
-            expected = _normalize(result, table.rows)
-            assert typed(table.steps[-1].results) == typed(expected), \
-                (k, unparse(formula.expr))
-            compared += 1
-        assert compared >= 800
+        for array_entered in (True, False):
+            rng = random.Random(11)
+            compared = 0
+            for k in range(1000):
+                text = "=" + draw_expression(rng)
+                formula = parse_formula("{" + text + "}" if array_entered
+                                        else text)
+                try:
+                    table = trace(formula,
+                                  EvalContext(sheet, rng=random.Random(k)))
+                except TraceError:
+                    continue  # a two-column input range, or mismatched heights
+                result = evaluate_formula(
+                    formula, EvalContext(sheet, rng=random.Random(k)))
+                assert repr(table.value) == repr(result), \
+                    (k, array_entered, text)
+                expected = _normalize(result, table.rows)
+                assert typed(table.steps[-1].results) == typed(expected), \
+                    (k, array_entered, text)
+                compared += 1
+            assert compared >= 800, array_entered
 
     def test_a_step_reuses_its_random_draw(self):
         ctx = EvalContext(Sheet(), rng=random.Random(3))
@@ -258,7 +265,7 @@ class TestOneEvaluation:
             ["B1:B3\tS1\tS2\tS3", "1\t\t\t0", "2\t\t\t0", "3\t\t\t0"]
 
     def test_a_shared_step_holds_the_value_of_its_twins(self, sheet):
-        table = trace(FULL, EvalContext(sheet))
+        table = trace("{=" + FULL + "}", EvalContext(sheet))
         values = {unparse(step.expr): step.results.cells
                   for step in table.steps}
         assert values['FIND("(",C2:C4)'] == (10.0, 16.0, 10.0)
