@@ -34,7 +34,7 @@ from functools import partial
 from itertools import chain, compress, repeat
 from typing import Callable, Optional
 
-from .functions import (NUMBER, SCALAR, TEXT, UNCHANGED_BY,
+from .functions import (CELLS, NUMBER, REF, SCALAR, TEXT, UNCHANGED_BY,
                         FunctionDescriptor, lookup, read_range)
 from .grid import MAX_RANGE_CELLS, CellAddress, RangeRef, Sheet
 from .parser import Binary, Call, Expr, Formula, Literal, RangeLit, Ref, Unary
@@ -316,14 +316,17 @@ def _eval_call(call: Call, ctx: EvalContext) -> Value:
     if descriptor.lazy:
         return eval_if(call.args, ctx, descriptor)
 
+    # a range literal reaches a REF or CELLS argument unread, as its
+    # range: the kernel reads it, a CELLS one by its stored cells only
     prepared: list = []
     for index, arg_expr in enumerate(call.args):
-        if index not in descriptor.refs:
+        if isinstance(arg_expr, RangeLit) and \
+                descriptor.mode(index) in (REF, CELLS):
+            prepared.append(arg_expr.rng)
+        elif index not in descriptor.refs:
             prepared.append(evaluate(arg_expr, ctx))
         elif isinstance(arg_expr, Ref):
             prepared.append(RangeRef.cell(arg_expr.addr))
-        elif isinstance(arg_expr, RangeLit):
-            prepared.append(arg_expr.rng)
         else:
             return VALUE_ERR  # these arguments must be references
     return _apply(descriptor, prepared, ctx)

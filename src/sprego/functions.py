@@ -15,12 +15,17 @@ argument:
   per argument), as the two value coercions and the comparisons do.
 * ARRAY arguments arrive whole (scalars stay scalars; kernels that
   need a rectangle wrap them as 1x1, an empty slot as a blank cell).
+* CELLS arguments are ARRAY arguments that a range literal reaches
+  unread: the evaluator passes its RangeRef, and the kernel reads only
+  the cells the range stores (read_stored), row-major, so an aggregate
+  over a whole column costs the cells it holds.  Any other expression,
+  a single-cell reference included, arrives evaluated, as for ARRAY.
 * REF arguments are never evaluated; the evaluator resolves the
   argument expression to a range and passes the range itself.
 
 A descriptor builds its call plans when it is made, one per argument
 count up to the number of its modes; an unlimited function's repeating
-last mode is ARRAY, never lifted, so longer calls share the last plan.
+last mode is CELLS, never lifted, so longer calls share the last plan.
 IF's kernel is ordinary too: being lazy only lets the evaluator choose
 which of its arguments to evaluate (evaluator.eval_if).
 
@@ -84,9 +89,9 @@ if TYPE_CHECKING:
     from .evaluator import EvalContext
 
 #: The lifted modes, each the coercion it applies (SCALAR: none), and
-#: the two markers of arguments that are not lifted.
+#: the three markers of arguments that are not lifted.
 SCALAR, NUMBER, TEXT = None, coerce_to_number, coerce_to_text
-LOGICAL, ARRAY, REF = is_truthy, "array", "ref"
+LOGICAL, ARRAY, REF, CELLS = is_truthy, "array", "ref", "cells"
 
 #: The element types each coercion returns as they are (the same object).
 UNCHANGED_BY = {coerce_to_number: {float, CellError},
@@ -98,7 +103,7 @@ class FunctionDescriptor:
     name: str
     min_args: int
     max_args: Optional[int]  # None means unlimited
-    modes: tuple  # per position; unlimited repeats the last, ARRAY
+    modes: tuple  # per position; unlimited repeats the last, CELLS
     impl: Callable
     captures_errors: bool = False
     lazy: bool = False  # the evaluator picks the arguments to evaluate
@@ -112,10 +117,16 @@ class FunctionDescriptor:
     def __post_init__(self) -> None:
         modes = self.modes
         object.__setattr__(self, "plans", tuple(
-            {i: m for i, m in enumerate(modes[:n]) if m not in (ARRAY, REF)}
+            {i: m for i, m in enumerate(modes[:n])
+             if m not in (ARRAY, REF, CELLS)}
             for n in range(len(modes) + 1)))
         object.__setattr__(self, "refs", frozenset(
             i for i, m in enumerate(modes) if m is REF))
+
+    def mode(self, index: int):
+        """The mode of the argument at index (0-based); an unlimited
+        function repeats its last."""
+        return self.modes[min(index, len(self.modes) - 1)]
 
 
 # ---------------------------------------------------------------- text
@@ -223,30 +234,42 @@ def fn_substitute(ctx: "EvalContext", text: str, old: str, new: str,
 
 # ------------------------------------------------------------ aggregates
 
-#: The element types an aggregate keeps from an array.
-_NUMBER_OR_ERROR = frozenset((float, CellError))
+def read_stored(sheet: Sheet, rng: RangeRef) -> Sequence[Scalar]:
+    """The values a CELLS argument's range stores, row-major, blanks
+    left out; a range above grid.MAX_RANGE_CELLS is #NUM! alone, as
+    read_range makes it."""
+    try:
+        return sheet.stored(rng)
+    except GridError:
+        return (NUM_ERR,)
 
 
-def _collect_numbers(args: Sequence) -> list[float] | CellError:
+def _collect_numbers(sheet: Sheet, args: Sequence) -> list[float] | CellError:
     """Flatten aggregate arguments into the numbers they contribute.
 
-    Inside arrays only numbers count; text, booleans and blanks are
-    skipped.  A direct scalar argument other than a blank coerces as a
-    number would.  The first error (row-major, in argument order)
-    becomes the result.
+    Inside arrays and ranges only numbers count; text, booleans and
+    blanks are skipped.  A direct scalar argument other than a blank
+    coerces as a number would.  The first error (row-major, in argument
+    order) becomes the result.
     """
     numbers: list[float] = []
     for arg in args:
-        if isinstance(arg, ArrayValue):
-            kept = [e for e in arg.cells if type(e) in _NUMBER_OR_ERROR]
-            if CellError in map(type, kept):
-                return next(e for e in kept if type(e) is CellError)
-            numbers += kept
-        elif arg is not BLANK and arg is not OMITTED:
-            number = coerce_to_number(arg)
-            if isinstance(number, CellError):
-                return number
-            numbers.append(number)
+        if arg.__class__ is RangeRef:
+            cells = read_stored(sheet, arg)
+            kinds = set(map(type, cells))
+        elif isinstance(arg, ArrayValue):
+            cells, kinds = arg.cells, arg.kinds
+        else:
+            if arg is not BLANK and arg is not OMITTED:
+                number = coerce_to_number(arg)
+                if isinstance(number, CellError):
+                    return number
+                numbers.append(number)
+            continue
+        if CellError in kinds:
+            return next(e for e in cells if e.__class__ is CellError)
+        numbers += (cells if kinds <= {float}
+                    else [e for e in cells if e.__class__ is float])
     return numbers
 
 
@@ -269,7 +292,7 @@ def _aggregate(finish: Callable[[list[float]], Value]) -> Callable:
     """The kernel of an aggregate: finish over the numbers that
     _collect_numbers takes from its arguments, or their first error."""
     def kernel(ctx: "EvalContext", *args: Value) -> Value:
-        numbers = _collect_numbers(args)
+        numbers = _collect_numbers(ctx.sheet, args)
         return numbers if isinstance(numbers, CellError) else finish(numbers)
     return kernel
 
@@ -278,7 +301,7 @@ def _kth(smallest: bool, ctx: "EvalContext", values: Value,
          k: Scalar) -> Value:
     """SMALL(values, k) and LARGE(values, k): the k-th smallest or
     largest of the numbers an aggregate takes from values."""
-    numbers = _collect_numbers((values,))
+    numbers = _collect_numbers(ctx.sheet, (values,))
     if isinstance(numbers, CellError):
         return numbers
     k = coerce_to_number(k)
@@ -302,7 +325,9 @@ def _logical(stop: bool) -> Callable:
     def kernel(ctx: "EvalContext", *args: Value) -> Value:
         found = False
         for arg in args:
-            elements = arg.cells if isinstance(arg, ArrayValue) else (arg,)
+            elements = (read_stored(ctx.sheet, arg)
+                        if arg.__class__ is RangeRef else arg.cells
+                        if isinstance(arg, ArrayValue) else (arg,))
             for element in elements:
                 if element.__class__ is float:
                     element = element != 0.0
@@ -501,14 +526,14 @@ def fn_rand(ctx: "EvalContext") -> Value:
 # -------------------------------------------------------------- registry
 
 REGISTRY: dict[str, FunctionDescriptor] = {d.name: d for d in [
-    FunctionDescriptor("SUM", 1, None, (ARRAY,), _aggregate(_total)),
-    FunctionDescriptor("AVERAGE", 1, None, (ARRAY,), _aggregate(_mean)),
-    FunctionDescriptor("MIN", 1, None, (ARRAY,),
+    FunctionDescriptor("SUM", 1, None, (CELLS,), _aggregate(_total)),
+    FunctionDescriptor("AVERAGE", 1, None, (CELLS,), _aggregate(_mean)),
+    FunctionDescriptor("MIN", 1, None, (CELLS,),
                        _aggregate(partial(min, default=0.0))),
-    FunctionDescriptor("MAX", 1, None, (ARRAY,),
+    FunctionDescriptor("MAX", 1, None, (CELLS,),
                        _aggregate(partial(max, default=0.0))),
-    FunctionDescriptor("SMALL", 2, 2, (ARRAY, SCALAR), partial(_kth, True)),
-    FunctionDescriptor("LARGE", 2, 2, (ARRAY, SCALAR), partial(_kth, False)),
+    FunctionDescriptor("SMALL", 2, 2, (CELLS, SCALAR), partial(_kth, True)),
+    FunctionDescriptor("LARGE", 2, 2, (CELLS, SCALAR), partial(_kth, False)),
     FunctionDescriptor("LEFT", 1, 2, (TEXT, NUMBER), fn_left),
     FunctionDescriptor("RIGHT", 1, 2, (TEXT, NUMBER), fn_right),
     FunctionDescriptor("LEN", 1, 1, (TEXT,), fn_len),
@@ -521,8 +546,8 @@ REGISTRY: dict[str, FunctionDescriptor] = {d.name: d for d in [
     FunctionDescriptor("MATCH", 2, 3, (SCALAR, ARRAY, SCALAR), fn_match),
     FunctionDescriptor("INDEX", 2, 3, (ARRAY, NUMBER, NUMBER), fn_index),
     FunctionDescriptor("ISERROR", 1, 1, (SCALAR,), fn_iserror, captures_errors=True),
-    FunctionDescriptor("AND", 1, None, (ARRAY,), _logical(False)),
-    FunctionDescriptor("OR", 1, None, (ARRAY,), _logical(True)),
+    FunctionDescriptor("AND", 1, None, (CELLS,), _logical(False)),
+    FunctionDescriptor("OR", 1, None, (CELLS,), _logical(True)),
     FunctionDescriptor("NOT", 1, 1, (LOGICAL,), fn_not),
     FunctionDescriptor("ROW", 0, 1, (REF,), _position("row")),
     FunctionDescriptor("COLUMN", 0, 1, (REF,), _position("col")),

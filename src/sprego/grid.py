@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress, count, islice, repeat
@@ -210,9 +211,11 @@ class Sheet:
     Unset cells read as BLANK, and writing BLANK unsets the cell, so
     the stored mapping never contains blanks (or Omitted, which is an
     argument placeholder rather than data) nor an empty column.  A
-    range is read column by column: a column with fewer stored cells
-    than the range has rows is placed into a run of blanks, so its
-    cost is set by the stored data; any other is read row by row.
+    range is read column by column, densely (get_range) or only its
+    stored cells (stored): a column with fewer stored cells than the
+    range has rows is placed into a run of blanks or has its rows
+    sorted, so its cost is set by the stored data; any other is read
+    row by row.
 
     A column can also hold pending blocks, each the row keys and
     non-empty texts of one block of a CSV load, still unconverted.
@@ -285,6 +288,31 @@ class Sheet:
             return ArrayValue(rows, rng.cols,
                               tuple(chain.from_iterable(zip(*series))))
         return ArrayValue(rows, 1, tuple(series[0]))
+
+    def stored(self, rng: RangeRef) -> list[Scalar]:
+        """The values a rectangle holds, row-major, its blanks left out.
+        Raises GridError for a rectangle above MAX_RANGE_CELLS.  A
+        column set in row order, as most are, sorts in one pass.
+        """
+        rng.check_size()
+        top, bottom = rng.top_left.row, rng.bottom_right.row
+        rows = range(top, bottom + 1)
+        held = []  # (column, its rows in the rectangle, in order)
+        for col in range(rng.top_left.col, rng.bottom_right.col + 1):
+            column = self._column(col)
+            if len(column) < len(rows):
+                keys = sorted(column)
+                keys = keys[bisect_left(keys, top):bisect_right(keys, bottom)]
+            else:
+                keys = list(filter(column.__contains__, rows))
+            if keys:
+                held.append((column, keys))
+        if len(held) == 1:
+            column, keys = held[0]
+            return list(map(column.__getitem__, keys))
+        lines = sorted(set().union(*(keys for _, keys in held)))
+        return [value for row in lines for column, _ in held
+                if (value := column.get(row)) is not None]
 
     def spill(self, top_left: CellAddress, array: ArrayValue) -> RangeRef:
         """Write an array with its first element at top_left.

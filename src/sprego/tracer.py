@@ -82,8 +82,8 @@ def trace(
     """Evaluate a formula once, as entered, and lay out its steps.
 
     The input column defaults to the first range in the formula, as
-    the evaluation read it; a formula with no range traces as a single
-    row.  The evaluation computes each set of twins (parser.intern)
+    the evaluation read it (or read here, when an aggregate took it
+    unread); a formula with no range traces as a single row.  The evaluation computes each set of twins (parser.intern)
     once and keeps every step's value, so a step shows the value its
     subtree took wherever the evaluation reached it.  A subtree holding
     RAND is never shared: its step shows its first occurrence, and

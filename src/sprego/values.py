@@ -95,8 +95,12 @@ def parse_number(text: str) -> float | None:
     """
     text = text.strip()  # float() alone would reject U+001C..U+001F
     # a character outside the alphabet, or no digit ("", "-"), fails
-    # here rather than in float(), whose exception costs far more
-    if text.strip(_NUMBER_CHARS) or not text.strip("+-.eE"):
+    # here rather than in float(), whose exception costs far more; so
+    # does a sign past the first character with no exponent for it to
+    # belong to ("555-1234", "1-2", "2024-01-05")
+    if text.strip(_NUMBER_CHARS) or not text.strip("+-.eE") or (
+            ("-" in text[1:] or "+" in text[1:])
+            and not text.strip("0123456789+-.")):
         return None
     try:
         result = float(text)
@@ -212,15 +216,9 @@ def read_numbers(values: Sequence[Scalar], keep_text: bool) -> list:
                 else 0.0 if value is BLANK
                 else coerce_to_number(value) for value in values]
     except ValueError:  # float() refused text the alphabet admits
-        # text of digits, signs and points with a "-" past its first
-        # character has no exponent for that sign to belong to, so it
-        # is no number ("2024-01-05", "555-1234") and costs no call;
-        # other refused text ("1.2.3") and the rest of its block go
-        # through parse_number
+        # ("2024-01-05", "1.2.3"): that text and the rest of its block
+        # go through parse_number, which refuses most such text unraised
         return [coerce_to_number(value) if value.__class__ is not str
-                else (value if keep_text else VALUE_ERR)
-                if "-" in (text := value.strip())[1:]
-                and not text.strip("0123456789+-.")
                 else number if (number := parse_number(value)) is not None
                 else value if keep_text else VALUE_ERR for value in values]
 

@@ -628,14 +628,14 @@ class TestSharedSubtrees:
 
     @pytest.fixture
     def reads(self, monkeypatch):
+        # a range is read densely, or by its stored cells (an aggregate)
         calls = []
-        original = Sheet.get_range
+        for method in ("get_range", "stored"):
+            def counting(sheet, rng, original=getattr(Sheet, method)):
+                calls.append(rng.a1)
+                return original(sheet, rng)
 
-        def counting(sheet, rng):
-            calls.append(rng.a1)
-            return original(sheet, rng)
-
-        monkeypatch.setattr(Sheet, "get_range", counting)
+            monkeypatch.setattr(Sheet, method, counting)
         return calls
 
     def test_a_repeated_range_is_read_once(self, servers, reads):

@@ -8,7 +8,7 @@ import pytest
 
 from sprego import EvalContext, Sheet, evaluate_formula, parse_formula
 from sprego.cli import main
-from sprego.functions import ARRAY, REGISTRY, lookup
+from sprego.functions import REGISTRY, lookup
 from sprego.grid import parse_cell
 from sprego.values import (
     ArrayValue,
@@ -548,10 +548,13 @@ class TestCallPlumbing:
             assert evaluate_formula(some, ctx) is False
 
     def test_unlimited_functions_repeat_an_array_mode(self):
-        # a call longer than a descriptor's modes lifts nothing more
+        # the repeating last mode is never lifted, so a call longer
+        # than a descriptor's modes lifts nothing more
         for descriptor in REGISTRY.values():
             if descriptor.max_args is None:
-                assert descriptor.modes[-1] == ARRAY, descriptor.name
+                last = len(descriptor.modes) - 1
+                assert last not in descriptor.plans[-1], descriptor.name
+                assert descriptor.mode(last + 5) is descriptor.modes[last]
 
     def test_ref_argument_must_be_a_reference(self):
         assert ev("=ROW(1+1)") is VALUE_ERR

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from sprego import cli, grid
+from sprego import cli, grid, values
 from sprego.grid import (
     ADDRESS_MEMO,
     BLOCK_ROWS,
@@ -31,7 +31,7 @@ from sprego.grid import (
     range_to_csv,
 )
 from sprego.values import (ArrayValue, BLANK, NUMBER_PATTERN, OMITTED,
-                           VALUE_ERR, read_numbers)
+                           VALUE_ERR, parse_number, read_numbers)
 
 
 class TestColumnLetters:
@@ -517,6 +517,27 @@ class TestMixedNumericText:
                 got = read_numbers(texts, keep_text)
                 assert [(type(v), repr(v)) for v in got] == \
                     [(type(v), repr(v)) for v in expected], texts
+
+    def test_parse_number_refuses_a_misplaced_sign_before_float(
+            self, monkeypatch):
+        # a sign past the first character with no exponent is no number,
+        # found without float() and the ValueError it would raise
+        refused = []
+
+        def watched(text):
+            try:
+                return float(text)
+            except ValueError:
+                refused.append(text)
+                raise
+
+        monkeypatch.setattr(values, "float", watched, raising=False)
+        for text in _MIXED:
+            number = parse_number(text)
+            assert repr(number) == repr(_model_number(text)), text
+        assert "1.2.3" in refused  # float() is still what refuses it
+        assert not {"2024-01-05", "-2024-01-05", " 1999-12-31 ", "555-1234",
+                    "10-20", "5-", "--5", "+-1"}.intersection(refused)
 
     def test_columns_of_dates_and_numbers_load_as_the_model(self):
         rng = random.Random(11)
