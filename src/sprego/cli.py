@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+from . import data_path
 from .evaluator import EvalContext, display_value, evaluate_formula
 from .grid import (Sheet, as_range, load_csv, parse_a1, parse_cell,
                    range_to_csv, render_rows)
@@ -35,9 +36,6 @@ from .script import (
 from .tracer import render_tsv, trace
 from .values import ArrayValue, CellError, as_array, render
 
-PACKAGED_DATA = Path(__file__).parent / "data"
-
-
 def _add_workbook_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--at", type=int, default=0, metavar="N",
                         help="shift loaded columns right by N (default 0)")
@@ -50,56 +48,6 @@ def _add_workbook_flags(parser: argparse.ArgumentParser) -> None:
                         help="set a cell before evaluating (repeatable)")
     # what these flags and the positionals get wrong exits 2, as usage
     parser.set_defaults(usage_error=parser.error)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sprego",
-        description="A small array-first spreadsheet formula engine.")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    eval_cmd = commands.add_parser(
-        "eval", help="evaluate one formula, optionally against a CSV workbook",
-        usage="%(prog)s [options] [workbook.csv] formula")
-    eval_cmd.add_argument("args", nargs="+",
-                          metavar="[workbook.csv] formula")
-    eval_cmd.add_argument("--cell", action="store_true",
-                          help="print only the displayed (first) component")
-    eval_cmd.add_argument("--strict", action="store_true",
-                          help="exit 1 if the result contains an error value")
-    _add_workbook_flags(eval_cmd)
-
-    run_cmd = commands.add_parser(
-        "run", help="run a task script and check its expectations")
-    run_cmd.add_argument("script",
-                         help="script path (bare names also resolve against "
-                              "the packaged examples)")
-    run_cmd.add_argument("--keep-going", action="store_true",
-                         help="continue past a failed directive")
-
-    trace_cmd = commands.add_parser(
-        "trace", help="print the step-by-step table of a formula",
-        usage="%(prog)s [options] [workbook.csv] formula [input-range]")
-    trace_cmd.add_argument("args", nargs="+",
-                           metavar="[workbook.csv] formula [input-range]")
-    _add_workbook_flags(trace_cmd)
-
-    for command in (eval_cmd, run_cmd, trace_cmd):
-        command.add_argument("--seed", type=int, default=None,
-                             help="seed for RAND()")
-
-    export_cmd = commands.add_parser(
-        "export", help="print a workbook range back as CSV")
-    export_cmd.add_argument("workbook")
-    export_cmd.add_argument("range")
-    _add_workbook_flags(export_cmd)
-
-    return parser
-
-
-#: Built once: parsing leaves it unchanged (--set appends to a copy of
-#: its default list), so every call of main can share it.
-_PARSER = build_parser()
 
 
 def _build_sheet(options, workbook: Optional[str]) -> Sheet:
@@ -157,10 +105,8 @@ def cmd_eval(options) -> int:
 
 def cmd_run(options) -> int:
     path = Path(options.script)
-    if not path.exists():
-        packaged = PACKAGED_DATA / options.script
-        if packaged.exists():
-            path = packaged
+    if not path.exists() and data_path(options.script).exists():
+        path = data_path(options.script)
     report = run_script(path, seed=options.seed,
                         keep_going=options.keep_going)
     print(report.render(), end="")
@@ -185,16 +131,64 @@ def cmd_export(options) -> int:
     return OK
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="sprego",
+        description="A small array-first spreadsheet formula engine.")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    eval_cmd = commands.add_parser(
+        "eval", help="evaluate one formula, optionally against a CSV workbook",
+        usage="%(prog)s [options] [workbook.csv] formula")
+    eval_cmd.add_argument("args", nargs="+",
+                          metavar="[workbook.csv] formula")
+    eval_cmd.add_argument("--cell", action="store_true",
+                          help="print only the displayed (first) component")
+    eval_cmd.add_argument("--strict", action="store_true",
+                          help="exit 1 if the result contains an error value")
+    _add_workbook_flags(eval_cmd)
+    eval_cmd.set_defaults(handler=cmd_eval)
+
+    run_cmd = commands.add_parser(
+        "run", help="run a task script and check its expectations")
+    run_cmd.add_argument("script",
+                         help="script path (bare names also resolve against "
+                              "the packaged examples)")
+    run_cmd.add_argument("--keep-going", action="store_true",
+                         help="continue past a failed directive")
+    run_cmd.set_defaults(handler=cmd_run)
+
+    trace_cmd = commands.add_parser(
+        "trace", help="print the step-by-step table of a formula",
+        usage="%(prog)s [options] [workbook.csv] formula [input-range]")
+    trace_cmd.add_argument("args", nargs="+",
+                           metavar="[workbook.csv] formula [input-range]")
+    _add_workbook_flags(trace_cmd)
+    trace_cmd.set_defaults(handler=cmd_trace)
+
+    for command in (eval_cmd, run_cmd, trace_cmd):
+        command.add_argument("--seed", type=int, default=None,
+                             help="seed for RAND()")
+
+    export_cmd = commands.add_parser(
+        "export", help="print a workbook range back as CSV")
+    export_cmd.add_argument("workbook")
+    export_cmd.add_argument("range")
+    _add_workbook_flags(export_cmd)
+    export_cmd.set_defaults(handler=cmd_export)
+
+    return parser
+
+
+#: Built once: parsing leaves it unchanged (--set appends to a copy of
+#: its default list), so every call of main can share it.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     options = _PARSER.parse_args(argv)
-    handlers = {
-        "eval": cmd_eval,
-        "run": cmd_run,
-        "trace": cmd_trace,
-        "export": cmd_export,
-    }
     try:
-        return handlers[options.command](options)
+        return options.handler(options)
     except REPORTED_FAILURES as exc:
         code, message = describe_failure(exc)
     except OSError as exc:

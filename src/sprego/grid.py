@@ -25,6 +25,7 @@ import csv
 import io
 import re
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress, count, islice, repeat
@@ -58,7 +59,7 @@ class GridError(Exception):
 
 
 class IngestError(GridError):
-    """Raised when a CSV source cannot be decoded or parsed."""
+    """Raised when a file or stream cannot be read, decoded or parsed."""
 
 
 def column_letters(col: int) -> str:
@@ -342,32 +343,45 @@ class Sheet:
         for col, blocks in other._pending.items():
             self._pending.setdefault(col, []).extend(blocks)
 
-    def _row_keys(self) -> dict[int, set[int]]:
-        """The rows of every column that holds a cell, pending or not."""
-        keys = {col: set(column) for col, column in self._columns.items()}
-        for col, blocks in self._pending.items():
-            keys.setdefault(col, set()).update(*(rows for rows, _ in blocks))
-        return keys
-
     def used_cells(self) -> set[tuple[int, int]]:
-        """The (row, col) position of every cell, converting nothing."""
-        return {(row, col) for col, rows in self._row_keys().items()
-                for row in rows}
+        """The (row, col) position of every cell, pending or not,
+        converting nothing."""
+        used = {(row, col) for col, column in self._columns.items()
+                for row in column}
+        used.update((row, col) for col, blocks in self._pending.items()
+                    for rows, _ in blocks for row in rows)
+        return used
 
     def cell_count(self) -> int:
         """How many cells the sheet holds, converting nothing."""
-        return sum(map(len, self._row_keys().values()))
+        return len(self.used_cells())
 
 
 CsvSource = Union[str, Path, IO[bytes], IO[str]]
 
 
-def _open_text(source: CsvSource) -> IO[str]:
-    if isinstance(source, (str, Path)):
-        return open(source, encoding="utf-8-sig", newline="")
-    if isinstance(source, io.TextIOBase):
-        return source
-    return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+@contextmanager
+def open_text(source: CsvSource, what: str) -> Iterator[IO[str]]:
+    """A path or stream as UTF-8 text less the byte-order mark Excel's "CSV
+    UTF-8" starts with, line ends kept; an OSError or bad UTF-8 (naming
+    what) raises IngestError.  It closes only a file it opened."""
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, encoding="utf-8-sig", newline="") as stream:
+                yield stream
+        elif isinstance(source, io.TextIOBase):
+            yield source
+        else:
+            stream = io.TextIOWrapper(source, encoding="utf-8-sig",
+                                      newline="")
+            try:
+                yield stream
+            finally:
+                stream.detach()  # keep the caller's byte stream open
+    except OSError as exc:
+        raise IngestError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{what} is not valid UTF-8: {exc}") from exc
 
 
 def _check_block(block: list[list[str]], top: int,
@@ -420,8 +434,7 @@ def load_csv(
     force_text is set; everything else stays Text.  Empty fields stay
     Blank.  With header set, row 1 is kept as Text regardless.  The
     column_offset shifts the whole table right, leaving the first
-    columns free for derived series.  A file or byte stream is read as
-    UTF-8, less the byte-order mark Excel's "CSV UTF-8" starts with.
+    columns free for derived series.  The source is read by open_text.
 
     Rows are read in blocks of BLOCK_ROWS.  Every field is parsed and
     checked against the sheet's bounds here, and malformed CSV or bad
@@ -436,40 +449,30 @@ def load_csv(
     columns: dict[int, dict[int, Scalar]] = {}
     pending: dict[int, Pending] = {}
     try:
-        stream = _open_text(source)
-    except OSError as exc:
-        raise IngestError(str(exc)) from exc
-    owns_stream = isinstance(source, (str, Path))
-    try:
-        reader = csv.reader(stream)
-        # a header is a block of its own, kept as text
-        top, size = 1, 1 if header else BLOCK_ROWS
-        numeric = not (header or force_text)
-        while block := list(islice(reader, size)):
-            _check_block(block, top, column_offset)
-            rows = tuple(range(top, top + len(block)))
-            for col, keys, fields in _block_columns(block, rows,
-                                                    column_offset + 1):
-                # empty fields are neither converted nor stored; the
-                # columns that have none share one tuple of row keys
-                if texts := tuple(filter(None, fields)):
-                    if len(texts) < len(keys):
-                        keys = tuple(compress(keys, fields))
-                    if numeric:
-                        pending.setdefault(col, []).append((keys, texts))
-                    else:
-                        columns.setdefault(col, {}).update(zip(keys, texts))
-            top, size, numeric = top + len(block), BLOCK_ROWS, not force_text
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"CSV source is not valid UTF-8: {exc}") from exc
+        with open_text(source, "CSV source") as stream:
+            reader = csv.reader(stream)
+            # a header is a block of its own, kept as text
+            top, size = 1, 1 if header else BLOCK_ROWS
+            numeric = not (header or force_text)
+            while block := list(islice(reader, size)):
+                _check_block(block, top, column_offset)
+                rows = tuple(range(top, top + len(block)))
+                for col, keys, fields in _block_columns(block, rows,
+                                                        column_offset + 1):
+                    # empty fields are neither converted nor stored; the
+                    # columns that have none share one tuple of row keys
+                    if texts := tuple(filter(None, fields)):
+                        if len(texts) < len(keys):
+                            keys = tuple(compress(keys, fields))
+                        if numeric:
+                            pending.setdefault(col, []).append((keys, texts))
+                        else:
+                            columns.setdefault(col, {}).update(
+                                zip(keys, texts))
+                top, size = top + len(block), BLOCK_ROWS
+                numeric = not force_text
     except csv.Error as exc:
         raise IngestError(f"malformed CSV: {exc}") from exc
-    finally:
-        if owns_stream:
-            stream.close()
-        elif stream is not source and isinstance(stream, io.TextIOWrapper):
-            # keep the caller's byte stream open
-            stream.detach()
     return Sheet(columns, pending)
 
 

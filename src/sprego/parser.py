@@ -315,13 +315,12 @@ class _Parser:
         self.pos = pos + 3
         try:
             rng = parse_range(lexemes[pos], lexemes[pos + 2])
-        except GridError:
+        except GridError as exc:
             # the error sits at the first corner that fails
             self.cell_at(pos)
             if _KIND[lexemes[pos + 2][:1]] != "ident":
                 raise self.error(pos + 2, "expected 'ident'") from None
-            self.cell_at(pos + 2)
-            raise
+            raise self.error(pos + 2, str(exc)) from None
         corners = _corners(rng)
         # a one-cell range reads as cheaply as a reference, which does
         # not make a formula worth interning either

@@ -44,6 +44,7 @@ from .grid import (
     Sheet,
     as_range,
     load_csv,
+    open_text,
     parse_a1,
     parse_cell,
 )
@@ -226,22 +227,20 @@ def parse_task_script(source: Union[str, Path], *,
     only for error reporting and relative paths)."""
     path = Path(source)
     if text is None:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise IngestError(str(exc)) from exc
+        with open_text(path, "task script") as stream:
+            text = stream.read()
     directives: list[Directive] = []
     labels: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        keyword, _, rest = stripped.partition(" ")
+        keyword, rest = (stripped.split(maxsplit=1) + [""])[:2]
         keyword = keyword.upper()
         syntax = _SYNTAX.get(keyword)
         if syntax is None:
             raise ScriptError(line_no, f"unknown directive {keyword!r}")
-        m = syntax.match(rest.strip())
+        m = syntax.match(rest)
         if not m:
             raise ScriptError(line_no, f"malformed {keyword}: {stripped!r}")
         if keyword == "LOAD":
@@ -273,15 +272,12 @@ def parse_task_script(source: Union[str, Path], *,
 
 
 def _load_expect_file(path: Path) -> tuple[tuple[Scalar, ...], ...]:
-    try:
-        content = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IngestError(str(exc)) from exc
     rows = []
-    for file_line in content.splitlines():
-        fields = _split_fields(file_line, None, "expectation file",
-                               row_separator="\x00")
-        rows.append(tuple(parse_scalar_field(*f) for f in fields[0]))
+    with open_text(path, "golden file") as stream:
+        for file_line in stream.read().splitlines():
+            fields = _split_fields(file_line, None, "expectation file",
+                                   row_separator="\x00")
+            rows.append(tuple(parse_scalar_field(*f) for f in fields[0]))
     return tuple(rows)
 
 

@@ -119,9 +119,13 @@ class TestAddressParsing:
         assert parse_range("$c$3", "d4") == parse_range("D4", "C3")
         # leading zeros make a long lexeme, decoded but not kept
         long = "A" + "0" * 40 + "1"
-        before = grid._cell_memo.cache_info().currsize
-        assert parse_cell(long) == parse_cell("A1")
-        assert grid._cell_memo.cache_info().currsize == before
+        cell, rng = parse_cell("A1"), parse_range("A1", "B2")
+        cells = grid._cell_memo.cache_info().currsize
+        ranges = grid._range_memo.cache_info().currsize
+        assert parse_cell(long) == cell
+        assert parse_range(long, "B2") == rng
+        assert grid._cell_memo.cache_info().currsize == cells
+        assert grid._range_memo.cache_info().currsize == ranges
 
     @pytest.mark.parametrize("first, second, bad", [
         ("XFE1", "A1", "XFE1"), ("A1", "A1048577", "A1048577"),

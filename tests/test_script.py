@@ -167,6 +167,17 @@ SET A5 = #N/A
         with pytest.raises(ScriptError):
             parse_task_script(path)
 
+    def test_a_keyword_ends_at_any_whitespace(self, tmp_path):
+        script = parse_task_script(write(tmp_path, "t.sprego", (
+            "LOAD\tdata.csv\nSET\tA1 = 5\nSTEP \t S1\tB1 = =A1\n"
+            "TRACE\tS1\nEXPECT\tB1 = 5\n")))
+        assert [type(d) for d in script.directives] == [
+            Load, SetCell, Step, Trace, Expect]
+        assert script.directives[1].value == 5.0
+        assert (script.directives[2].label, script.directives[2].target,
+                script.directives[2].formula) == ("S1", "B1", "=A1")
+        assert script.directives[3].label == "S1"
+
     def test_missing_script_file(self, tmp_path):
         with pytest.raises(IngestError):
             parse_task_script(tmp_path / "absent.sprego")
@@ -260,6 +271,22 @@ STEP S1 C2:C3 = {=B2:B3*10}
 EXPECT C2:C3 = @golden.csv
 """)
         assert run_script(path).ok
+
+    def test_byte_order_marks_of_script_and_golden_are_dropped(self,
+                                                               tmp_path):
+        reports = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            folder = tmp_path / encoding
+            folder.mkdir()
+            (folder / "golden.csv").write_text("5\n", encoding=encoding)
+            path = folder / "t.sprego"
+            path.write_text("SET A1 = 5\nEXPECT A1 = @golden.csv\n",
+                            encoding=encoding)
+            report = run_script(path)
+            reports.append([(o.line, o.text, o.exit_code)
+                            for o in report.outcomes])
+        assert reports[0] == reports[1]
+        assert reports[1][-1] == (2, "EXPECT A1: PASS (1 cell)", OK)
 
     def test_expect_mismatch_reports_first_cell(self, tmp_path):
         write(tmp_path, "data.csv", SMALL_CSV)
@@ -722,6 +749,27 @@ class TestCli:
 
     def test_run_missing_script(self, capsys):
         assert main(["run", "definitely-absent.sprego"]) == IO_FAILED
+
+    def test_run_of_a_script_not_utf8_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "t.sprego"
+        path.write_bytes(b"SET A1 = 1\nSET A2 = \xff\n")
+        assert main(["run", str(path)]) == IO_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "sprego: task script is not valid UTF-8: ")
+        assert captured.err.count("\n") == 1
+
+    def test_run_of_a_golden_not_utf8_exits_4(self, capsys, tmp_path):
+        (tmp_path / "golden.csv").write_bytes(b"1\n\xff\n")
+        path = write(tmp_path, "t.sprego", "SET A1 = 1\nSET A2 = 2\n"
+                     "EXPECT A1:A2 = @golden.csv\nSET A3 = 3\n")
+        assert main(["run", str(path)]) == IO_FAILED
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 4  # the run stops at the EXPECT
+        assert lines[2].startswith("line 3: golden file is not valid UTF-8: ")
+        assert captured.err == ""
 
     def test_run_reports_failures(self, capsys, tmp_path):
         write(tmp_path, "data.csv", SMALL_CSV)
