@@ -481,6 +481,12 @@ class TestCoercionErrorOrder:
         ("=MATCH(1,A1:A3,1/0)", DIV0_ERR),
         ('=SUBSTITUTE("aa","a","b",1/0)', DIV0_ERR),
         ("=OFFSET(A1,0,0,1/0)", DIV0_ERR),
+        # a scalar stands for a one-element vector, or a 1x1 array
+        ("=MATCH(1,1)", 1.0),
+        ("=MATCH(5,5,0)", 1.0),
+        ("=MATCH(5,,0)", NA_ERR),
+        ("=INDEX(5,1,1)", 5.0),
+        ('=INDEX("x",1)', "x"),
         # a bad k, mode, instance, height or width is its own #VALUE!
         ('=SMALL(B1,"x")', VALUE_ERR),
         ('=LARGE(B1,"x")', VALUE_ERR),
@@ -488,12 +494,6 @@ class TestCoercionErrorOrder:
         ('=SUBSTITUTE("abc","b","x","y")', VALUE_ERR),
         ('=OFFSET(B1,0,0,"x")', VALUE_ERR),
         ('=OFFSET(B1,0,0,1,"x")', VALUE_ERR),
-        # a scalar stands for a one-element vector, or a 1x1 array
-        ("=MATCH(1,1)", 1.0),
-        ("=MATCH(5,5,0)", 1.0),
-        ("=MATCH(5,,0)", NA_ERR),
-        ("=INDEX(5,1,1)", 5.0),
-        ('=INDEX("x",1)', "x"),
     ])
     def test_scalar_result(self, mixed, formula, expected):
         result = ev(formula, mixed)
