@@ -212,11 +212,11 @@ class Sheet:
     Unset cells read as BLANK, and writing BLANK unsets the cell, so
     the stored mapping never contains blanks (or Omitted, which is an
     argument placeholder rather than data) nor an empty column.  A
-    range is read column by column, densely (get_range) or only its
-    stored cells (stored): a column with fewer stored cells than the
-    range has rows is placed into a run of blanks or has its rows
-    sorted, so its cost is set by the stored data; any other is read
-    row by row.
+    range is read column by column.  A dense read (get_range) looks up
+    every row, so it is paid per row.  A read of the stored cells only
+    (stored) sorts a column with fewer stored cells than the range has
+    rows and looks up every row of any other, so it is paid the fewer
+    of its rows and its stored cells.
 
     A column can also hold pending blocks, each the row keys and
     non-empty texts of one block of a CSV load, still unconverted.
@@ -271,24 +271,13 @@ class Sheet:
         as BLANK.  Raises GridError for a rectangle above MAX_RANGE_CELLS.
         """
         rng.check_size()
-        top, bottom = rng.top_left.row, rng.bottom_right.row
-        rows = bottom - top + 1
-        series = []
-        for col in range(rng.top_left.col, rng.bottom_right.col + 1):
-            column = self._column(col)
-            if len(column) < rows:
-                cells = [BLANK] * rows
-                for row, value in column.items():
-                    if top <= row <= bottom:
-                        cells[row - top] = value
-                series.append(cells)
-            else:
-                series.append(map(column.get, range(top, bottom + 1),
-                                  repeat(BLANK)))
+        rows = range(rng.top_left.row, rng.bottom_right.row + 1)
+        series = [map(self._column(col).get, rows, repeat(BLANK))
+                  for col in range(rng.top_left.col, rng.bottom_right.col + 1)]
         if len(series) > 1:
-            return ArrayValue(rows, rng.cols,
+            return ArrayValue(len(rows), rng.cols,
                               tuple(chain.from_iterable(zip(*series))))
-        return ArrayValue(rows, 1, tuple(series[0]))
+        return ArrayValue(len(rows), 1, tuple(series[0]))
 
     def stored(self, rng: RangeRef) -> list[Scalar]:
         """The values a rectangle holds, row-major, its blanks left out.

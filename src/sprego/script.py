@@ -133,7 +133,7 @@ Directive = Union[Load, SetCell, Step, Trace, Expect]
 
 @dataclass
 class TaskScript:
-    path: Optional[Path]
+    path: Path
     directives: list[Directive]
 
 
@@ -221,14 +221,11 @@ _SYNTAX = {
 }
 
 
-def parse_task_script(source: Union[str, Path], *,
-                      text: Optional[str] = None) -> TaskScript:
-    """Read a script file (or parse `text` directly with `source` used
-    only for error reporting and relative paths)."""
+def parse_task_script(source: Union[str, Path]) -> TaskScript:
+    """Read and parse a script file."""
     path = Path(source)
-    if text is None:
-        with open_text(path, "task script") as stream:
-            text = stream.read()
+    with open_text(path, "task script") as stream:
+        text = stream.read()
     directives: list[Directive] = []
     labels: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -324,8 +321,7 @@ class RunReport:
 class _Runner:
     def __init__(self, script: TaskScript, seed: Optional[int]):
         self.script = script
-        self.base_dir = (script.path.parent if script.path is not None
-                         else Path("."))
+        self.base_dir = script.path.parent
         self.sheet = Sheet()
         self.rng = random.Random(seed)
         self.written: list[RangeRef] = []  # the STEP and SET rectangles
@@ -333,7 +329,7 @@ class _Runner:
                        if isinstance(d, Trace)}
         # by step label: its trace (or why it has none), as the step ran
         self.tables: dict[str, Union[TraceTable, TraceError, None]] = {}
-        self.report = RunReport(str(script.path or "<script>"))
+        self.report = RunReport(str(script.path))
 
     def note(self, line: int, text: str, exit_code: int = OK) -> bool:
         self.report.outcomes.append(DirectiveOutcome(line, text, exit_code))
@@ -468,7 +464,7 @@ class _Runner:
 
 
 def run_script(
-    source: Union[str, Path, TaskScript],
+    source: Union[str, Path],
     *,
     seed: Optional[int] = None,
     keep_going: bool = False,
@@ -479,8 +475,7 @@ def run_script(
     report's exit_code distinguishes expectation mismatches from
     parse, evaluation and I/O failures.
     """
-    script = (source if isinstance(source, TaskScript)
-              else parse_task_script(source))
+    script = parse_task_script(source)
     runner = _Runner(script, seed)
     for directive in script.directives:
         if not runner.run_directive(directive) and not keep_going:

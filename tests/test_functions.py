@@ -314,6 +314,11 @@ class TestMatchIndex:
         s.set(parse_cell("A2"), "x")
         s.set(parse_cell("A3"), 1.0)
         assert ev("=MATCH(1,A1:A3,0)", s) == 3.0
+        # a blank needle matches no blank element, in any mode
+        s = Sheet()
+        s.set(parse_cell("A2"), 1.0)
+        for mode in (0, 1, -1):
+            assert ev(f"=MATCH(A5,A1:A3,{mode})", s) is NA_ERR
 
     def test_match_needs_a_vector(self, sheet):
         assert ev("=MATCH(1,A1:B2,0)", sheet) is VALUE_ERR

@@ -1,8 +1,11 @@
 """Task script parsing and execution, plus the command line."""
 
+import errno
 import gc
+import io
 import random
 import re
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -362,7 +365,7 @@ EXPECT A1:B2 = 1,2;3
         # STEP or SET rectangle, blanks spilled over stored cells too
         rng = random.Random(8)
         for _ in range(400):
-            runner = _Runner(TaskScript(None, []), seed=None)
+            runner = _Runner(TaskScript(Path("t.sprego"), []), seed=None)
             cells = set()
             for _ in range(rng.randint(0, 8)):
                 addr = CellAddress(rng.randint(1, 10), rng.randint(1, 13))
@@ -386,11 +389,11 @@ EXPECT A1:B2 = 1,2;3
             values = runner.sheet.get_range(target).cells
             assert runner.first_unwritten(target, values) == missing
 
-    def test_written_cells_cost_no_memory_per_cell(self):
-        step, = parse_task_script(
-            "t.sprego", text="STEP S A1:A100000 = {=ROW(A1:A100000)}\n"
-        ).directives
-        runner = _Runner(TaskScript(None, [step]), seed=None)
+    def test_written_cells_cost_no_memory_per_cell(self, tmp_path):
+        script = parse_task_script(write(
+            tmp_path, "t.sprego", "STEP S A1:A100000 = {=ROW(A1:A100000)}\n"))
+        step, = script.directives
+        runner = _Runner(script, seed=None)
         tracemalloc.start()
         try:
             assert runner.run_directive(step)
@@ -699,11 +702,13 @@ class TestCli:
 
     @pytest.mark.parametrize("literal, stored", [
         ('"a,b"', "a,b"), ("5", 5.0), ("#N/A", NA_ERR)])
-    def test_set_flag_reads_its_literal_like_set(self, literal, stored):
+    def test_set_flag_reads_its_literal_like_set(self, tmp_path, literal,
+                                                 stored):
         options = build_parser().parse_args(
             ["eval", "=A1", "--set", f"A1={literal}"])
         by_flag = _build_sheet(options, None).get(parse_cell("A1"))
-        script = parse_task_script("t.sprego", text=f"SET A1 = {literal}\n")
+        script = parse_task_script(
+            write(tmp_path, "t.sprego", f"SET A1 = {literal}\n"))
         by_script = script.directives[0].value
         for value in (by_flag, by_script):
             assert type(value) is type(stored) and value == stored
@@ -938,6 +943,15 @@ EXPECT C2:C3 = 30;99
         assert capsys.readouterr().err == (
             "sprego: malformed CSV: field larger than field limit (131072)\n")
 
+    def test_closed_pipe_exits_4(self, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["eval", "=1"]) == IO_FAILED
+        assert capsys.readouterr().err == "sprego: [Errno 32] Broken pipe\n"
+
 
 WHOLE_SHEET = "A1:XFD1048576"
 
@@ -1009,3 +1023,18 @@ class TestWholeColumnReads:
         formula = parse_formula("{=LEN(A1:A1048576)}")
         value = evaluate_formula(formula, EvalContext(Sheet()))
         assert value.shape == (1048576, 1) and set(value.cells) == {0.0}
+
+
+class TestSparseColumnReads:
+    """A dense read of columns that each hold one cell looks up every
+    row, and still ends well within a second."""
+
+    def test_index_over_sixteen_sparse_columns(self):
+        sheet = Sheet()
+        sheet.set(parse_cell("A1"), "first")
+        for col in range(2, 17):
+            sheet.set(CellAddress(col, col * 1000), float(col))
+        formula = parse_formula("{=INDEX(A1:P65536,1,1)}")
+        value, seconds = timed(
+            lambda: evaluate_formula(formula, EvalContext(sheet)))
+        assert value == "first" and seconds < 1.0
